@@ -12,6 +12,7 @@ import difflib
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Optional
 
+from .engine import time_grid_errors
 from .errors import ValidationError
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "EXPERIMENT_KINDS", "MODEL_FAMILIES"]
@@ -167,17 +168,8 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
     if cfg.experiment.kind not in EXPERIMENT_KINDS:
         errs.append(f"[experiment] kind {cfg.experiment.kind!r} not in {EXPERIMENT_KINDS}"
                     f"{_suggest(cfg.experiment.kind, EXPERIMENT_KINDS)}")
-    if cfg.sim.dt <= 0:
-        errs.append("[sim] dt must be positive")
-    if cfg.sim.t_final <= 0:
-        errs.append("[sim] t_final must be positive")
-    if cfg.sim.dt > 0 and cfg.sim.t_final > 0:
-        steps = cfg.sim.t_final / cfg.sim.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            errs.append("[sim] t_final must be an integer multiple of dt "
-                        f"(t_final={cfg.sim.t_final}, dt={cfg.sim.dt})")
-        if cfg.sim.dt > 0.1 and not cfg.sim.allow_large_dt:
-            errs.append("[sim] dt > 0.1; set allow_large_dt = true to override")
+    errs.extend(f"[sim] {e}"
+                for e in time_grid_errors(cfg.sim.dt, cfg.sim.t_final, cfg.sim.allow_large_dt))
     if cfg.sim.replicas < 1:
         errs.append("[sim] replicas must be >= 1")
     if cfg.sim.seed < 0 or cfg.sim.seed >= 2 ** 64:

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .measures import EmpiricalMeasure
 from .models import DiffusionSpec, ModelSpec, mean_field_batch
 from .rng import INIT_STEP, NoiseGrid
 
@@ -30,6 +29,26 @@ __all__ = [
 ]
 
 
+def time_grid_errors(dt: float, t_final: float, allow_large_dt: bool) -> list[str]:
+    """Every time-grid rule that (dt, t_final) breaks, one message each."""
+    errs = []
+    if dt <= 0:
+        errs.append("dt must be positive")
+    if t_final <= 0:
+        errs.append("t_final must be positive")
+    if errs:
+        return errs
+    steps = t_final / dt
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        errs.append(f"t_final must be an integer multiple of dt (t_final={t_final}, dt={dt})")
+    if dt > 0.1 and not allow_large_dt:
+        errs.append("dt > 0.1 rejected; set allow_large_dt = true to override")
+    if round(steps) >= INIT_STEP:
+        errs.append(f"step count {round(steps)} collides with the reserved init-step key "
+                    f"{INIT_STEP}")
+    return errs
+
+
 @dataclass(frozen=True)
 class SimConfig:
     dt: float
@@ -42,21 +61,13 @@ class SimConfig:
     allow_large_dt: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValidationError("dt and t_final must be positive")
-        steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ValidationError(
-                f"t_final={self.t_final} is not an integer multiple of dt={self.dt}"
-            )
-        if self.dt > 0.1 and not self.allow_large_dt:
-            raise ValidationError("dt > 0.1 rejected; set allow_large_dt to override")
+        errs = time_grid_errors(self.dt, self.t_final, self.allow_large_dt)
         if self.n_particles < 1:
-            raise ValidationError("n_particles must be >= 1")
+            errs.append("n_particles must be >= 1")
         if self.snapshot_stride < 1:
-            raise ValidationError("snapshot_stride must be >= 1")
-        if round(steps) >= INIT_STEP:
-            raise ValidationError("step count collides with the reserved init-step key")
+            errs.append("snapshot_stride must be >= 1")
+        if errs:
+            raise ValidationError("; ".join(errs))
 
     @property
     def n_steps(self) -> int:
@@ -78,9 +89,6 @@ class TrajectoryEnsemble:
     @property
     def terminal(self) -> np.ndarray:
         return self.states[-1]
-
-    def measure_at(self, rec_index: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure.uniform(self.states[rec_index])
 
     def to_csv(self) -> str:
         """One row per recorded step: t, then particle coordinates flattened."""
@@ -107,14 +115,6 @@ class ReferenceFlow:
     def m_reference(self) -> int:
         return self.snapshots.shape[1]
 
-    def measure_at(self, step: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure.uniform(self.snapshots[step])
-
-    def step_of(self, t: float) -> int:
-        """Piecewise-constant lookup: latest snapshot index with time <= t."""
-        k = int(np.floor(t / self.dt + 1e-9))
-        return min(max(k, 0), len(self.times) - 1)
-
 
 @dataclass
 class CoupledEnsemble:
@@ -124,9 +124,6 @@ class CoupledEnsemble:
     mean_square_gap: np.ndarray     # (n_steps + 1,), (1/N) sum_i |X_i - Xbar_i|^2
     terminal_particles: np.ndarray  # (N, d)
     terminal_nonlinear: np.ndarray  # (N, d)
-    particle_states: Optional[np.ndarray] = None   # strided, (n_rec, N, d)
-    nonlinear_states: Optional[np.ndarray] = None
-    record_times: Optional[np.ndarray] = None
 
     def gap_to_csv(self) -> str:
         """One row per step: t, mean-square coupling gap."""
@@ -144,27 +141,49 @@ def _tame(drift: np.ndarray, dt: float, exponent: float) -> np.ndarray:
 
 
 def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float,
-               taming: bool = False, taming_exponent: float = 1.0) -> np.ndarray:
-    """One explicit step: X + sigma dW - b dt (with b tamed when requested)."""
+               taming: bool = False, taming_exponent: float = 1.0,
+               step: int = -1, labels=None) -> np.ndarray:
+    """One explicit step: X + sigma dW - b dt (with b tamed when requested).
+
+    A non-finite result raises DivergenceError carrying `step` and the label
+    of the first diverged row: labels[row] when labels are given, else row.
+    """
     X = np.asarray(X, dtype=np.float64)
     drift = np.asarray(drift, dtype=np.float64)
     dW = np.asarray(dW, dtype=np.float64)
     if taming:
         drift = _tame(drift, dt, taming_exponent)
     out = X + diffusion.apply(dW) - drift * dt
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(step=-1, detail="euler_step produced a non-finite state")
-    return out
-
-
-def _advance(X, drift, model: ModelSpec, dW, dt, taming: bool, step: int) -> np.ndarray:
-    if taming and model.drift.taming_exponent > 0:
-        drift = _tame(drift, dt, model.drift.taming_exponent)
-    out = X + model.diffusion.apply(dW) - drift * dt
     bad = ~np.all(np.isfinite(out), axis=-1)
     if np.any(bad):
-        raise DivergenceError(step=step, particle=int(np.argmax(bad)))
+        row = int(np.argmax(bad))
+        raise DivergenceError(step=step, particle=int(labels[row]) if labels is not None else row)
     return out
+
+
+def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, indices: np.ndarray,
+               states: list, clouds: list, on_step: Callable[[int, list], None]) -> list:
+    """The step loop shared by every simulation: all states ride the same noise.
+
+    Each step k draws noise.increments(indices, k, d) once, evaluates each
+    state's mean-field drift (against its own empirical measure when its
+    cloud is None, else against the frozen snapshot cloud[k]), then advances
+    every state with euler_step.  on_step(k + 1, states) sees the new states;
+    the terminal states are returned.
+    """
+    d = model.dim
+    tame = config.taming and model.drift.taming_exponent > 0
+    sizes = [len(X) if c is None else c.shape[1] for X, c in zip(states, clouds)]
+    weights = [np.full(n, 1.0 / n) for n in sizes]
+    for k in range(config.n_steps):
+        drifts = [mean_field_batch(model.drift, X, X if c is None else c[k], w)
+                  for X, c, w in zip(states, clouds, weights)]
+        dW = noise.increments(indices, k, d)
+        states = [euler_step(X, b, model.diffusion, dW, config.dt, tame,
+                             model.drift.taming_exponent, step=k, labels=indices)
+                  for X, b in zip(states, drifts)]
+        on_step(k + 1, states)
+    return states
 
 
 def _record_steps(n_steps: int, stride: int) -> np.ndarray:
@@ -198,22 +217,18 @@ def simulate_particle_system(model: ModelSpec, config: SimConfig,
         indices = particle_indices[order]
         unsort = np.argsort(order, kind="stable")
 
-    weights = np.full(N, 1.0 / N)
     X = model.initial_law.sample(noise, indices)
-    n_steps = config.n_steps
-    recs = _record_steps(n_steps, config.snapshot_stride)
+    recs = _record_steps(config.n_steps, config.snapshot_stride)
     states = np.empty((len(recs), N, d))
     rec_pos = {int(k): r for r, k in enumerate(recs)}
     states[0] = X[unsort]
 
-    for k in range(n_steps):
-        drift = mean_field_batch(model.drift, X, X, weights)
-        dW = noise.increments(indices, k, d)
-        X = _advance(X, drift, model, dW, config.dt, config.taming, step=k)
-        r = rec_pos.get(k + 1)
+    def record(k, Xs):
+        r = rec_pos.get(k)
         if r is not None:
-            states[r] = X[unsort]
+            states[r] = Xs[0][unsort]
 
+    _integrate(model, config, noise, indices, [X], [None], record)
     return TrajectoryEnsemble(times=recs * config.dt, states=states, model=model, config=config)
 
 
@@ -232,27 +247,20 @@ def build_reference_flow(model: ModelSpec, M: int, config: SimConfig,
     from .wasserstein import sample_w2  # local import: metrics layer sits above models
 
     noise = noise or config.noise()
-    d = model.dim
     n_steps = config.n_steps
-    weights = np.full(M, 1.0 / M)
     indices = np.arange(M)
     X0 = model.initial_law.sample(noise, indices)
-    dWs_key = noise  # same keys reused across passes by construction
 
     prev = None
     iterate_gaps = []
     for it in range(picard_iters):
-        X = X0.copy()
-        snaps = np.empty((n_steps + 1, M, d))
-        snaps[0] = X
-        for k in range(n_steps):
-            if prev is None:
-                drift = mean_field_batch(model.drift, X, X, weights)
-            else:
-                drift = mean_field_batch(model.drift, X, prev[k], weights)
-            dW = dWs_key.increments(indices, k, d)
-            X = _advance(X, drift, model, dW, config.dt, config.taming, step=k)
-            snaps[k + 1] = X
+        snaps = np.empty((n_steps + 1, M, model.dim))
+        snaps[0] = X0
+
+        def record(k, Xs):
+            snaps[k] = Xs[0]
+
+        _integrate(model, config, noise, indices, [X0], [prev], record)
         if prev is not None:
             iterate_gaps.append(sample_w2(prev[-1], snaps[-1]))
             if len(iterate_gaps) >= 2 and iterate_gaps[-1] > iterate_gaps[-2] + 1e-12:
@@ -269,8 +277,7 @@ def build_reference_flow(model: ModelSpec, M: int, config: SimConfig,
 
 
 def simulate_coupled(model: ModelSpec, config: SimConfig, flow: ReferenceFlow,
-                     noise: Optional[NoiseGrid] = None,
-                     store_trajectories: bool = False) -> CoupledEnsemble:
+                     noise: Optional[NoiseGrid] = None) -> CoupledEnsemble:
     """Advance X^{i,N} and the nonlinear Xbar^i on identical noise increments.
 
     The particle system sees its own empirical measure; the nonlinear
@@ -285,41 +292,15 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: ReferenceFlow,
         raise ValidationError("reference flow does not cover [0, t_final] at this dt")
 
     noise = noise or config.noise()
-    N, d = config.n_particles, model.dim
-    weights = np.full(N, 1.0 / N)
-    flow_weights = np.full(flow.m_reference, 1.0 / flow.m_reference)
-    indices = np.arange(N)
+    indices = np.arange(config.n_particles)
+    X0 = model.initial_law.sample(noise, indices)
+    gap = np.zeros(n_steps + 1)
 
-    X = model.initial_law.sample(noise, indices)
-    Xbar = X.copy()
-    gap = np.empty(n_steps + 1)
-    gap[0] = 0.0
+    def record(k, Xs):
+        diff = Xs[0] - Xs[1]
+        gap[k] = float(np.mean(np.einsum("id,id->i", diff, diff)))
 
-    recs = _record_steps(n_steps, config.snapshot_stride) if store_trajectories else None
-    if store_trajectories:
-        traj_p = np.empty((len(recs), N, d))
-        traj_b = np.empty((len(recs), N, d))
-        traj_p[0], traj_b[0] = X, Xbar
-        rec_pos = {int(k): r for r, k in enumerate(recs)}
-
-    for k in range(n_steps):
-        drift_p = mean_field_batch(model.drift, X, X, weights)
-        drift_b = mean_field_batch(model.drift, Xbar, flow.snapshots[k], flow_weights)
-        dW = noise.increments(indices, k, d)
-        X = _advance(X, drift_p, model, dW, config.dt, config.taming, step=k)
-        Xbar = _advance(Xbar, drift_b, model, dW, config.dt, config.taming, step=k)
-        gap[k + 1] = float(np.mean(np.einsum("id,id->i", X - Xbar, X - Xbar)))
-        if store_trajectories:
-            r = rec_pos.get(k + 1)
-            if r is not None:
-                traj_p[r], traj_b[r] = X, Xbar
-
-    return CoupledEnsemble(
-        times=np.arange(n_steps + 1) * config.dt,
-        mean_square_gap=gap,
-        terminal_particles=X,
-        terminal_nonlinear=Xbar,
-        particle_states=traj_p if store_trajectories else None,
-        nonlinear_states=traj_b if store_trajectories else None,
-        record_times=recs * config.dt if store_trajectories else None,
-    )
+    X, Xbar = _integrate(model, config, noise, indices, [X0, X0], [None, flow.snapshots],
+                         record)
+    return CoupledEnsemble(times=np.arange(n_steps + 1) * config.dt, mean_square_gap=gap,
+                           terminal_particles=X, terminal_nonlinear=Xbar)

@@ -9,7 +9,7 @@ downstream is a rate, a sign or an inequality, never a constant's value.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -141,20 +141,15 @@ class EquilibriumCurve:
 def make_reference_flow(model: ModelSpec, M: int, config: SimConfig,
                         picard_iters: int = 2) -> ReferenceFlow:
     """Reference flow in its dedicated noise namespace, disjoint from all replicas."""
-    ref_cfg = SimConfig(dt=config.dt, t_final=config.t_final, n_particles=M,
-                        seed=config.seed, replica_id=config.replica_id,
-                        taming=config.taming, allow_large_dt=config.allow_large_dt)
+    ref_cfg = replace(config, n_particles=M)
     noise = NoiseGrid(config.seed, REFERENCE_NAMESPACE + config.replica_id, config.dt)
     return build_reference_flow(model, M, ref_cfg, picard_iters=picard_iters, noise=noise)
 
 
 def _replica_config(config: SimConfig, n: int, replica: int,
                     stride: Optional[int] = None) -> SimConfig:
-    return SimConfig(dt=config.dt, t_final=config.t_final, n_particles=n,
-                     seed=config.seed, replica_id=config.replica_id + replica,
-                     taming=config.taming,
-                     snapshot_stride=stride or config.snapshot_stride,
-                     allow_large_dt=config.allow_large_dt)
+    return replace(config, n_particles=n, replica_id=config.replica_id + replica,
+                   snapshot_stride=stride or config.snapshot_stride)
 
 
 def _w2sq_debiased(cloud: np.ndarray, reference: np.ndarray):
@@ -190,6 +185,25 @@ def _tail_fit(n_particles: int, r_grid, probs, replicas: int):
     ps = np.array([p for _, p in window])
     slope, _, _, se = linear_fit(n_particles * rs ** 2, -np.log(ps))
     return slope, se, list(rs)
+
+
+def _deviation_table(stats: np.ndarray, offset: float, r_grid, n_particles: int,
+                     **extra) -> DeviationTable:
+    """Tail table of P[stat > offset + r] over r_grid, Wilson intervals and tail fit."""
+    replicas = len(stats)
+    probs, lows, highs = [], [], []
+    for r in r_grid:
+        hits = int(np.sum(stats > offset + r))
+        probs.append(hits / replicas)
+        lo, hi = wilson_interval(hits, replicas)
+        lows.append(lo)
+        highs.append(hi)
+
+    fitted_c, c_se, window = _tail_fit(n_particles, r_grid, probs, replicas)
+    return DeviationTable(r_grid=list(map(float, r_grid)), empirical_probs=probs,
+                          wilson_lows=lows, wilson_highs=highs, n_replicas=replicas,
+                          n_particles=n_particles, fitted_c=fitted_c, fitted_c_se=c_se,
+                          fit_window=window, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +280,12 @@ def observable_deviation_experiment(model: ModelSpec, observable: Observable, n_
     errors = np.array(_map(one, range(replicas), threads))
     mse = float(np.mean(errors ** 2))
     threshold = float(np.sqrt(mse))
-
-    probs, lows, highs = [], [], []
-    for r in r_grid:
-        hits = int(np.sum(np.abs(errors) > threshold + r))
-        probs.append(hits / replicas)
-        lo, hi = wilson_interval(hits, replicas)
-        lows.append(lo)
-        highs.append(hi)
-
-    fitted_c, c_se, window = _tail_fit(n_particles, r_grid, probs, replicas)
-    return DeviationTable(r_grid=list(map(float, r_grid)), empirical_probs=probs,
-                          wilson_lows=lows, wilson_highs=highs, n_replicas=replicas,
-                          n_particles=n_particles, fitted_c=fitted_c, fitted_c_se=c_se,
-                          fit_window=window, mean_square_error=mse,
-                          lln_constant=n_particles * mse, threshold=threshold,
-                          metadata={"observable": observable.name,
-                                    "reference_value": ref_value,
-                                    "rescaled": L > 1.0})
+    return _deviation_table(np.abs(errors), threshold, r_grid, n_particles,
+                            mean_square_error=mse, lln_constant=n_particles * mse,
+                            threshold=threshold,
+                            metadata={"observable": observable.name,
+                                      "reference_value": ref_value,
+                                      "rescaled": L > 1.0})
 
 
 def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequence[float],
@@ -301,44 +303,23 @@ def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequ
     if flow is None:
         flow = make_reference_flow(model, m_reference, config, picard_iters)
     stride = config.snapshot_stride if sup_over_time else config.n_steps
-    ref_subs = {}  # step -> equal-size subsample, shared by all replicas
-
-    def w1_at(step: int, cloud: np.ndarray) -> float:
-        if step not in ref_subs:
-            ref_subs[step] = _even_subsample(flow.snapshots[step], n_particles)
-        return sample_w1(cloud, ref_subs[step])
-
-    # precompute subsamples so threaded replicas only read the dict
-    steps_used = list(range(0, config.n_steps + 1, stride))
-    if steps_used[-1] != config.n_steps:
-        steps_used.append(config.n_steps)
-    for s in steps_used:
-        w1_at(s, flow.snapshots[s][:n_particles])
+    # equal-size reference subsample per recorded step, built before any
+    # replica runs so threaded replicas only read the dict
+    steps_used = set(range(0, config.n_steps + 1, stride)) | {config.n_steps}
+    ref_subs = {s: _even_subsample(flow.snapshots[s], n_particles) for s in steps_used}
 
     def one(rep):
         traj = simulate_particle_system(model, _replica_config(config, n_particles, rep,
                                                                stride=stride))
         steps = np.rint(traj.times / config.dt).astype(int)
         if sup_over_time:
-            return max(w1_at(int(s), traj.states[k]) for k, s in enumerate(steps))
-        return w1_at(config.n_steps, traj.terminal)
+            return max(sample_w1(traj.states[k], ref_subs[int(s)]) for k, s in enumerate(steps))
+        return sample_w1(traj.terminal, ref_subs[config.n_steps])
 
     stats = np.array(_map(one, range(replicas), threads))
-    probs, lows, highs = [], [], []
-    for r in r_grid:
-        hits = int(np.sum(stats > r))
-        probs.append(hits / replicas)
-        lo, hi = wilson_interval(hits, replicas)
-        lows.append(lo)
-        highs.append(hi)
-
-    fitted_c, c_se, window = _tail_fit(n_particles, r_grid, probs, replicas)
-    return DeviationTable(r_grid=list(map(float, r_grid)), empirical_probs=probs,
-                          wilson_lows=lows, wilson_highs=highs, n_replicas=replicas,
-                          n_particles=n_particles, fitted_c=fitted_c, fitted_c_se=c_se,
-                          fit_window=window,
-                          metadata={"statistic": "sup_t W1" if sup_over_time else "terminal W1",
-                                    "time_grid": "snapshot steps only"})
+    return _deviation_table(stats, 0.0, r_grid, n_particles,
+                            metadata={"statistic": "sup_t W1" if sup_over_time else "terminal W1",
+                                      "time_grid": "snapshot steps only"})
 
 
 def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
@@ -354,10 +335,7 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
     decay rate is fitted log-linearly on the window above twice the Monte
     Carlo noise floor.
     """
-    cfg = SimConfig(dt=config.dt, t_final=t_final, n_particles=n_particles,
-                    seed=config.seed, replica_id=config.replica_id, taming=config.taming,
-                    snapshot_stride=config.snapshot_stride,
-                    allow_large_dt=config.allow_large_dt)
+    cfg = replace(config, t_final=t_final, n_particles=n_particles)
 
     if target_sampler is None:
         burn_cfg = _replica_config(cfg, 4 * n_particles, 982_451_653)

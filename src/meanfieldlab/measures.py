@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,37 +54,3 @@ class EmpiricalMeasure:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.points
-
-    def second_moment(self) -> float:
-        return float(self.weights @ np.sum(self.points ** 2, axis=1))
-
-    def integrate(self, func) -> float:
-        """Weighted integral of a scalar function evaluated on the support."""
-        vals = np.asarray([func(x) for x in self.points], dtype=np.float64)
-        return float(self.weights @ vals)
-
-    def to_csv(self, include_weights: bool = True) -> str:
-        buf = io.StringIO()
-        cols = [f"x{c}" for c in range(self.dim)]
-        if include_weights:
-            cols.append("weight")
-        buf.write(",".join(cols) + "\n")
-        for i in range(self.n):
-            row = [format(v, ".17g") for v in self.points[i]]
-            if include_weights:
-                row.append(format(self.weights[i], ".17g"))
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "EmpiricalMeasure":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        header = lines[0].split(",")
-        has_w = header[-1] == "weight"
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        if has_w:
-            return cls(data[:, :-1], data[:, -1])
-        return cls.uniform(data)

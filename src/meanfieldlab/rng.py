@@ -85,10 +85,6 @@ class NoiseGrid:
         self._k0 = key & 0xFFFFFFFF
         self._k1 = (key >> 32) & 0xFFFFFFFF
 
-    def replica(self, replica_id: int) -> "NoiseGrid":
-        """Same seed/dt, different replica namespace."""
-        return NoiseGrid(self.seed, replica_id, self.dt)
-
     def _raw_pairs(self, particles, step: int, n_pairs: int, channel: int):
         """Two uniforms in (0,1) per (particle, block) key, shape (n, n_pairs, 2)."""
         particles = np.asarray(particles, dtype=np.int64)

@@ -12,7 +12,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -128,7 +128,7 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None, seed: Optional[int] = 
         threads: int = 1) -> RunManifest:
     """Execute the configured experiment and write all artifacts plus the manifest."""
     if seed is not None:
-        cfg.sim.seed = int(seed)
+        cfg = replace(cfg, sim=replace(cfg.sim, seed=int(seed)))
     out = output_dir or cfg.output.directory
     os.makedirs(out, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()

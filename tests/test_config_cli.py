@@ -107,6 +107,13 @@ def test_step_mismatch_names_both_values():
     assert "0.03" in msg and "0.1" in msg
 
 
+def test_reserved_step_count_rejected():
+    # the step count must stay below the init-step key that SimConfig reserves
+    with pytest.raises(ValidationError) as exc:
+        parse_config("[sim]\ndt = 1e-10\nt_final = 1.0\nn_grid = 4\n")
+    assert "reserved init-step key" in str(exc.value)
+
+
 def test_list_and_bool_parsing():
     cfg = parse_config("[sim]\nn_grid = 4 8 16\ntaming = yes\n")
     assert cfg.sim.n_grid == [4, 8, 16]
@@ -170,6 +177,14 @@ def test_seed_override_changes_results(tmp_path):
     with open(os.path.join(out2, "deviation_summary.csv")) as fh:
         b = fh.read()
     assert a != b
+
+
+def test_seed_override_leaves_input_config_alone(tmp_path):
+    cfg = parse_config(DEVIATION_CFG.format(out=str(tmp_path / "s")))
+    manifest = run(cfg, seed=99)
+    assert cfg.sim.seed == 3
+    assert manifest.seed == 99
+    assert parse_config(manifest.config_text).sim.seed == 99
 
 
 def test_manifest_jsonl_structure(tmp_path):

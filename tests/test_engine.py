@@ -156,6 +156,25 @@ def test_divergence_error_reports_step():
     assert exc.value.step >= 0
 
 
+def test_divergence_error_reports_caller_label():
+    # a law-free kernel that blows up exactly one particle: the one that starts highest
+    labels = np.array([40, 10, 70, 30, 60, 20, 50])
+    cfg = SimConfig(dt=0.1, t_final=0.5, n_particles=len(labels), seed=5)
+    start = InitialLaw.gaussian(np.zeros(1), np.eye(1)).sample(cfg.noise(), labels)
+    top = start.max()
+    m = ModelSpec(
+        drift=DriftKernel(dim=1, eval=lambda x, y: np.where(x >= top, np.inf, 0.0),
+                          lipschitz_bound=0.0, law_free=True),
+        diffusion=DiffusionSpec(np.zeros((1, 1))),
+        initial_law=InitialLaw.gaussian(np.zeros(1), np.eye(1)),
+        name="one-blows-up",
+    )
+    with pytest.raises(DivergenceError) as exc:
+        simulate_particle_system(m, cfg, particle_indices=labels)
+    assert exc.value.step == 0
+    assert exc.value.particle == labels[int(np.argmax(start[:, 0]))]
+
+
 def test_vfp_position_update_is_exactly_v_dt():
     m = vlasov_fokker_planck_model(quadratic_potential(1.0), A=lambda v: v, B=lambda x: x,
                                    d_prime=1)
@@ -278,6 +297,21 @@ def test_trajectory_and_gap_csv_round_values():
     gap_lines = res.gap_to_csv().strip().splitlines()
     assert gap_lines[0] == "t,mean_sq_gap"
     assert len(gap_lines) == cfg.n_steps + 2
+
+
+@pytest.mark.parametrize("cubic", [False, True])
+def test_reference_pass_and_coupled_particles_match_particle_system(cubic):
+    # all three simulations run the same step loop, so on the same keys they agree bit for bit
+    W = power_potential(3.0, 1.0) if cubic else quadratic_potential(1.0)
+    m = granular_media_model(quadratic_potential(1.0), W, 1)
+    cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=64, seed=67, taming=cubic)
+    flow = build_reference_flow(m, 64, cfg, picard_iters=1, noise=_ref_noise(cfg))
+    traj = simulate_particle_system(m, cfg, noise=_ref_noise(cfg))
+    assert np.array_equal(flow.snapshots, traj.states)
+
+    small = SimConfig(dt=0.02, t_final=0.2, n_particles=8, seed=67, taming=cubic)
+    res = simulate_coupled(m, small, flow)
+    assert np.array_equal(res.terminal_particles, simulate_particle_system(m, small).terminal)
 
 
 def test_coupled_rejects_mismatched_flow():
