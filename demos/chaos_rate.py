@@ -20,7 +20,7 @@ config = SimConfig(dt=0.01, t_final=1.0, n_particles=1, seed=7)
 # a modest grid keeps this demo under a minute; the acceptance suite pushes
 # to N = 512 with 200 replicas and sees the same slope
 fit = chaos_rate_experiment(model, n_grid=[16, 32, 64, 128], config=config,
-                            replicas=40, m_reference=2048, threads=4)
+                            replicas=40, m_reference=2048)
 
 print("N      E|X - Xbar|^2   (stderr)      sample W2^2 to f_t (debiased; may dip")
 print("                                      below 0 at this replica count)")

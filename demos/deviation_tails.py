@@ -20,7 +20,7 @@ config = SimConfig(dt=0.01, t_final=1.0, n_particles=128, seed=11)
 
 table = observable_deviation_experiment(
     model, phi, n_particles=128, r_grid=[0.01, 0.02, 0.04, 0.06, 0.08, 0.12],
-    replicas=1000, config=config, m_reference=4096, threads=4)
+    replicas=1000, config=config, m_reference=4096)
 
 print(f"mean-square error of the particle average: {table.mean_square_error:.3e}")
 print(f"implied law-of-large-numbers constant N*mse: {table.lln_constant:.3f}")

@@ -24,7 +24,7 @@ def gaussian_target(n, salt):
 
 
 curve = equilibrium_convergence(ou, 512, 4.0, config, target_sampler=gaussian_target,
-                                replicas=8, threads=4)
+                                replicas=8)
 print("OU model:")
 print(f"  fitted decay rate: {curve.fitted_decay_rate:.3f}  (exact: 1.0)")
 print(f"  sampling noise floor: {curve.noise_floor:.4f}")
@@ -36,8 +36,7 @@ model = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0),
                              initial_law=InitialLaw.gaussian([3.0], [[1.0]]))
 gconfig = SimConfig(dt=0.02, t_final=8.0, n_particles=128, seed=22, snapshot_stride=20)
 gcurve = equilibrium_convergence(model, 128, 8.0, gconfig, replicas=16,
-                                 gap_times=[1.0, 2.0, 4.0, 8.0], m_reference=2048,
-                                 threads=4)
+                                 gap_times=[1.0, 2.0, 4.0, 8.0], m_reference=2048)
 print("\ngranular media model:")
 print(f"  fitted decay rate: {gcurve.fitted_decay_rate:.3f}")
 print("  coupling gap at t in {1, 2, 4, 8}:",

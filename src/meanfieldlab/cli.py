@@ -1,6 +1,6 @@
 """Command line entry point: run, validate, replot.
 
-Exit codes: 0 success, 1 validation error, 2 divergence, 3 I/O error.
+Exit codes: 0 success, 1 validation or usage error, 2 divergence, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="config file, or a manifest.jsonl to rerun")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--output-dir", default=None, help="override the output directory")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="replica workers; affects speed only, never results")
 
     p_val = sub.add_parser("validate", help="validate a config file without running")
     p_val.add_argument("config")
@@ -41,7 +39,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # argparse's usage-error code 2 would read as a divergence
+            return EXIT_VALIDATION
+        raise
     from .runner import load_config_or_manifest, replot, run
 
     try:
@@ -51,8 +54,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "run":
             cfg = load_config_or_manifest(args.config)
-            manifest = run(cfg, output_dir=args.output_dir, seed=args.seed,
-                           threads=args.threads)
+            manifest = run(cfg, output_dir=args.output_dir, seed=args.seed)
             for path in sorted(manifest.files):
                 print(path)
             return EXIT_OK

@@ -39,6 +39,8 @@ def time_grid_errors(dt: float, t_final: float, allow_large_dt: bool) -> list[st
     if errs:
         return errs
     steps = t_final / dt
+    if round(steps) < 1:
+        errs.append(f"t_final must be at least dt (t_final={t_final}, dt={dt})")
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
         errs.append(f"t_final must be an integer multiple of dt (t_final={t_final}, dt={dt})")
     if dt > 0.1 and not allow_large_dt:

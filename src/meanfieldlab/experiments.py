@@ -8,7 +8,6 @@ downstream is a rate, a sign or an inequality, never a constant's value.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -73,14 +72,6 @@ def linear_fit(x, y):
     return float(slope), float(intercept), float(min(max(r2, 0.0), 1.0)), float(slope_se)
 
 
-def _map(func: Callable, items, threads: int):
-    """Deterministic ordered map, optionally on a thread pool."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(func, items))
-    return [func(it) for it in items]
-
-
 # ---------------------------------------------------------------------------
 # result containers
 
@@ -90,7 +81,9 @@ class RateFit:
     n_grid: list
     mean_sq_gaps: list
     stderrs: list
-    w2_sq_estimates: list          # sample-W2^2 between one-particle law and reference
+    # debiased sample-W2^2 between one-particle law and reference: a signed
+    # estimator, negative when the same-law floor exceeds the raw estimate
+    w2_sq_estimates: list
     w2_sq_stderrs: list
     slope: float
     intercept: float
@@ -158,7 +151,9 @@ def _w2sq_debiased(cloud: np.ndarray, reference: np.ndarray):
     The raw estimator between finite same-size clouds carries an O(n^{-1/d})
     positive bias even at distance zero; subtracting the same-law floor,
     measured on disjoint equal-size reference subsamples, makes the estimate
-    comparable to the coupling gap.  Returns (estimate, standard error).
+    comparable to the coupling gap.  The estimate is signed and not clipped:
+    it is negative when the floor exceeds the raw estimate, as it can when
+    the true distance is below the floor's noise.  Returns (estimate, stderr).
     """
     n = len(cloud)
     n_chunks = min(len(reference) // n, 16)
@@ -212,7 +207,7 @@ def _deviation_table(stats: np.ndarray, offset: float, r_grid, n_particles: int,
 
 def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimConfig,
                           replicas: int, m_reference: Optional[int] = None,
-                          picard_iters: int = 2, threads: int = 1,
+                          picard_iters: int = 2,
                           flow: Optional[ReferenceFlow] = None) -> RateFit:
     """Terminal mean-square coupling gap against N, with its log-log slope.
 
@@ -222,9 +217,10 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     is reported: the distance-between-laws side of the chain.
     """
     n_grid = sorted(int(n) for n in n_grid)
-    M = m_reference or 16 * max(n_grid)
+    M = flow.m_reference if flow is not None else m_reference or 16 * max(n_grid)
     if M < 16 * max(n_grid):
-        raise ValidationError("reference ensemble must satisfy M >= 16 max(n_grid)")
+        raise ValidationError(f"reference ensemble must satisfy M >= 16 max(n_grid) "
+                              f"(M={M}, max(n_grid)={max(n_grid)})")
     if flow is None:
         flow = make_reference_flow(model, M, config, picard_iters)
 
@@ -234,7 +230,7 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
             res = simulate_coupled(model, _replica_config(config, n, rep), flow)
             return res.mean_square_gap[-1], res.terminal_particles[0]
 
-        results = _map(one, range(replicas), threads)
+        results = [one(rep) for rep in range(replicas)]
         gaps = np.array([g for g, _ in results])
         first_particle = np.array([x for _, x in results])
         mean_gaps.append(float(gaps.mean()))
@@ -257,17 +253,16 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
 
 def observable_deviation_experiment(model: ModelSpec, observable: Observable, n_particles: int,
                                     r_grid: Sequence[float], replicas: int, config: SimConfig,
-                                    m_reference: int = 4096, picard_iters: int = 2,
-                                    threads: int = 1,
-                                    flow: Optional[ReferenceFlow] = None) -> DeviationTable:
+                                    m_reference: Optional[int] = None,
+                                    picard_iters: int = 2) -> DeviationTable:
     """Tail probabilities of the one-observable deviation of the particle average.
 
     The deviation event uses threshold sqrt(mse) + r, where mse is this very
     run's mean-square error (the law-of-large-numbers constant C/N), so the
-    tail table and the mean-square fit are internally consistent.
+    tail table and the mean-square fit are internally consistent.  The
+    reference flow has m_reference points, 16 n_particles by default.
     """
-    if flow is None:
-        flow = make_reference_flow(model, m_reference, config, picard_iters)
+    flow = make_reference_flow(model, m_reference or 16 * n_particles, config, picard_iters)
     L = observable.lipschitz_constant
     phi = observable.eval if L <= 1.0 else (lambda x: np.asarray(observable.eval(x)) / L)
     ref_value = float(np.mean(phi(flow.snapshots[-1])))
@@ -277,7 +272,7 @@ def observable_deviation_experiment(model: ModelSpec, observable: Observable, n_
                                                                stride=config.n_steps))
         return float(np.mean(phi(traj.terminal))) - ref_value
 
-    errors = np.array(_map(one, range(replicas), threads))
+    errors = np.array([one(rep) for rep in range(replicas)])
     mse = float(np.mean(errors ** 2))
     threshold = float(np.sqrt(mse))
     return _deviation_table(np.abs(errors), threshold, r_grid, n_particles,
@@ -290,21 +285,19 @@ def observable_deviation_experiment(model: ModelSpec, observable: Observable, n_
 
 def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequence[float],
                                 replicas: int, config: SimConfig, sup_over_time: bool = False,
-                                m_reference: int = 4096, picard_iters: int = 2,
-                                threads: int = 1,
-                                flow: Optional[ReferenceFlow] = None) -> DeviationTable:
+                                m_reference: Optional[int] = None,
+                                picard_iters: int = 2) -> DeviationTable:
     """Tail probabilities of W1 between the empirical measure and the reference flow.
 
     W1 is estimated by exact transport against an equal-size, evenly strided
     subsample of the reference snapshot.  With sup_over_time, the statistic
     is the maximum over the recorded snapshot grid (the discretized process
-    is all we have; noted in metadata).
+    is all we have; noted in metadata).  The reference flow has m_reference
+    points, 16 n_particles by default.
     """
-    if flow is None:
-        flow = make_reference_flow(model, m_reference, config, picard_iters)
+    flow = make_reference_flow(model, m_reference or 16 * n_particles, config, picard_iters)
     stride = config.snapshot_stride if sup_over_time else config.n_steps
-    # equal-size reference subsample per recorded step, built before any
-    # replica runs so threaded replicas only read the dict
+    # equal-size reference subsample per recorded step
     steps_used = set(range(0, config.n_steps + 1, stride)) | {config.n_steps}
     ref_subs = {s: _even_subsample(flow.snapshots[s], n_particles) for s in steps_used}
 
@@ -316,7 +309,7 @@ def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequ
             return max(sample_w1(traj.states[k], ref_subs[int(s)]) for k, s in enumerate(steps))
         return sample_w1(traj.terminal, ref_subs[config.n_steps])
 
-    stats = np.array(_map(one, range(replicas), threads))
+    stats = np.array([one(rep) for rep in range(replicas)])
     return _deviation_table(stats, 0.0, r_grid, n_particles,
                             metadata={"statistic": "sup_t W1" if sup_over_time else "terminal W1",
                                       "time_grid": "snapshot steps only"})
@@ -326,8 +319,8 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
                             config: SimConfig,
                             target_sampler: Optional[Callable[[int, int], np.ndarray]] = None,
                             replicas: int = 8, gap_times: Optional[Sequence[float]] = None,
-                            m_reference: Optional[int] = None, picard_iters: int = 2,
-                            threads: int = 1) -> EquilibriumCurve:
+                            m_reference: Optional[int] = None,
+                            picard_iters: int = 2) -> EquilibriumCurve:
     """Sample-W2 decay toward the steady state, plus coupling-gap time-uniformity.
 
     target_sampler(n, salt) draws n points from the steady state; when absent
@@ -357,7 +350,7 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
         traj = simulate_particle_system(model, _replica_config(cfg, n_particles, rep))
         return traj.times, np.array([sample_w2(s, target) for s in traj.states])
 
-    results = _map(one, range(replicas), threads)
+    results = [one(rep) for rep in range(replicas)]
     times = results[0][0]
     curve = np.mean([w for _, w in results], axis=0)
 
@@ -380,7 +373,7 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
             res = simulate_coupled(model, _replica_config(cfg, n_particles, rep), flow)
             return res.mean_square_gap[steps]
 
-        gaps = np.array(_map(one_gap, range(replicas), threads))  # (replicas, len(gap_times))
+        gaps = np.array([one_gap(rep) for rep in range(replicas)])  # (replicas, len(gap_times))
         gap_means = list(gaps.mean(axis=0))
         gap_ses = list(gaps.std(axis=0, ddof=1) / np.sqrt(replicas))
         tiled = np.repeat(gap_times, replicas)

@@ -98,16 +98,18 @@ def _sim_config(cfg: RunConfig, n_particles: int) -> SimConfig:
                      allow_large_dt=cfg.sim.allow_large_dt)
 
 
-def _g17(v) -> str:
-    return format(float(v), ".17g")
+def _cell(v) -> str:
+    """One CSV cell: a number at 17 significant digits, None as nan."""
+    if v is None:
+        v = float("nan")
+    return format(float(v), ".17g") if isinstance(v, (int, float, np.floating)) else str(v)
 
 
 def _csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(_g17(v) if isinstance(v, (int, float, np.floating)) else str(v)
-                           for v in row) + "\n")
+        buf.write(",".join(_cell(v) for v in row) + "\n")
     return buf.getvalue()
 
 
@@ -124,8 +126,8 @@ def _observable(name: str, dim: int) -> Observable:
     raise ValidationError(f"unknown observable {name!r} (use x<k> or norm)")
 
 
-def run(cfg: RunConfig, output_dir: Optional[str] = None, seed: Optional[int] = None,
-        threads: int = 1) -> RunManifest:
+def run(cfg: RunConfig, output_dir: Optional[str] = None,
+        seed: Optional[int] = None) -> RunManifest:
     """Execute the configured experiment and write all artifacts plus the manifest."""
     if seed is not None:
         cfg = replace(cfg, sim=replace(cfg.sim, seed=int(seed)))
@@ -149,7 +151,7 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None, seed: Optional[int] = 
     if kind == "chaos_rate":
         fit = chaos_rate_experiment(model, cfg.sim.n_grid, _sim_config(cfg, max(cfg.sim.n_grid)),
                                     replicas=cfg.sim.replicas, m_reference=m_ref,
-                                    picard_iters=picard, threads=threads)
+                                    picard_iters=picard)
         write("rate_fit.csv", _csv(
             ["n", "mean_sq_gap", "stderr", "w2_sq_estimate", "w2_sq_stderr"],
             zip(fit.n_grid, fit.mean_sq_gaps, fit.stderrs,
@@ -166,8 +168,7 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None, seed: Optional[int] = 
     elif kind in ("observable_deviation", "empirical_deviation"):
         common = dict(n_particles=cfg.sim.n_particles, r_grid=cfg.experiment.r_grid,
                       replicas=cfg.sim.replicas, config=_sim_config(cfg, cfg.sim.n_particles),
-                      m_reference=m_ref or 16 * cfg.sim.n_particles, picard_iters=picard,
-                      threads=threads)
+                      m_reference=m_ref, picard_iters=picard)
         if kind == "observable_deviation":
             obs = _observable(cfg.experiment.observable, model.dim)
             table = observable_deviation_experiment(model, obs, **common)
@@ -180,12 +181,8 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None, seed: Optional[int] = 
         write("deviation_summary.csv", _csv(
             ["n_particles", "n_replicas", "fitted_c", "fitted_c_se",
              "mean_square_error", "lln_constant", "threshold"],
-            [(table.n_particles, table.n_replicas,
-              table.fitted_c if table.fitted_c is not None else float("nan"),
-              table.fitted_c_se if table.fitted_c_se is not None else float("nan"),
-              table.mean_square_error if table.mean_square_error is not None else float("nan"),
-              table.lln_constant if table.lln_constant is not None else float("nan"),
-              table.threshold if table.threshold is not None else float("nan"))]))
+            [(table.n_particles, table.n_replicas, table.fitted_c, table.fitted_c_se,
+              table.mean_square_error, table.lln_constant, table.threshold)]))
         if cfg.output.plots:
             pos = [(r, p) for r, p in zip(table.r_grid, table.empirical_probs) if p > 0]
             if pos:
@@ -209,15 +206,13 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None, seed: Optional[int] = 
                                         _sim_config(cfg, cfg.sim.n_particles),
                                         target_sampler=target, replicas=cfg.sim.replicas,
                                         gap_times=cfg.experiment.gap_times or None,
-                                        m_reference=m_ref, picard_iters=picard, threads=threads)
+                                        m_reference=m_ref, picard_iters=picard)
         write("equilibrium_curve.csv", _csv(["t", "w2_to_target"],
                                             zip(curve.times, curve.w2_to_target)))
         write("equilibrium_summary.csv", _csv(
             ["fitted_decay_rate", "noise_floor", "gap_slope", "gap_slope_se"],
-            [(curve.fitted_decay_rate if curve.fitted_decay_rate is not None else float("nan"),
-              curve.noise_floor,
-              curve.gap_slope if curve.gap_slope is not None else float("nan"),
-              curve.gap_slope_se if curve.gap_slope_se is not None else float("nan"))]))
+            [(curve.fitted_decay_rate, curve.noise_floor, curve.gap_slope,
+              curve.gap_slope_se)]))
         if curve.gap_times:
             write("gap_uniformity.csv", _csv(["t", "mean_sq_gap", "stderr"],
                                              zip(curve.gap_times, curve.gap_means,

@@ -27,8 +27,6 @@ from meanfieldlab.runner import load_config_or_manifest, run
 
 pytestmark = pytest.mark.slow
 
-THREADS = min(4, os.cpu_count() or 1)
-
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
     line = f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'}  {detail}"
@@ -45,8 +43,7 @@ def chaos_fit():
     """Shared by criteria 1 and 4: the full-scale rate experiment."""
     cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=512, seed=2026)
     return chaos_rate_experiment(_quadratic_model(), [16, 32, 64, 128, 256, 512], cfg,
-                                 replicas=200, m_reference=8192, picard_iters=2,
-                                 threads=THREADS)
+                                 replicas=200, m_reference=8192, picard_iters=2)
 
 
 def test_criterion_01_chaos_rate(chaos_fit):
@@ -163,7 +160,7 @@ def test_criterion_06_observable_deviation_tails():
     cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=128, seed=606)
     table = observable_deviation_experiment(
         model, obs, 128, [0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.12],
-        replicas=5000, config=cfg, m_reference=8192, picard_iters=2, threads=THREADS)
+        replicas=5000, config=cfg, m_reference=8192, picard_iters=2)
 
     c, se = table.fitted_c, table.fitted_c_se
     ci_excludes_zero = c is not None and se is not None and c - 1.959964 * se > 0
@@ -184,7 +181,7 @@ def test_criterion_07_w1_deviation_monotone_in_n():
         cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=n, seed=707)
         tables[n] = empirical_measure_deviation(model, n, r_grid, replicas=400,
                                                 config=cfg, m_reference=8192,
-                                                picard_iters=2, threads=THREADS)
+                                                picard_iters=2)
     ok, notes = True, []
     for k, r in enumerate(r_grid):
         probs = [tables[n].empirical_probs[k] for n in (128, 256, 512)]
@@ -207,7 +204,7 @@ def test_criterion_08_equilibration():
         return np.random.default_rng(5_000 + salt).normal(size=(n, 1))
 
     ou_curve = equilibrium_convergence(ou, 512, 4.0, cfg, target_sampler=gaussian_target,
-                                       replicas=8, threads=THREADS)
+                                       replicas=8)
     rate_ok = ou_curve.fitted_decay_rate is not None \
         and abs(ou_curve.fitted_decay_rate - 1.0) <= 0.3
 
@@ -217,7 +214,7 @@ def test_criterion_08_equilibration():
     gcfg = SimConfig(dt=0.02, t_final=8.0, n_particles=128, seed=809, snapshot_stride=20)
     curve = equilibrium_convergence(model, 128, 8.0, gcfg, replicas=30,
                                     gap_times=[1.0, 2.0, 4.0, 8.0], m_reference=2048,
-                                    picard_iters=2, threads=THREADS)
+                                    picard_iters=2)
     granular_ok = curve.fitted_decay_rate is not None and curve.fitted_decay_rate > 0
     mean_gap = float(np.mean(curve.gap_means))
     # no systematic growth: trend over t in {1,2,4,8} indistinguishable from flat
@@ -245,7 +242,7 @@ def test_criterion_09_tamed_cubic():
 
     cfg = SimConfig(dt=0.005, t_final=0.5, n_particles=128, seed=910, taming=True)
     fit = chaos_rate_experiment(model, [16, 32, 64, 128], cfg, replicas=40,
-                                m_reference=2048, picard_iters=2, threads=THREADS)
+                                m_reference=2048, picard_iters=2)
     slope_ok = fit.slope <= -0.5 and not fit.degenerate
     ok = no_div and slope_ok
     _report(9, "tamed cubic model", ok,
@@ -281,11 +278,11 @@ directory = {out}
         return result
 
     out1 = str(tmp_path / "one")
-    run(parse_config(cfg_text.format(out=out1)), threads=1)
+    run(parse_config(cfg_text.format(out=out1)))
     cfg2 = load_config_or_manifest(os.path.join(out1, "manifest.jsonl"))
     out2 = str(tmp_path / "two")
-    run(cfg2, output_dir=out2, threads=THREADS)
+    run(cfg2, output_dir=out2)
     d1, d2 = digests(out1), digests(out2)
     ok = d1 == d2 and len(d1) >= 2
     _report(10, "manifest rerun byte-identical", ok,
-            f"{len(d1)} CSVs compared across threads=1 vs threads={THREADS}")
+            f"{len(d1)} CSVs compared between a run and its manifest rerun")

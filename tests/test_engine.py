@@ -82,6 +82,11 @@ def test_config_requires_integer_step_count():
         SimConfig(dt=0.3, t_final=1.0, n_particles=4, seed=1)
 
 
+def test_config_rejects_zero_step_time_grid():
+    with pytest.raises(ValidationError, match="t_final must be at least dt"):
+        SimConfig(dt=0.01, t_final=1e-12, n_particles=4, seed=1)
+
+
 def test_config_dt_guard_and_override():
     with pytest.raises(ValidationError):
         SimConfig(dt=0.2, t_final=1.0, n_particles=4, seed=1)
