@@ -2,7 +2,9 @@
 
 All randomness flows through a NoiseGrid, so a run is a pure function of
 (model, config, seed) and the particle system and its coupled nonlinear
-processes literally read the same Brownian increments.
+processes literally read the same Brownian increments.  A grid over a vector
+of R replica ids runs R independent replicas at once on (R, N, d) states;
+replica r's results equal, bit for bit, a run on the grid of its own id.
 """
 
 from __future__ import annotations
@@ -81,16 +83,16 @@ class SimConfig:
 
 @dataclass
 class TrajectoryEnsemble:
-    """Recorded states of one particle-system run."""
+    """Recorded states of one particle-system run, or of R batched replicas."""
 
     times: np.ndarray           # (n_rec,)
-    states: np.ndarray          # (n_rec, N, d)
+    states: np.ndarray          # (n_rec, N, d), or (R, n_rec, N, d) when batched
     model: ModelSpec
     config: SimConfig
 
     @property
     def terminal(self) -> np.ndarray:
-        return self.states[-1]
+        return self.states[..., -1, :, :]
 
     def to_csv(self) -> str:
         """One row per recorded step: t, then particle coordinates flattened."""
@@ -120,7 +122,10 @@ class ReferenceFlow:
 
 @dataclass
 class CoupledEnsemble:
-    """Synchronously coupled particle system and nonlinear processes."""
+    """Synchronously coupled particle system and nonlinear processes.
+
+    Batched runs carry a leading replica axis R on every field but times.
+    """
 
     times: np.ndarray               # (n_steps + 1,)
     mean_square_gap: np.ndarray     # (n_steps + 1,), (1/N) sum_i |X_i - Xbar_i|^2
@@ -147,8 +152,10 @@ def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float,
                step: int = -1, labels=None) -> np.ndarray:
     """One explicit step: X + sigma dW - b dt (with b tamed when requested).
 
-    A non-finite result raises DivergenceError carrying `step` and the label
-    of the first diverged row: labels[row] when labels are given, else row.
+    States have shape (N, d) or, batched, (R, N, d).  A non-finite result
+    raises DivergenceError carrying `step` and the label of the first
+    diverged particle row: labels[row] when labels are given, else row.  For
+    a batched state its `replica` is the position r of that row's replica.
     """
     X = np.asarray(X, dtype=np.float64)
     drift = np.asarray(drift, dtype=np.float64)
@@ -158,8 +165,10 @@ def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float,
     out = X + diffusion.apply(dW) - drift * dt
     bad = ~np.all(np.isfinite(out), axis=-1)
     if np.any(bad):
-        row = int(np.argmax(bad))
-        raise DivergenceError(step=step, particle=int(labels[row]) if labels is not None else row)
+        first = np.argwhere(np.atleast_1d(bad))[0]
+        row = int(first[-1])
+        raise DivergenceError(step=step, particle=int(labels[row]) if labels is not None else row,
+                              replica=int(first[0]) if len(first) > 1 else None)
     return out
 
 
@@ -167,23 +176,31 @@ def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, indices: n
                states: list, clouds: list, on_step: Callable[[int, list], None]) -> list:
     """The step loop shared by every simulation: all states ride the same noise.
 
-    Each step k draws noise.increments(indices, k, d) once, evaluates each
-    state's mean-field drift (against its own empirical measure when its
-    cloud is None, else against the frozen snapshot cloud[k]), then advances
-    every state with euler_step.  on_step(k + 1, states) sees the new states;
-    the terminal states are returned.
+    States have shape noise.batch_shape + (N, d).  Each step k draws
+    noise.increments(indices, k, d) once for every replica, evaluates each
+    state's mean-field drift (against its own empirical measure, replica by
+    replica, when its cloud is None, else against the frozen snapshot
+    cloud[k] shared by all replicas), then advances every state with
+    euler_step.  on_step(k + 1, states) sees the new states; the terminal
+    states are returned.  A DivergenceError names the replica id of the
+    diverged row.
     """
     d = model.dim
     tame = config.taming and model.drift.taming_exponent > 0
-    sizes = [len(X) if c is None else c.shape[1] for X, c in zip(states, clouds)]
+    sizes = [X.shape[-2] if c is None else c.shape[1] for X, c in zip(states, clouds)]
     weights = [np.full(n, 1.0 / n) for n in sizes]
     for k in range(config.n_steps):
         drifts = [mean_field_batch(model.drift, X, X if c is None else c[k], w)
                   for X, c, w in zip(states, clouds, weights)]
         dW = noise.increments(indices, k, d)
-        states = [euler_step(X, b, model.diffusion, dW, config.dt, tame,
-                             model.drift.taming_exponent, step=k, labels=indices)
-                  for X, b in zip(states, drifts)]
+        try:
+            states = [euler_step(X, b, model.diffusion, dW, config.dt, tame,
+                                 model.drift.taming_exponent, step=k, labels=indices)
+                      for X, b in zip(states, drifts)]
+        except DivergenceError as err:
+            ids = noise.replica_id
+            replica = ids if err.replica is None else ids[err.replica]
+            raise DivergenceError(err.step, err.particle, replica=int(replica)) from None
         on_step(k + 1, states)
     return states
 
@@ -204,7 +221,8 @@ def simulate_particle_system(model: ModelSpec, config: SimConfig,
     frozen step-start ensemble (self-interaction j=i included), then all
     particles advance simultaneously.  The ensemble is processed in
     key-sorted order internally so that relabeling particle indices permutes
-    the output bit-exactly.
+    the output bit-exactly.  A batched noise grid (a vector of replica ids)
+    runs one system per replica and gives states a leading replica axis.
     """
     noise = noise or config.noise()
     N, d = config.n_particles, model.dim
@@ -221,14 +239,14 @@ def simulate_particle_system(model: ModelSpec, config: SimConfig,
 
     X = model.initial_law.sample(noise, indices)
     recs = _record_steps(config.n_steps, config.snapshot_stride)
-    states = np.empty((len(recs), N, d))
+    states = np.empty(noise.batch_shape + (len(recs), N, d))
     rec_pos = {int(k): r for r, k in enumerate(recs)}
-    states[0] = X[unsort]
+    states[..., 0, :, :] = X[..., unsort, :]
 
     def record(k, Xs):
         r = rec_pos.get(k)
         if r is not None:
-            states[r] = Xs[0][unsort]
+            states[..., r, :, :] = Xs[0][..., unsort, :]
 
     _integrate(model, config, noise, indices, [X], [None], record)
     return TrajectoryEnsemble(times=recs * config.dt, states=states, model=model, config=config)
@@ -285,7 +303,8 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: ReferenceFlow,
     The particle system sees its own empirical measure; the nonlinear
     processes see the frozen reference flow.  Both start from the same
     initial samples, so the per-time mean-square gap is the Theorem's
-    left-hand side.
+    left-hand side.  A batched noise grid couples one system per replica
+    against the one shared flow.
     """
     if flow.dt != config.dt:
         raise ValidationError(f"flow dt {flow.dt} does not match run dt {config.dt}")
@@ -296,11 +315,11 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: ReferenceFlow,
     noise = noise or config.noise()
     indices = np.arange(config.n_particles)
     X0 = model.initial_law.sample(noise, indices)
-    gap = np.zeros(n_steps + 1)
+    gap = np.zeros(noise.batch_shape + (n_steps + 1,))
 
     def record(k, Xs):
         diff = Xs[0] - Xs[1]
-        gap[k] = float(np.mean(np.einsum("id,id->i", diff, diff)))
+        gap[..., k] = np.mean(np.einsum("...id,...id->...i", diff, diff), axis=-1)
 
     X, Xbar = _integrate(model, config, noise, indices, [X0, X0], [None, flow.snapshots],
                          record)

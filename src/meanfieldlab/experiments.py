@@ -2,6 +2,9 @@
 
 Each experiment averages independent replicas (disjoint noise namespaces,
 one shared reference flow) and reports fitted exponents with uncertainty.
+Replicas run batched, in chunks along the engine's replica axis; replica r
+always runs on replica id config.replica_id + r and results are reduced in
+replica order, so every output is independent of the chunking.
 Constants in the underlying bounds are existential, so everything asserted
 downstream is a rate, a sign or an inequality, never a constant's value.
 """
@@ -13,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import (ReferenceFlow, SimConfig, build_reference_flow,
+from .engine import (ReferenceFlow, SimConfig, _record_steps, build_reference_flow,
                      simulate_coupled, simulate_particle_system)
 from .errors import ValidationError
 from .models import ModelSpec, Observable
@@ -34,6 +37,14 @@ __all__ = [
 ]
 
 _DEGENERATE_GAP = 1e-24
+
+# Values (particle states and gap entries, per coordinate) that one batched
+# engine call holds over all its replicas: an experiment runs its replicas in
+# chunks of _BATCH_VALUES // (values per replica), so memory stays flat in the
+# replica count.  A step's temporaries (noise, drift, update) take about 100
+# bytes per value, so 2^13 values keep them under a megabyte and a batched
+# run's peak memory level with that of one replica at a time.
+_BATCH_VALUES = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +150,27 @@ def make_reference_flow(model: ModelSpec, M: int, config: SimConfig,
     return build_reference_flow(model, M, ref_cfg, picard_iters=picard_iters, noise=noise)
 
 
-def _replica_config(config: SimConfig, n: int, replica: int,
-                    stride: Optional[int] = None) -> SimConfig:
-    return replace(config, n_particles=n, replica_id=config.replica_id + replica,
-                   snapshot_stride=stride or config.snapshot_stride)
+def _replica_grids(config: SimConfig, replicas: int, values_per_replica: int):
+    """Batched noise grids over consecutive chunks of range(replicas), in order.
+
+    Replica r runs on replica id config.replica_id + r whatever the chunk
+    width, which is _BATCH_VALUES // values_per_replica (at least 1).
+    """
+    width = max(1, _BATCH_VALUES // values_per_replica)
+    ids = config.replica_id + np.arange(replicas)
+    for start in range(0, replicas, width):
+        yield NoiseGrid(config.seed, ids[start:start + width], config.dt)
+
+
+def _coupled_grids(config: SimConfig, replicas: int):
+    """Chunks for simulate_coupled: two (N, d) states and a gap trace per replica."""
+    return _replica_grids(config, replicas, 2 * config.n_particles + config.n_steps + 1)
+
+
+def _particle_grids(config: SimConfig, replicas: int):
+    """Chunks for simulate_particle_system: every recorded (N, d) snapshot per replica."""
+    records = len(_record_steps(config.n_steps, config.snapshot_stride))
+    return _replica_grids(config, replicas, config.n_particles * records)
 
 
 def _w2sq_debiased(cloud: np.ndarray, reference: np.ndarray):
@@ -154,11 +182,17 @@ def _w2sq_debiased(cloud: np.ndarray, reference: np.ndarray):
     comparable to the coupling gap.  The estimate is signed and not clipped:
     it is negative when the floor exceeds the raw estimate, as it can when
     the true distance is below the floor's noise.  Returns (estimate, stderr).
+
+    With fewer than three disjoint reference chunks (a cloud larger than a
+    third of the reference) there is neither a floor nor a spread to
+    measure: the estimate is one raw, uncorrected sample-W2^2 and its stderr
+    is nan, not 0.
     """
     n = len(cloud)
     n_chunks = min(len(reference) // n, 16)
     if n_chunks < 3:
-        return float(sample_w2(cloud, _even_subsample(reference, min(n, len(reference)))) ** 2), 0.0
+        raw = sample_w2(cloud, _even_subsample(reference, min(n, len(reference))))
+        return float(raw ** 2), float("nan")
     chunks = [reference[k::n_chunks][:n] for k in range(n_chunks)]
     n_raw = max(2, n_chunks // 2)
     raws = np.array([sample_w2(cloud, chunks[k]) ** 2 for k in range(n_raw)])
@@ -226,13 +260,14 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
 
     mean_gaps, stderrs, w2_sqs, w2_ses = [], [], [], []
     for n in n_grid:
-        def one(rep, n=n):
-            res = simulate_coupled(model, _replica_config(config, n, rep), flow)
-            return res.mean_square_gap[-1], res.terminal_particles[0]
-
-        results = [one(rep) for rep in range(replicas)]
-        gaps = np.array([g for g, _ in results])
-        first_particle = np.array([x for _, x in results])
+        cfg = replace(config, n_particles=n)
+        gaps, first_particle = [], []
+        for noise in _coupled_grids(cfg, replicas):
+            res = simulate_coupled(model, cfg, flow, noise=noise)
+            gaps.append(res.mean_square_gap[:, -1])
+            first_particle.append(res.terminal_particles[:, 0])
+        gaps = np.concatenate(gaps)
+        first_particle = np.concatenate(first_particle)
         mean_gaps.append(float(gaps.mean()))
         stderrs.append(float(gaps.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0)
 
@@ -267,12 +302,10 @@ def observable_deviation_experiment(model: ModelSpec, observable: Observable, n_
     phi = observable.eval if L <= 1.0 else (lambda x: np.asarray(observable.eval(x)) / L)
     ref_value = float(np.mean(phi(flow.snapshots[-1])))
 
-    def one(rep):
-        traj = simulate_particle_system(model, _replica_config(config, n_particles, rep,
-                                                               stride=config.n_steps))
-        return float(np.mean(phi(traj.terminal))) - ref_value
-
-    errors = np.array([one(rep) for rep in range(replicas)])
+    cfg = replace(config, n_particles=n_particles, snapshot_stride=config.n_steps)
+    errors = np.concatenate([
+        np.mean(phi(simulate_particle_system(model, cfg, noise=noise).terminal), axis=-1)
+        - ref_value for noise in _particle_grids(cfg, replicas)])
     mse = float(np.mean(errors ** 2))
     threshold = float(np.sqrt(mse))
     return _deviation_table(np.abs(errors), threshold, r_grid, n_particles,
@@ -301,15 +334,18 @@ def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequ
     steps_used = set(range(0, config.n_steps + 1, stride)) | {config.n_steps}
     ref_subs = {s: _even_subsample(flow.snapshots[s], n_particles) for s in steps_used}
 
-    def one(rep):
-        traj = simulate_particle_system(model, _replica_config(config, n_particles, rep,
-                                                               stride=stride))
-        steps = np.rint(traj.times / config.dt).astype(int)
+    def statistic(states, steps):
         if sup_over_time:
-            return max(sample_w1(traj.states[k], ref_subs[int(s)]) for k, s in enumerate(steps))
-        return sample_w1(traj.terminal, ref_subs[config.n_steps])
+            return max(sample_w1(states[k], ref_subs[int(s)]) for k, s in enumerate(steps))
+        return sample_w1(states[-1], ref_subs[config.n_steps])
 
-    stats = np.array([one(rep) for rep in range(replicas)])
+    cfg = replace(config, n_particles=n_particles, snapshot_stride=stride)
+    stats = []
+    for noise in _particle_grids(cfg, replicas):
+        traj = simulate_particle_system(model, cfg, noise=noise)
+        steps = np.rint(traj.times / config.dt).astype(int)
+        stats.extend(statistic(states, steps) for states in traj.states)
+    stats = np.array(stats)
     return _deviation_table(stats, 0.0, r_grid, n_particles,
                             metadata={"statistic": "sup_t W1" if sup_over_time else "terminal W1",
                                       "time_grid": "snapshot steps only"})
@@ -331,7 +367,7 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
     cfg = replace(config, t_final=t_final, n_particles=n_particles)
 
     if target_sampler is None:
-        burn_cfg = _replica_config(cfg, 4 * n_particles, 982_451_653)
+        burn_cfg = replace(cfg, n_particles=4 * n_particles)
         burn = simulate_particle_system(model, burn_cfg,
                                         noise=NoiseGrid(cfg.seed, REFERENCE_NAMESPACE * 2,
                                                         cfg.dt))
@@ -346,13 +382,12 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
                              target_sampler(n_particles, 2 * k + 2)) for k in range(3)]
     floor = float(np.mean(floor_draws))
 
-    def one(rep):
-        traj = simulate_particle_system(model, _replica_config(cfg, n_particles, rep))
-        return traj.times, np.array([sample_w2(s, target) for s in traj.states])
-
-    results = [one(rep) for rep in range(replicas)]
-    times = results[0][0]
-    curve = np.mean([w for _, w in results], axis=0)
+    curves = []
+    for noise in _particle_grids(cfg, replicas):
+        traj = simulate_particle_system(model, cfg, noise=noise)
+        curves.extend(np.array([sample_w2(s, target) for s in states]) for states in traj.states)
+    times = traj.times
+    curve = np.mean(curves, axis=0)
 
     mask = curve > 2.0 * floor
     mask[0] = False  # t = 0 reflects the initial law, not the decay regime
@@ -369,11 +404,9 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
         flow = make_reference_flow(model, M, cfg, picard_iters)
         steps = [int(round(t / cfg.dt)) for t in gap_times]
 
-        def one_gap(rep):
-            res = simulate_coupled(model, _replica_config(cfg, n_particles, rep), flow)
-            return res.mean_square_gap[steps]
-
-        gaps = np.array([one_gap(rep) for rep in range(replicas)])  # (replicas, len(gap_times))
+        gaps = np.concatenate([  # (replicas, len(gap_times))
+            simulate_coupled(model, cfg, flow, noise=noise).mean_square_gap[:, steps]
+            for noise in _coupled_grids(cfg, replicas)])
         gap_means = list(gaps.mean(axis=0))
         gap_ses = list(gaps.std(axis=0, ddof=1) / np.sqrt(replicas))
         tiled = np.repeat(gap_times, replicas)

@@ -211,7 +211,10 @@ class InitialLaw:
             raise ValidationError("initial law must have a finite second moment")
 
     def sample(self, grid: NoiseGrid, particles) -> np.ndarray:
-        """Draw i.i.d. initial states at the grid's reserved init-step keys."""
+        """Draw i.i.d. initial states at the grid's reserved init-step keys.
+
+        The result has shape grid.batch_shape + (len(particles), dim).
+        """
         if np.isscalar(particles):
             particles = np.arange(int(particles))
         return self._sampler(grid, np.asarray(particles))
@@ -221,7 +224,7 @@ class InitialLaw:
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
 
         def sampler(grid, particles):
-            return np.tile(x, (len(particles), 1))
+            return np.tile(x, grid.batch_shape + (len(particles), 1))
 
         return cls("point", len(x), float(np.sum(x ** 2)), sampler, {"x": x})
 
@@ -273,10 +276,10 @@ class InitialLaw:
         def sampler(grid, particles):
             # selector lives past the component columns so it never reuses
             # the draws the components consume
-            sel = grid.uniforms(particles, INIT_STEP, d + 1)[:, d]
+            sel = grid.uniforms(particles, INIT_STEP, d + 1)[..., d]
             idx = np.searchsorted(cumw, sel, side="right").clip(0, len(components) - 1)
             draws = np.stack([c.sample(grid, particles) for c in components], axis=0)
-            return draws[idx, np.arange(len(particles))]
+            return np.take_along_axis(draws, idx[None, ..., None], axis=0)[0]
 
         m2 = float(weights @ [c.second_moment for c in components])
         return cls("mixture", d, m2, sampler, {"weights": weights, "components": components})
@@ -320,7 +323,11 @@ class ModelSpec:
 
 def _pairwise_average(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
                       weights: np.ndarray) -> np.ndarray:
-    """Exact weighted average of b(X_i, Y_j) over j, chunked over i."""
+    """Exact weighted average of b(X_i, Y_j) over j, chunked over i.
+
+    X is (n, d) and points (m, d); one replica at a time, so the kernel
+    buffer never exceeds _PAIRWISE_CHUNK evaluations.
+    """
     n, d = X.shape
     m = points.shape[0]
     out = np.empty((n, d))
@@ -334,12 +341,21 @@ def _pairwise_average(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
 
 def mean_field_batch(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
                      weights: np.ndarray) -> np.ndarray:
-    """Mean-field drift for a batch of states X against a weighted cloud."""
+    """Mean-field drift for a batch of states X against a weighted cloud.
+
+    X is (n, d) or, for R batched replicas, (R, n, d).  points is one cloud
+    (m, d) shared by every replica, or one cloud per replica (R, m, d).  The
+    closed-form evaluators broadcast over the replica axis; the pairwise
+    average runs replica by replica.
+    """
     if kernel.law_free:
         return kernel.eval(X, X)
     if kernel.mean_field is not None:
         return kernel.mean_field(X, points, weights)
-    return _pairwise_average(kernel, X, points, weights)
+    if X.ndim == 2:
+        return _pairwise_average(kernel, X, points, weights)
+    clouds = points if points.ndim == 3 else [points] * len(X)
+    return np.stack([_pairwise_average(kernel, x, c, weights) for x, c in zip(X, clouds)])
 
 
 def mean_field_drift(kernel: DriftKernel, X, measure: EmpiricalMeasure) -> np.ndarray:
@@ -379,7 +395,7 @@ def granular_media_model(V: Potential, W: Potential, d: int,
         cw = W.linear_grad_coeff
 
         def mean_field(X, points, weights):
-            return V.grad(X) + cw * (X - weights @ points)
+            return V.grad(X) + cw * (X - (weights @ points)[..., None, :])
 
     lip = None
     if V.grad_lipschitz is not None and W.grad_lipschitz is not None:
@@ -437,7 +453,7 @@ def vlasov_fokker_planck_model(U: Potential, A: Callable, B: Callable, d_prime: 
 
         def mean_field(X, points, weights):
             x, v = X[..., :d_prime], X[..., d_prime:]
-            ybar = weights @ points[:, :d_prime]
+            ybar = (weights @ points[..., :d_prime])[..., None, :]
             out = np.empty(X.shape)
             out[..., :d_prime] = -v
             out[..., d_prime:] = A(v) + B(x) + cu * (x - ybar)

@@ -164,6 +164,20 @@ def test_rerun_is_byte_identical(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_debias_fallback_writes_nan_stderr(tmp_path):
+    # 90 replicas against M = 256 leave fewer than three disjoint reference
+    # chunks: the W2^2 estimate is a raw one with no stderr to report
+    out = str(tmp_path / "a")
+    run(parse_config(CHAOS_CFG.replace("replicas = 4", "replicas = 90").format(out=out)))
+    with open(os.path.join(out, "rate_fit.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    assert rows[0][3:] == ["w2_sq_estimate", "w2_sq_stderr"]
+    assert len(rows) == 3
+    for row in rows[1:]:
+        assert np.isfinite(float(row[3]))
+        assert row[4] == "nan"
+
+
 def test_manifest_rerun_reproduces_results(tmp_path):
     out1 = str(tmp_path / "one")
     run(parse_config(DEVIATION_CFG.format(out=out1)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,46 @@ def test_divergence_error_reports_caller_label():
     assert exc.value.particle == labels[int(np.argmax(start[:, 0]))]
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_batched_divergence_names_the_replica_of_the_per_replica_run():
+    # a law-free kernel that blows up every particle that wanders above 2
+    m = ModelSpec(
+        drift=DriftKernel(dim=1, eval=lambda x, y: np.where(x >= 2.0, np.inf, 0.0),
+                          lipschitz_bound=0.0, law_free=True),
+        diffusion=DiffusionSpec.isotropic(1),
+        initial_law=InitialLaw.gaussian(np.zeros(1), np.eye(1)),
+        name="blows-up-above-2",
+    )
+    cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=4, seed=71)
+    labels = np.array([30, 10, 20, 0])
+    ids = np.array([105, 101, 108, 102, 104])
+    alone = []
+    for pos, rid in enumerate(ids):
+        with pytest.raises(DivergenceError) as exc:
+            simulate_particle_system(m, cfg, noise=NoiseGrid(cfg.seed, int(rid), cfg.dt),
+                                     particle_indices=labels)
+        assert exc.value.replica == rid
+        alone.append((exc.value.step, pos, exc.value.particle))
+    step, pos, particle = min(alone)
+    assert pos > 0  # the first replica to diverge is not the first in the batch
+    with pytest.raises(DivergenceError) as exc:
+        simulate_particle_system(m, cfg, noise=NoiseGrid(cfg.seed, ids, cfg.dt),
+                                 particle_indices=labels)
+    assert (exc.value.replica, exc.value.step, exc.value.particle) == (ids[pos], step, particle)
+    assert f"replica {ids[pos]}, step {step}, particle {particle}" in str(exc.value)
+
+    # every particle of every replica starts above 2, so all diverge at step 0:
+    # the batch names the first replica and, like the per-replica run, the
+    # first particle in key order
+    m = replace(m, initial_law=InitialLaw.point([3.0]))
+    errs = []
+    for noise in (NoiseGrid(cfg.seed, ids, cfg.dt), NoiseGrid(cfg.seed, int(ids[0]), cfg.dt)):
+        with pytest.raises(DivergenceError) as exc:
+            simulate_particle_system(m, cfg, noise=noise, particle_indices=labels)
+        errs.append((exc.value.replica, exc.value.step, exc.value.particle))
+    assert errs[0] == errs[1] == (ids[0], 0, labels.min())
+
+
 def test_vfp_position_update_is_exactly_v_dt():
     m = vlasov_fokker_planck_model(quadratic_potential(1.0), A=lambda v: v, B=lambda x: x,
                                    d_prime=1)
@@ -329,3 +371,62 @@ def test_coupled_rejects_mismatched_flow():
     other_dt = SimConfig(dt=0.005, t_final=0.5, n_particles=4, seed=59)
     with pytest.raises(ValidationError):
         simulate_coupled(m, other_dt, flow)
+
+
+# ---------------------------------------------------------------------------
+# batched replicas: one (R, N, d) run equals R runs of one replica each
+
+
+def _kinetic_non_diagonal():
+    vfp = vlasov_fokker_planck_model(quadratic_potential(1.0), A=lambda v: 0.5 * v,
+                                     B=lambda x: x, d_prime=1)
+    return ModelSpec(drift=vfp.drift, diffusion=DiffusionSpec([[0.3, 0.0], [0.8, 1.2]]),
+                     initial_law=InitialLaw.uniform_box([-1.0, 0.0], [1.0, 2.0]),
+                     name="kinetic, non-diagonal sigma")
+
+
+_MIXTURE = InitialLaw.mixture([InitialLaw.point([-2.0]), InitialLaw.gaussian([1.0], [[0.5]])],
+                              [0.3, 0.7])
+BATCH_CASES = {
+    "quadratic-gaussian": (granular_media_model(quadratic_potential(1.0),
+                                                quadratic_potential(1.0), 1), False),
+    "quadratic-point": (granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0),
+                                             1, initial_law=InitialLaw.point([0.5])), False),
+    "quadratic-uniform": (granular_media_model(quadratic_potential(1.0),
+                                               quadratic_potential(1.0), 1,
+                                               initial_law=InitialLaw.uniform_box([-1.0],
+                                                                                  [2.0])),
+                          False),
+    "quadratic-mixture": (granular_media_model(quadratic_potential(1.0),
+                                               quadratic_potential(1.0), 1,
+                                               initial_law=_MIXTURE), False),
+    "tamed-cubic-pairwise": (granular_media_model(quadratic_potential(1.0),
+                                                  power_potential(3.0, 1.0), 1), True),
+    "kinetic-non-diagonal": (_kinetic_non_diagonal(), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_simulations_equal_per_replica_runs(case):
+    m, taming = BATCH_CASES[case]
+    cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=12, seed=73, taming=taming,
+                    snapshot_stride=3)
+    flow = build_reference_flow(m, 64, cfg, picard_iters=1, noise=_ref_noise(cfg))
+    ids = np.array([6, 2, 11, REFERENCE_NAMESPACE + 1])
+    labels = np.array([7, 3, 30, 1, 12, 9, 0, 4, 5, 2, 8, 6])
+    batch_noise = NoiseGrid(cfg.seed, ids, cfg.dt)
+
+    coupled = simulate_coupled(m, cfg, flow, noise=batch_noise)
+    traj = simulate_particle_system(m, cfg, noise=batch_noise, particle_indices=labels)
+    assert coupled.mean_square_gap.shape == (len(ids), cfg.n_steps + 1)
+    assert traj.states.shape == (len(ids), 5, 12, m.dim)
+    for r, rid in enumerate(ids):
+        noise = NoiseGrid(cfg.seed, int(rid), cfg.dt)
+        one = simulate_coupled(m, cfg, flow, noise=noise)
+        assert np.array_equal(coupled.mean_square_gap[r], one.mean_square_gap)
+        assert np.array_equal(coupled.terminal_particles[r], one.terminal_particles)
+        assert np.array_equal(coupled.terminal_nonlinear[r], one.terminal_nonlinear)
+        one_traj = simulate_particle_system(m, cfg, noise=noise, particle_indices=labels)
+        assert np.array_equal(traj.states[r], one_traj.states)
+        assert np.array_equal(traj.terminal[r], one_traj.terminal)
+    assert np.array_equal(traj.times, one_traj.times)

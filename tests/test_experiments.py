@@ -3,12 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meanfieldlab import (InitialLaw, Observable, SimConfig, ValidationError,
+from meanfieldlab import (DiffusionSpec, InitialLaw, Observable, SimConfig, ValidationError,
                           chaos_rate_experiment, empirical_measure_deviation,
                           equilibrium_convergence, granular_media_model, linear_test_model,
-                          observable_deviation_experiment, ou_variance,
-                          quadratic_potential, simulate_coupled, wilson_interval)
+                          observable_deviation_experiment, ou_variance, power_potential,
+                          quadratic_potential, simulate_coupled, simulate_particle_system,
+                          vlasov_fokker_planck_model, wilson_interval)
+from meanfieldlab import experiments
 from meanfieldlab.experiments import linear_fit, make_reference_flow
+from meanfieldlab.models import ModelSpec
+from meanfieldlab.rng import REFERENCE_NAMESPACE, NoiseGrid
 
 
 def _cfg(**kw):
@@ -97,6 +101,96 @@ def test_chaos_rate_is_in_order_mean_over_replicas():
         gaps = [simulate_coupled(m, replace(cfg, n_particles=n, replica_id=cfg.replica_id + r),
                                  flow).mean_square_gap[-1] for r in range(replicas)]
         assert got == float(np.mean(gaps))
+
+
+def _kinetic_model():
+    vfp = vlasov_fokker_planck_model(quadratic_potential(1.0), A=lambda v: 0.5 * v,
+                                     B=lambda x: x, d_prime=1)
+    return ModelSpec(drift=vfp.drift, diffusion=DiffusionSpec([[0.3, 0.0], [0.8, 1.2]]),
+                     initial_law=vfp.initial_law, name="kinetic, non-diagonal sigma")
+
+
+WIDTH_CASES = {
+    "quadratic-mixture": (granular_media_model(
+        quadratic_potential(1.0), quadratic_potential(1.0), 1,
+        initial_law=InitialLaw.mixture([InitialLaw.point([-1.0]),
+                                        InitialLaw.gaussian([1.0], 0.5)], [0.4, 0.6])), False),
+    "tamed-cubic-pairwise": (granular_media_model(quadratic_potential(1.0),
+                                                  power_potential(3.0, 1.0), 1), True),
+    "kinetic-non-diagonal": (_kinetic_model(), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDTH_CASES))
+def test_results_do_not_depend_on_batch_width(case, monkeypatch):
+    # chunks of 1 replica, of 2 to 4, and of all 7 give the same bits, and those
+    # bits are the in-order reduction of runs on one replica id each
+    m, taming = WIDTH_CASES[case]
+    cfg = _cfg(dt=0.02, t_final=0.2, replica_id=5, taming=taming)
+    flow = make_reference_flow(m, 256, cfg, picard_iters=1)
+    obs = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
+    replicas = 7
+
+    def run_all():
+        fit = chaos_rate_experiment(m, [8, 16], cfg, replicas=replicas, flow=flow)
+        table = observable_deviation_experiment(m, obs, 16, [0.05, 0.2], replicas=replicas,
+                                                config=cfg, m_reference=256, picard_iters=1)
+        w1 = empirical_measure_deviation(m, 16, [0.05, 0.2], replicas=replicas,
+                                         config=replace(cfg, snapshot_stride=4),
+                                         sup_over_time=True, m_reference=256, picard_iters=1)
+        curve = equilibrium_convergence(
+            m, 16, 0.2, replace(cfg, snapshot_stride=4), replicas=replicas,
+            target_sampler=lambda n, salt: np.random.default_rng(salt).normal(size=(n, m.dim)),
+            gap_times=[0.1, 0.2], m_reference=256, picard_iters=1)
+        return (fit.mean_sq_gaps, fit.stderrs, fit.w2_sq_estimates, fit.slope,
+                table.mean_square_error, table.empirical_probs, w1.empirical_probs,
+                curve.w2_to_target, curve.gap_means, curve.gap_stderrs)
+
+    results = []
+    for values in (1, 128, experiments._BATCH_VALUES):
+        monkeypatch.setattr(experiments, "_BATCH_VALUES", values)
+        results.append(run_all())
+    assert results[0] == results[1] == results[2]
+
+    ref_value = float(np.mean(flow.snapshots[-1][:, 0]))
+    errors = []
+    for r in range(replicas):
+        one = replace(cfg, n_particles=16, replica_id=cfg.replica_id + r)
+        errors.append(float(np.mean(simulate_particle_system(m, one).terminal[:, 0]))
+                      - ref_value)
+    assert results[0][4] == float(np.mean(np.array(errors) ** 2))
+    for k, n in enumerate([8, 16]):
+        gaps = [simulate_coupled(m, replace(cfg, n_particles=n, replica_id=cfg.replica_id + r),
+                                 flow).mean_square_gap[-1] for r in range(replicas)]
+        assert results[0][0][k] == float(np.mean(gaps))
+
+
+def test_chaos_rate_draws_replica_noise_once_per_chunk_and_step(monkeypatch):
+    # Gaussian draws on the replica side: a per-replica loop would make
+    # `replicas` times as many
+    replica_calls = []
+    normals = NoiseGrid.normals
+
+    def counting(self, particles, step, dim):
+        if np.all(np.asarray(self.replica_id) < REFERENCE_NAMESPACE):
+            replica_calls.append(step)
+        return normals(self, particles, step, dim)
+
+    monkeypatch.setattr(NoiseGrid, "normals", counting)
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+    cfg = _cfg(dt=0.05, t_final=0.5)
+    flow = make_reference_flow(m, 512, cfg, picard_iters=1)
+    n_grid = [8, 16, 32]
+    # one chunk per N at the default width whatever the replica count; one
+    # chunk per replica when a chunk holds a single replica
+    for replicas, values, chunks in ((5, experiments._BATCH_VALUES, 1),
+                                     (40, experiments._BATCH_VALUES, 1),
+                                     (6, 1, 6)):
+        monkeypatch.setattr(experiments, "_BATCH_VALUES", values)
+        replica_calls.clear()
+        chaos_rate_experiment(m, n_grid, cfg, replicas=replicas, flow=flow)
+        # the initial law's draw, then one increment draw per step
+        assert len(replica_calls) == len(n_grid) * chunks * (cfg.n_steps + 1)
 
 
 def test_chaos_rate_rejects_small_reference():

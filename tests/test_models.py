@@ -216,3 +216,21 @@ def test_observable_lipschitz_sample_check():
     b = rng.normal(size=(500, 1))
     quot = np.abs(obs.eval(a) - obs.eval(b)) / np.maximum(np.abs(a - b).ravel(), 1e-12)
     assert np.all(quot <= obs.lipschitz_constant + 1e-9)
+
+
+def test_initial_laws_sample_a_leading_replica_axis():
+    ids = np.array([4, 1, 9])
+    laws = [InitialLaw.point([1.0, 2.0]),
+            InitialLaw.gaussian([1.0, 0.0], [[2.0, 0.5], [0.5, 1.0]]),
+            InitialLaw.uniform_box([0.0, -1.0], [1.0, 3.0]),
+            InitialLaw.mixture([InitialLaw.point([0.0, 0.0]),
+                                InitialLaw.gaussian([2.0, 2.0], np.eye(2)),
+                                InitialLaw.uniform_box([-3.0, -3.0], [-2.0, -2.0])],
+                               [0.2, 0.5, 0.3])]
+    particles = np.array([3, 0, 8, 5, 1])
+    for law in laws:
+        batch = law.sample(NoiseGrid(seed=12, replica_id=ids), particles)
+        assert batch.shape == (len(ids), len(particles), 2)
+        for r, rid in enumerate(ids):
+            assert np.array_equal(batch[r], law.sample(NoiseGrid(seed=12, replica_id=int(rid)),
+                                                       particles))

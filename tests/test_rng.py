@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from meanfieldlab.rng import NoiseGrid, INIT_STEP
+from meanfieldlab.rng import NoiseGrid, INIT_STEP, REFERENCE_NAMESPACE
 
 
 def test_same_key_same_value():
@@ -95,3 +95,34 @@ def test_init_step_reserved():
     a = g.normals(np.arange(10), INIT_STEP, 1)
     b = g.normals(np.arange(10), 0, 1)
     assert not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("draw", ["normals", "uniforms", "increments"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_draws_equal_per_replica_draws(draw, dim):
+    # non-contiguous, unsorted ids, some in the reference namespace
+    ids = np.array([9, 2, 40, REFERENCE_NAMESPACE + 3, 0, REFERENCE_NAMESPACE])
+    particles = np.array([5, 0, 17, 3])
+    for step in (0, 11, INIT_STEP):
+        batch = getattr(NoiseGrid(31, ids, dt=0.04), draw)(particles, step, dim)
+        assert batch.shape == (len(ids), len(particles), dim)
+        for r, rid in enumerate(ids):
+            one = getattr(NoiseGrid(31, int(rid), dt=0.04), draw)(particles, step, dim)
+            assert one.shape == (len(particles), dim)
+            assert np.array_equal(batch[r], one)
+
+
+def test_batched_grid_shapes():
+    assert NoiseGrid(1, 4).batch_shape == ()
+    g = NoiseGrid(1, np.arange(3, 8))
+    assert g.batch_shape == (5,)
+    assert g.normals(6, 0, 2).shape == (5, 6, 2)
+    assert np.array_equal(NoiseGrid(1, np.array([4])).normals(6, 0, 2)[0],
+                          NoiseGrid(1, 4).normals(6, 0, 2))
+
+
+def test_bad_replica_ids_rejected():
+    for bad in (-1, np.array([0, -2]), np.zeros((2, 2), dtype=int), np.array([], dtype=int),
+                np.array([0.0, 1.0])):
+        with pytest.raises(ValueError):
+            NoiseGrid(seed=0, replica_id=bad)
