@@ -2,7 +2,7 @@
 
 Each config is small enough to run in well under a second, and together
 they reach every engine path: coupled runs with closed-form and pairwise
-(tamed) drift, recorded particle-system runs at a stride, the kinetic
+(tamed) drift, the pairwise drift in one and in two dimensions, recorded particle-system runs at a stride, the kinetic
 family's degenerate diffusion, and 2-D transport.  A change that keeps the
 numbers must keep these digests; a change that means to alter them must say
 so and record the new values.
@@ -44,6 +44,25 @@ n_grid = 8, 16
 replicas = 4
 taming = true
 seed = 11
+[reference]
+m = 256
+picard_iters = 2
+[output]
+plots = false
+""",
+    "chaos_cubic_2d_tamed": """
+[model]
+family = granular_cubic
+dim = 2
+w_coeff = 1.0
+init_mean = 1.5
+[sim]
+dt = 0.05
+t_final = 0.5
+n_grid = 8, 16
+replicas = 4
+taming = true
+seed = 19
 [reference]
 m = 256
 picard_iters = 2
@@ -123,6 +142,10 @@ DIGESTS = {
     "chaos_cubic_tamed": {
         "rate_fit.csv": "87dcd5c5735ec2b52ad2a951bdb3331c97308836c0480bbc3d375d610704e1f4",
         "rate_fit_summary.csv": "68db9190fff8e213c54d59ed8e90374ac62095df3d498fba163c9da7702d0e69",
+    },
+    "chaos_cubic_2d_tamed": {
+        "rate_fit.csv": "19b7ca56cb6a48f5897e94c8afd623ecf8ae9c77d1ba9d0e6052970acc608fec",
+        "rate_fit_summary.csv": "90623fe786f855385bf83ad7eb6fdcb07fa44adaa124c380c60ef623ec9d8b4e",
     },
     "observable_kinetic_norm": {
         "deviation_summary.csv": "bcb974899ed7fad1da4626b118f327d4f464c3d3cc65968065b19d75d5490fd2",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from meanfieldlab import (DiffusionSpec, EmpiricalMeasure, InitialLaw, Observabl
                           ValidationError, granular_media_model, linear_test_model,
                           mean_field_drift, ou_mean, ou_variance, power_potential,
                           quadratic_potential, vlasov_fokker_planck_model, zero_potential)
-from meanfieldlab.models import DriftKernel, Potential
+from meanfieldlab import models
+from meanfieldlab.models import DriftKernel, Potential, mean_field_batch
 from meanfieldlab.rng import NoiseGrid
 
 
@@ -112,7 +115,85 @@ def test_interaction_gradient_antisymmetry():
     rng = np.random.default_rng(4)
     for W in (quadratic_potential(0.7), power_potential(3.0), power_potential(4.0, 0.2)):
         z = rng.normal(size=(200, 2))
-        assert np.allclose(W.grad(z), -np.asarray(W.grad(-z)), atol=1e-12)
+        assert np.array_equal(W.grad(-z), -np.asarray(W.grad(z)))
+
+
+def _same_bits(a, b):
+    """Equal element for element down to the sign of zero."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _old_power_grad(p, c):
+    """The power gradient as written before it was computed in place."""
+    return lambda z: c * p * np.linalg.norm(z, axis=-1, keepdims=True) ** (p - 2) * z
+
+
+def _awkward_points(rng, d):
+    """Rows that stress the power gradient: signed zeros, subnormal squares,
+    duplicates, and clouds displaced far from the origin."""
+    rows = [np.zeros(d), np.full(d, -0.0), np.array([0.0, -0.0][:d]), np.array([-0.0, 0.0][:d]),
+            np.full(d, 1e-160), np.full(d, -3e-161), np.array([1e-160, -0.0][:d]),
+            np.full(d, 1.0), np.full(d, 1.0)]
+    cloud = [np.array(rows), rng.normal(size=(24, d)), 3.0 + rng.normal(size=(24, d)),
+             1e3 + rng.normal(size=(24, d)), 1e-160 * rng.normal(size=(8, d))]
+    return np.vstack(cloud)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+def test_power_gradient_and_granular_kernel_equal_the_old_expressions(p, d):
+    rng = np.random.default_rng(int(10 * p) + d)
+    c = 0.7
+    W = power_potential(p, c)
+    z = _awkward_points(rng, d)
+    assert _same_bits(W.grad(z), _old_power_grad(p, c)(z))
+
+    V = quadratic_potential(1.3)
+    kernel = granular_media_model(V, W, d, validate=False).drift
+    # x equal to a cloud point, duplicates in the cloud, and both far from 0
+    X = np.vstack([z[::3], z[:4]])[:, None, :]
+    Y = z[None, :, :]
+    assert _same_bits(kernel.eval(X, Y), V.grad(X) + _old_power_grad(p, c)(X - Y))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_pairwise_drift_does_not_depend_on_block_width(d, monkeypatch):
+    kernel = granular_media_model(quadratic_potential(1.0), power_potential(3.0), d).drift
+    rng = np.random.default_rng(40 + d)
+    n, m, R = 151, 301, 3
+    w = rng.uniform(0.5, 1.5, size=m)
+    w /= w.sum()
+    X2 = rng.normal(size=(n, d))
+    XR = rng.normal(size=(R, n, d))
+    shared = 1.0 + rng.normal(size=(m, d))
+    per_replica = rng.normal(size=(R, m, d))
+    cases = [(X2, shared), (XR, shared), (XR, per_replica)]
+    default = models._PAIRWISE_CHUNK
+    assert default < n * m  # the default splits the 2-D case into blocks
+    results = {}
+    for width in (1, 1000, default, 4_000_000):
+        monkeypatch.setattr(models, "_PAIRWISE_CHUNK", width)
+        results[width] = [mean_field_batch(kernel, X, pts, w) for X, pts in cases]
+    base = results.pop(4_000_000)
+    for width, got in results.items():
+        for g, b in zip(got, base):
+            assert _same_bits(g, b), width
+
+
+def test_pairwise_drift_stays_in_cache_sized_blocks():
+    kernel = granular_media_model(quadratic_potential(1.0), power_potential(3.0), 1).drift
+    assert kernel.taming_exponent > 0 and kernel.mean_field is None
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(1024, 1))
+    cloud = rng.normal(size=(1024, 1))
+    w = np.full(1024, 1 / 1024)
+    tracemalloc.start()
+    try:
+        mean_field_batch(kernel, X, cloud, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_kernel_lipschitz_sampled():
