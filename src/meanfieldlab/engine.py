@@ -9,9 +9,8 @@ replica r's results equal, bit for bit, a run on the grid of its own id.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -87,22 +86,10 @@ class TrajectoryEnsemble:
 
     times: np.ndarray           # (n_rec,)
     states: np.ndarray          # (n_rec, N, d), or (R, n_rec, N, d) when batched
-    model: ModelSpec
-    config: SimConfig
 
     @property
     def terminal(self) -> np.ndarray:
         return self.states[..., -1, :, :]
-
-    def to_csv(self) -> str:
-        """One row per recorded step: t, then particle coordinates flattened."""
-        n_rec, n, d = self.states.shape
-        header = "t," + ",".join(f"p{i}_x{c}" for i in range(n) for c in range(d))
-        lines = [header]
-        flat = self.states.reshape(n_rec, n * d)
-        for t, row in zip(self.times, flat):
-            lines.append(format(t, ".17g") + "," + ",".join(format(v, ".17g") for v in row))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -131,13 +118,6 @@ class CoupledEnsemble:
     mean_square_gap: np.ndarray     # (n_steps + 1,), (1/N) sum_i |X_i - Xbar_i|^2
     terminal_particles: np.ndarray  # (N, d)
     terminal_nonlinear: np.ndarray  # (N, d)
-
-    def gap_to_csv(self) -> str:
-        """One row per step: t, mean-square coupling gap."""
-        lines = ["t,mean_sq_gap"]
-        for t, g in zip(self.times, self.mean_square_gap):
-            lines.append(f"{format(t, '.17g')},{format(g, '.17g')}")
-        return "\n".join(lines) + "\n"
 
 
 def _tame(drift: np.ndarray, dt: float, exponent: float) -> np.ndarray:
@@ -176,27 +156,32 @@ def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, indices: n
                states: list, clouds: list, on_step: Callable[[int, list], None]) -> list:
     """The step loop shared by every simulation: all states ride the same noise.
 
-    States have shape noise.batch_shape + (N, d).  Each step k draws
-    noise.increments(indices, k, d) once for every replica, evaluates each
-    state's mean-field drift (against its own empirical measure, replica by
-    replica, when its cloud is None, else against the frozen snapshot
-    cloud[k] shared by all replicas), then advances every state with
-    euler_step.  on_step(k + 1, states) sees the new states; the terminal
-    states are returned.  A DivergenceError names the replica id of the
-    diverged row.
+    States have shape noise.batch_shape + (n, d) with n <= len(indices); a
+    state of n rows carries the particles indices[:n].  Each step k draws
+    noise.increments(indices, k, d) once for every replica and state, and a
+    state of n rows reads the first n rows of it, which is exactly the draw
+    for indices[:n] since every increment is keyed by its own particle.  The
+    step evaluates each state's mean-field drift (against its own empirical
+    measure, replica by replica, when its cloud is None, else against the
+    frozen snapshot cloud[k] shared by all replicas), then advances the
+    states with euler_step in list order.  on_step(k + 1, states) sees the new
+    states; the terminal states are returned.  A DivergenceError is that of
+    the first state in list order to diverge at the earliest step, and names
+    the replica id and particle label of its diverged row.
     """
     d = model.dim
     tame = config.taming and model.drift.taming_exponent > 0
-    sizes = [X.shape[-2] if c is None else c.shape[1] for X, c in zip(states, clouds)]
-    weights = [np.full(n, 1.0 / n) for n in sizes]
+    rows = [X.shape[-2] for X in states]
+    cloud_sizes = [n if c is None else c.shape[1] for n, c in zip(rows, clouds)]
+    weights = [np.full(m, 1.0 / m) for m in cloud_sizes]
     for k in range(config.n_steps):
         drifts = [mean_field_batch(model.drift, X, X if c is None else c[k], w)
                   for X, c, w in zip(states, clouds, weights)]
         dW = noise.increments(indices, k, d)
         try:
-            states = [euler_step(X, b, model.diffusion, dW, config.dt, tame,
-                                 model.drift.taming_exponent, step=k, labels=indices)
-                      for X, b in zip(states, drifts)]
+            states = [euler_step(X, b, model.diffusion, dW[..., :n, :], config.dt, tame,
+                                 model.drift.taming_exponent, step=k, labels=indices[:n])
+                      for X, b, n in zip(states, drifts, rows)]
         except DivergenceError as err:
             ids = noise.replica_id
             replica = ids if err.replica is None else ids[err.replica]
@@ -249,62 +234,62 @@ def simulate_particle_system(model: ModelSpec, config: SimConfig,
             states[..., r, :, :] = Xs[0][..., unsort, :]
 
     _integrate(model, config, noise, indices, [X], [None], record)
-    return TrajectoryEnsemble(times=recs * config.dt, states=states, model=model, config=config)
+    return TrajectoryEnsemble(times=recs * config.dt, states=states)
 
 
 def build_reference_flow(model: ModelSpec, M: int, config: SimConfig,
                          picard_iters: int = 2,
                          noise: Optional[NoiseGrid] = None) -> ReferenceFlow:
-    """Fixed-point construction of the nonlinear flow.
+    """Fixed-point construction of the nonlinear flow, in one pass.
 
-    Pass 0 simulates an M-particle system self-consistently; each later pass
-    re-simulates the same noise keys against the previous pass's frozen
-    snapshot flow.  Snapshots are stored at every step so coupled runs can do
-    piecewise-constant lookups.
+    Pass 0 simulates an M-particle system self-consistently.  A later Picard
+    pass would re-simulate the same noise keys against the frozen snapshots
+    of the pass before; by induction over the steps its state at step k is
+    the snapshot it is driven by, so it rebuilds pass 0 bit for bit.  Pass 0
+    is therefore the fixed point and the only pass run: picard_iters is
+    checked and recorded, and iterate_gaps holds the picard_iters - 1
+    terminal W2 gaps between successive passes, each exactly 0.0.  Snapshots
+    are stored at every step so coupled runs can do piecewise-constant
+    lookups.
     """
     if M < 1 or picard_iters < 1:
         raise ValidationError("M and picard_iters must be >= 1")
-    from .wasserstein import sample_w2  # local import: metrics layer sits above models
-
     noise = noise or config.noise()
-    n_steps = config.n_steps
     indices = np.arange(M)
     X0 = model.initial_law.sample(noise, indices)
+    snaps = np.empty((config.n_steps + 1, M, model.dim))
+    snaps[0] = X0
 
-    prev = None
-    iterate_gaps = []
-    for it in range(picard_iters):
-        snaps = np.empty((n_steps + 1, M, model.dim))
-        snaps[0] = X0
+    def record(k, Xs):
+        snaps[k] = Xs[0]
 
-        def record(k, Xs):
-            snaps[k] = Xs[0]
-
-        _integrate(model, config, noise, indices, [X0], [prev], record)
-        if prev is not None:
-            iterate_gaps.append(sample_w2(prev[-1], snaps[-1]))
-            if len(iterate_gaps) >= 2 and iterate_gaps[-1] > iterate_gaps[-2] + 1e-12:
-                warnings.warn(
-                    "Picard iterates stopped contracting "
-                    f"(terminal W2 {iterate_gaps[-2]:.3e} -> {iterate_gaps[-1]:.3e})",
-                    RuntimeWarning,
-                )
-        prev = snaps
-
-    return ReferenceFlow(times=np.arange(n_steps + 1) * config.dt, snapshots=prev,
+    _integrate(model, config, noise, indices, [X0], [None], record)
+    return ReferenceFlow(times=np.arange(config.n_steps + 1) * config.dt, snapshots=snaps,
                          picard_iterations=picard_iters, dt=config.dt,
-                         iterate_gaps=iterate_gaps)
+                         iterate_gaps=[0.0] * (picard_iters - 1))
 
 
 def simulate_coupled(model: ModelSpec, config: SimConfig, flow: ReferenceFlow,
-                     noise: Optional[NoiseGrid] = None) -> CoupledEnsemble:
+                     noise: Optional[NoiseGrid] = None,
+                     n_grid: Optional[Sequence[int]] = None):
     """Advance X^{i,N} and the nonlinear Xbar^i on identical noise increments.
 
     The particle system sees its own empirical measure; the nonlinear
     processes see the frozen reference flow.  Both start from the same
     initial samples, so the per-time mean-square gap is the Theorem's
     left-hand side.  A batched noise grid couples one system per replica
-    against the one shared flow.
+    against the one shared flow.  Returns one CoupledEnsemble.
+
+    With n_grid, one step loop couples a particle system of every size N in
+    n_grid (config.n_particles is not read) and returns a list of one
+    CoupledEnsemble per N, in grid order, each equal bit for bit to the run
+    at that one size.  Copy Xbar^i never sees the other copies, so its path
+    does not depend on N: the copies run once, at max N, and size N reads
+    the first N of them, as it reads the first N rows of the max-N noise and
+    initial draws.  A one-row size keeps a copy of its own, since numpy's
+    matrix product may round a single row differently from the same row of a
+    larger product.  A divergence is reported for the earliest step; within
+    a step the systems come in grid order and the nonlinear copies last.
     """
     if flow.dt != config.dt:
         raise ValidationError(f"flow dt {flow.dt} does not match run dt {config.dt}")
@@ -313,15 +298,24 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: ReferenceFlow,
         raise ValidationError("reference flow does not cover [0, t_final] at this dt")
 
     noise = noise or config.noise()
-    indices = np.arange(config.n_particles)
-    X0 = model.initial_law.sample(noise, indices)
-    gap = np.zeros(noise.batch_shape + (n_steps + 1,))
+    sizes = [config.n_particles] if n_grid is None else [int(n) for n in n_grid]
+    top = max(sizes)
+    bars = sorted({1, top} & set(sizes))  # sizes of the simulated copies
+    home = [bars.index(1 if n == 1 else top) for n in sizes]
+    indices = np.arange(top)
+    bar0 = [model.initial_law.sample(noise, indices[:b]) for b in bars]
+    gaps = np.zeros((len(sizes),) + noise.batch_shape + (n_steps + 1,))
 
     def record(k, Xs):
-        diff = Xs[0] - Xs[1]
-        gap[..., k] = np.mean(np.einsum("...id,...id->...i", diff, diff), axis=-1)
+        for gap, X, n, h in zip(gaps, Xs, sizes, home):
+            diff = X - Xs[len(sizes) + h][..., :n, :]
+            gap[..., k] = np.mean(np.einsum("...id,...id->...i", diff, diff), axis=-1)
 
-    X, Xbar = _integrate(model, config, noise, indices, [X0, X0], [None, flow.snapshots],
-                         record)
-    return CoupledEnsemble(times=np.arange(n_steps + 1) * config.dt, mean_square_gap=gap,
-                           terminal_particles=X, terminal_nonlinear=Xbar)
+    final = _integrate(model, config, noise, indices,
+                       [bar0[h][..., :n, :] for n, h in zip(sizes, home)] + bar0,
+                       [None] * len(sizes) + [flow.snapshots] * len(bars), record)
+    times = np.arange(n_steps + 1) * config.dt
+    runs = [CoupledEnsemble(times=times, mean_square_gap=gap, terminal_particles=X,
+                            terminal_nonlinear=final[len(sizes) + h][..., :n, :])
+            for gap, X, n, h in zip(gaps, final, sizes, home)]
+    return runs[0] if n_grid is None else runs

@@ -162,9 +162,11 @@ def _replica_grids(config: SimConfig, replicas: int, values_per_replica: int):
         yield NoiseGrid(config.seed, ids[start:start + width], config.dt)
 
 
-def _coupled_grids(config: SimConfig, replicas: int):
-    """Chunks for simulate_coupled: two (N, d) states and a gap trace per replica."""
-    return _replica_grids(config, replicas, 2 * config.n_particles + config.n_steps + 1)
+def _coupled_grids(config: SimConfig, replicas: int, n_grid: Sequence[int]):
+    """Chunks for simulate_coupled over n_grid: per replica, an (N, d) system for each
+    N, the nonlinear copies at max N, and a gap trace for each N."""
+    return _replica_grids(config, replicas, sum(n_grid) + max(n_grid)
+                          + len(n_grid) * (config.n_steps + 1))
 
 
 def _particle_grids(config: SimConfig, replicas: int):
@@ -246,7 +248,9 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     """Terminal mean-square coupling gap against N, with its log-log slope.
 
     One reference flow (M >= 16 max N) is shared across the whole grid so the
-    reference bias cancels out of the N-comparison.  Alongside the gap, the
+    reference bias cancels out of the N-comparison.  Each chunk of replicas
+    runs the whole grid in one coupled step loop, with the nonlinear copies
+    simulated once at max N (see simulate_coupled).  Alongside the gap, the
     sample-W2^2 between replicated one-particle draws and reference samples
     is reported: the distance-between-laws side of the chain.
     """
@@ -258,20 +262,20 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     if flow is None:
         flow = make_reference_flow(model, M, config, picard_iters)
 
-    mean_gaps, stderrs, w2_sqs, w2_ses = [], [], [], []
-    for n in n_grid:
-        cfg = replace(config, n_particles=n)
-        gaps, first_particle = [], []
-        for noise in _coupled_grids(cfg, replicas):
-            res = simulate_coupled(model, cfg, flow, noise=noise)
-            gaps.append(res.mean_square_gap[:, -1])
-            first_particle.append(res.terminal_particles[:, 0])
-        gaps = np.concatenate(gaps)
-        first_particle = np.concatenate(first_particle)
-        mean_gaps.append(float(gaps.mean()))
-        stderrs.append(float(gaps.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0)
+    gaps, first_particle = [], []
+    for noise in _coupled_grids(config, replicas, n_grid):
+        runs = simulate_coupled(model, config, flow, noise=noise, n_grid=n_grid)
+        gaps.append([res.mean_square_gap[:, -1] for res in runs])
+        first_particle.append([res.terminal_particles[:, 0] for res in runs])
+    # one row per N, the replicas in order along it
+    gaps = np.concatenate(gaps, axis=1)
+    first_particle = np.concatenate(first_particle, axis=1)
 
-        w2sq, w2se = _w2sq_debiased(first_particle, flow.snapshots[-1])
+    mean_gaps, stderrs, w2_sqs, w2_ses = [], [], [], []
+    for g, first in zip(gaps, first_particle):
+        mean_gaps.append(float(g.mean()))
+        stderrs.append(float(g.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0)
+        w2sq, w2se = _w2sq_debiased(first, flow.snapshots[-1])
         w2_sqs.append(w2sq)
         w2_ses.append(w2se)
 
@@ -406,7 +410,7 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
 
         gaps = np.concatenate([  # (replicas, len(gap_times))
             simulate_coupled(model, cfg, flow, noise=noise).mean_square_gap[:, steps]
-            for noise in _coupled_grids(cfg, replicas)])
+            for noise in _coupled_grids(cfg, replicas, [n_particles])])
         gap_means = list(gaps.mean(axis=0))
         gap_ses = list(gaps.std(axis=0, ddof=1) / np.sqrt(replicas))
         tiled = np.repeat(gap_times, replicas)

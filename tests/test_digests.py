@@ -2,10 +2,12 @@
 
 Each config is small enough to run in well under a second, and together
 they reach every engine path: coupled runs with closed-form and pairwise
-(tamed) drift, the pairwise drift in one and in two dimensions, recorded particle-system runs at a stride, the kinetic
-family's degenerate diffusion, and 2-D transport.  A change that keeps the
-numbers must keep these digests; a change that means to alter them must say
-so and record the new values.
+(tamed) drift, the pairwise drift in one and in two dimensions, a coupled
+n_grid that is not nested in powers of 2 (a one-particle size included)
+over several replica chunks, recorded particle-system runs at a stride, the
+kinetic family's degenerate diffusion, and 2-D transport.  A change that
+keeps the numbers must keep these digests; a change that means to alter
+them must say so and record the new values.
 """
 
 import hashlib
@@ -66,6 +68,22 @@ seed = 19
 [reference]
 m = 256
 picard_iters = 2
+[output]
+plots = false
+""",
+    "chaos_kinetic_grid": """
+[model]
+family = kinetic
+dim = 1
+init_mean = 0.5
+[sim]
+dt = 0.05
+t_final = 0.5
+n_grid = 1, 12, 20, 48
+replicas = 120
+seed = 23
+[reference]
+picard_iters = 3
 [output]
 plots = false
 """,
@@ -146,6 +164,10 @@ DIGESTS = {
     "chaos_cubic_2d_tamed": {
         "rate_fit.csv": "19b7ca56cb6a48f5897e94c8afd623ecf8ae9c77d1ba9d0e6052970acc608fec",
         "rate_fit_summary.csv": "90623fe786f855385bf83ad7eb6fdcb07fa44adaa124c380c60ef623ec9d8b4e",
+    },
+    "chaos_kinetic_grid": {
+        "rate_fit.csv": "3615b9d6f26b0e2ac5fbee4c0dfb3de9a2bade86d39ee06375e12d9d3241b6b0",
+        "rate_fit_summary.csv": "be697dbbfc6d78183d1596182123548297e394acf7b6228efe8b43e49229bb9b",
     },
     "observable_kinetic_norm": {
         "deviation_summary.csv": "bcb974899ed7fad1da4626b118f327d4f464c3d3cc65968065b19d75d5490fd2",

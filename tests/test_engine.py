@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meanfieldlab import (DiffusionSpec, DivergenceError, InitialLaw, SimConfig,
-                          ValidationError, build_reference_flow, euler_step,
+from meanfieldlab import (DiffusionSpec, DivergenceError, InitialLaw, ReferenceFlow, SimConfig,
+                          ValidationError, build_reference_flow, engine, euler_step,
                           granular_media_model, linear_test_model, power_potential,
                           quadratic_potential, simulate_coupled, simulate_particle_system,
-                          vlasov_fokker_planck_model, zero_potential)
+                          sample_w2, vlasov_fokker_planck_model, zero_potential)
 from meanfieldlab.models import DriftKernel, ModelSpec
 from meanfieldlab.rng import NoiseGrid, REFERENCE_NAMESPACE
 
@@ -278,6 +278,48 @@ def test_granular_reference_mean_decays():
     assert np.all(np.diff(means) < 0.02)
 
 
+PICARD_CASES = {
+    "quadratic": (granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1),
+                  False),
+    "tamed-cubic-1d": (granular_media_model(quadratic_potential(1.0), power_potential(3.0, 1.0),
+                                            1), True),
+    "tamed-cubic-2d": (granular_media_model(quadratic_potential(1.0), power_potential(3.0, 1.0),
+                                            2), True),
+    "vfp": (vlasov_fokker_planck_model(quadratic_potential(1.0), A=lambda v: 0.5 * v,
+                                       B=lambda x: x, d_prime=1), False),
+}
+
+
+@pytest.mark.parametrize("passes", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(PICARD_CASES))
+def test_one_reference_pass_equals_the_picard_loop(case, passes):
+    # an explicit Picard loop: pass 0 against its own cloud, each later pass
+    # re-simulating the same keys against the frozen previous pass
+    m, taming = PICARD_CASES[case]
+    cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=1, seed=79, taming=taming)
+    M = 48
+    noise = _ref_noise(cfg)
+    indices = np.arange(M)
+    X0 = m.initial_law.sample(noise, indices)
+    prev, gaps = None, []
+    for _ in range(passes):
+        snaps = np.empty((cfg.n_steps + 1, M, m.dim))
+        snaps[0] = X0
+
+        def record(k, Xs, snaps=snaps):
+            snaps[k] = Xs[0]
+
+        engine._integrate(m, cfg, noise, indices, [X0], [prev], record)
+        if prev is not None:
+            gaps.append(sample_w2(prev[-1], snaps[-1]))
+        prev = snaps
+
+    flow = build_reference_flow(m, M, cfg, picard_iters=passes, noise=noise)
+    assert np.array_equal(flow.snapshots, prev)
+    assert flow.iterate_gaps == gaps == [0.0] * (passes - 1)
+    assert flow.picard_iterations == passes
+
+
 # ---------------------------------------------------------------------------
 # synchronous coupling
 
@@ -326,24 +368,6 @@ def test_coupled_consumes_identical_noise():
         drift = 2.0 * x
         x = x + m.diffusion.apply(noise.increments(np.arange(4), k, 1)) - drift * cfg.dt
     assert np.array_equal(res.terminal_nonlinear, x)
-
-
-def test_trajectory_and_gap_csv_round_values():
-    m = linear_test_model(1.0, 1)
-    cfg = SimConfig(dt=0.1, t_final=0.2, n_particles=2, seed=61)
-    traj = simulate_particle_system(m, cfg)
-    lines = traj.to_csv().strip().splitlines()
-    assert lines[0] == "t,p0_x0,p1_x0"
-    assert len(lines) == cfg.n_steps + 2
-    parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    assert np.array_equal(parsed[:, 0], traj.times)
-    assert np.array_equal(parsed[:, 1:], traj.states[:, :, 0])
-
-    flow = build_reference_flow(m, 32, cfg, picard_iters=1, noise=_ref_noise(cfg))
-    res = simulate_coupled(m, cfg, flow)
-    gap_lines = res.gap_to_csv().strip().splitlines()
-    assert gap_lines[0] == "t,mean_sq_gap"
-    assert len(gap_lines) == cfg.n_steps + 2
 
 
 @pytest.mark.parametrize("cubic", [False, True])
@@ -430,3 +454,84 @@ def test_batched_simulations_equal_per_replica_runs(case):
         assert np.array_equal(traj.states[r], one_traj.states)
         assert np.array_equal(traj.terminal[r], one_traj.terminal)
     assert np.array_equal(traj.times, one_traj.times)
+
+
+# ---------------------------------------------------------------------------
+# one step loop over an n_grid: each size gets the bits of its own run
+
+GRID_CASES = dict(BATCH_CASES, **{
+    "quadratic-2d-gaussian": (granular_media_model(
+        quadratic_potential(1.0), quadratic_potential(1.0), 2,
+        initial_law=InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]])), False),
+})
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_call_equals_per_size_runs(case, batched):
+    # sizes out of order, not nested in powers of 2, and a one-row size (whose
+    # matrix products numpy may round differently from a row of a larger one)
+    m, taming = GRID_CASES[case]
+    cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=3, seed=83, taming=taming)
+    flow = build_reference_flow(m, 64, cfg, picard_iters=1, noise=_ref_noise(cfg))
+    noise = NoiseGrid(cfg.seed, np.array([6, 2, 11]) if batched else 4, cfg.dt)
+    n_grid = [12, 1, 5, 7]
+    runs = simulate_coupled(m, cfg, flow, noise=noise, n_grid=n_grid)
+    assert len(runs) == len(n_grid)
+    for n, res in zip(n_grid, runs):
+        one = simulate_coupled(m, replace(cfg, n_particles=n), flow, noise=noise)
+        assert res.terminal_particles.shape == noise.batch_shape + (n, m.dim)
+        assert np.array_equal(res.times, one.times)
+        assert np.array_equal(res.mean_square_gap, one.mean_square_gap)
+        assert np.array_equal(res.terminal_particles, one.terminal_particles)
+        assert np.array_equal(res.terminal_nonlinear, one.terminal_nonlinear)
+
+
+def _threshold_model(levels):
+    """No noise, drift -1 (every row climbs dt per step), and an infinite drift on
+    rows at or above levels[size of the cloud the state sees]."""
+    def mean_field(X, points, weights):
+        return np.where(X >= levels.get(len(weights), np.inf), np.inf, -1.0)
+
+    return ModelSpec(drift=DriftKernel(dim=1, eval=lambda x, y: -np.ones_like(x),
+                                       lipschitz_bound=0.0, mean_field=mean_field),
+                     diffusion=DiffusionSpec(np.zeros((1, 1))),
+                     initial_law=InitialLaw.gaussian(np.zeros(1), np.eye(1)),
+                     name="climbs-then-blows-up")
+
+
+def test_grid_divergence_is_earliest_step_then_grid_order_then_nonlinear_side():
+    cfg = SimConfig(dt=0.1, t_final=2.0, n_particles=1, seed=89)
+    M, n_grid = 64, [5, 12, 20]
+    flow = ReferenceFlow(times=np.arange(cfg.n_steps + 1) * cfg.dt,
+                         snapshots=np.zeros((cfg.n_steps + 1, M, 1)), picard_iterations=1,
+                         dt=cfg.dt)
+    ids = np.array([105, 101, 108])
+    noise = NoiseGrid(cfg.seed, ids, cfg.dt)
+    start = InitialLaw.gaussian(np.zeros(1), np.eye(1)).sample(noise, np.arange(20))
+
+    def level(rows, step):  # the highest of the first `rows` rows reaches it at `step`
+        return float(start[:, :rows].max()) + (step - 0.5) * cfg.dt
+
+    def error(levels, n=None):  # of the run at size n alone, or of the grid call
+        with pytest.raises(DivergenceError) as exc:
+            simulate_coupled(_threshold_model(levels), replace(cfg, n_particles=n or 1), flow,
+                             noise=noise, n_grid=None if n else n_grid)
+        return exc.value.step, exc.value.replica, exc.value.particle
+
+    # (divergence step of the systems 5, 12, 20 and of the nonlinear copies; the winner)
+    scenarios = [((6, 3, 5, 4), 1),   # the earliest step wins over grid order
+                 ((4, 4, 4, 4), 0),   # a tie goes to the first size in the grid
+                 ((None, None, 3, 3), 2),  # and a system goes before the copies
+                 ((5, 5, 5, 2), 3)]   # the copies at max N, with their own labels
+    for steps, winner in scenarios:
+        alone = [error({n: level(n, s)}, n) for n, s in zip(n_grid, steps[:3]) if s]
+        alone.append(error({M: level(20, steps[3])}, 20))
+        order = [i for i, s in enumerate(steps) if s]
+        expected = min(zip(alone, order), key=lambda e: (e[0][0], e[1]))
+        assert expected[1] == winner
+        levels = {n: level(n, s) for n, s in zip(n_grid, steps[:3]) if s}
+        levels[M] = level(20, steps[3])
+        got = error(levels)
+        assert got == expected[0]
+        assert got[1] in ids

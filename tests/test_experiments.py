@@ -165,6 +165,41 @@ def test_results_do_not_depend_on_batch_width(case, monkeypatch):
         assert results[0][0][k] == float(np.mean(gaps))
 
 
+INITIAL_LAWS = {
+    "gaussian": InitialLaw.gaussian([0.5], [[1.0]]),
+    "point": InitialLaw.point([0.5]),
+    "uniform": InitialLaw.uniform_box([-1.0], [2.0]),
+    "mixture": InitialLaw.mixture([InitialLaw.point([-1.0]), InitialLaw.gaussian([1.0], 0.5)],
+                                  [0.4, 0.6]),
+}
+
+
+@pytest.mark.parametrize("law", sorted(INITIAL_LAWS))
+def test_chaos_rate_grid_equals_per_size_and_replica_runs(law, monkeypatch):
+    # one coupled step loop per chunk for the whole grid gives, at any chunk
+    # width, the bits of one run per (N, replica) reduced in replica order
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1,
+                             initial_law=INITIAL_LAWS[law])
+    cfg = _cfg(dt=0.02, t_final=0.2, replica_id=5)
+    flow = make_reference_flow(m, 320, cfg, picard_iters=1)
+    replicas = 7
+    fits = []
+    for values in (1, experiments._BATCH_VALUES):
+        monkeypatch.setattr(experiments, "_BATCH_VALUES", values)
+        fits.append(chaos_rate_experiment(m, [12, 5, 20], cfg, replicas=replicas, flow=flow))
+    for k, n in enumerate([5, 12, 20]):
+        runs = [simulate_coupled(m, replace(cfg, n_particles=n, replica_id=cfg.replica_id + r),
+                                 flow) for r in range(replicas)]
+        gaps = np.array([res.mean_square_gap[-1] for res in runs])
+        first = np.array([res.terminal_particles[0] for res in runs])
+        w2 = experiments._w2sq_debiased(first, flow.snapshots[-1])
+        for fit in fits:
+            assert fit.n_grid[k] == n
+            assert fit.mean_sq_gaps[k] == float(gaps.mean())
+            assert fit.stderrs[k] == float(gaps.std(ddof=1) / np.sqrt(replicas))
+            assert (fit.w2_sq_estimates[k], fit.w2_sq_stderrs[k]) == w2
+
+
 def test_chaos_rate_draws_replica_noise_once_per_chunk_and_step(monkeypatch):
     # Gaussian draws on the replica side: a per-replica loop would make
     # `replicas` times as many
@@ -181,16 +216,16 @@ def test_chaos_rate_draws_replica_noise_once_per_chunk_and_step(monkeypatch):
     cfg = _cfg(dt=0.05, t_final=0.5)
     flow = make_reference_flow(m, 512, cfg, picard_iters=1)
     n_grid = [8, 16, 32]
-    # one chunk per N at the default width whatever the replica count; one
-    # chunk per replica when a chunk holds a single replica
+    # one chunk for the whole grid at the default width whatever the replica
+    # count; one chunk per replica when a chunk holds a single replica
     for replicas, values, chunks in ((5, experiments._BATCH_VALUES, 1),
                                      (40, experiments._BATCH_VALUES, 1),
                                      (6, 1, 6)):
         monkeypatch.setattr(experiments, "_BATCH_VALUES", values)
         replica_calls.clear()
         chaos_rate_experiment(m, n_grid, cfg, replicas=replicas, flow=flow)
-        # the initial law's draw, then one increment draw per step
-        assert len(replica_calls) == len(n_grid) * chunks * (cfg.n_steps + 1)
+        # the initial law's draw, then one increment draw per step, for all of n_grid
+        assert len(replica_calls) == chunks * (cfg.n_steps + 1)
 
 
 def test_chaos_rate_rejects_small_reference():
