@@ -63,7 +63,10 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 
 def linear_fit(x, y):
-    """Least squares y = slope*x + intercept; returns slope, intercept, r^2, slope stderr."""
+    """Least squares y = slope*x + intercept; returns slope, intercept, r^2, slope stderr.
+
+    The stderr is nan for two points, which leave no degree of freedom.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) < 2:
@@ -78,8 +81,8 @@ def linear_fit(x, y):
     ss_res = np.sum(resid ** 2)
     ss_tot = np.sum((y - ym) ** 2)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    dof = max(len(x) - 2, 1)
-    slope_se = np.sqrt(ss_res / dof / sxx)
+    dof = len(x) - 2
+    slope_se = np.sqrt(ss_res / dof / sxx) if dof else float("nan")
     return float(slope), float(intercept), float(min(max(r2, 0.0), 1.0)), float(slope_se)
 
 

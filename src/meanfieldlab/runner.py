@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, parse_config, serialize_config
 from .engine import SimConfig
-from .errors import ValidationError
+from .errors import DivergenceError, ValidationError
 from .experiments import (chaos_rate_experiment, empirical_measure_deviation,
                           equilibrium_convergence, observable_deviation_experiment)
 from .models import (InitialLaw, ModelSpec, Observable, granular_media_model,
@@ -40,6 +40,7 @@ class RunManifest:
     finished: str
     complete: bool
     files: dict  # path -> sha256 (or None for the manifest itself)
+    error: Optional[dict] = None  # why an incomplete run stopped
 
     def to_jsonl(self) -> str:
         buf = io.StringIO()
@@ -50,6 +51,8 @@ class RunManifest:
         for path in sorted(self.files):
             buf.write(json.dumps({"kind": "artifact", "path": path,
                                   "sha256": self.files[path]}, sort_keys=True) + "\n")
+        if self.error is not None:
+            buf.write(json.dumps({"kind": "error", **self.error}, sort_keys=True) + "\n")
         return buf.getvalue()
 
     @classmethod
@@ -57,9 +60,12 @@ class RunManifest:
         lines = [json.loads(ln) for ln in text.strip().splitlines() if ln]
         head = next(ln for ln in lines if ln.get("kind") == "run")
         files = {ln["path"]: ln["sha256"] for ln in lines if ln.get("kind") == "artifact"}
+        error = next(({k: v for k, v in ln.items() if k != "kind"}
+                      for ln in lines if ln.get("kind") == "error"), None)
         return cls(config_text=head["config_text"], seed=head["seed"],
                    version=head["version"], started=head["started"],
-                   finished=head["finished"], complete=head["complete"], files=files)
+                   finished=head["finished"], complete=head["complete"], files=files,
+                   error=error)
 
 
 def build_model(cfg: RunConfig) -> ModelSpec:
@@ -126,17 +132,31 @@ def _observable(name: str, dim: int) -> Observable:
     raise ValidationError(f"unknown observable {name!r} (use x<k> or norm)")
 
 
+def _error_record(exc: Exception) -> dict:
+    record = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, DivergenceError):
+        record.update(step=exc.step, particle=exc.particle, replica=exc.replica)
+    return record
+
+
+def _now() -> str:
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
 def run(cfg: RunConfig, output_dir: Optional[str] = None,
         seed: Optional[int] = None) -> RunManifest:
-    """Execute the configured experiment and write all artifacts plus the manifest."""
+    """Execute the configured experiment and write all artifacts plus the manifest.
+
+    If the run raises, the manifest is still written, with `complete` false,
+    the artifacts written so far and an error record; then the exception
+    propagates.
+    """
     if seed is not None:
         cfg = replace(cfg, sim=replace(cfg.sim, seed=int(seed)))
     out = output_dir or cfg.output.directory
     os.makedirs(out, exist_ok=True)
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    started = _now()
     config_text = serialize_config(cfg)
-    model = build_model(cfg)
-    kind = cfg.experiment.kind
     artifacts: dict[str, str] = {}
 
     def write(name: str, text: str):
@@ -145,6 +165,28 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None,
             fh.write(text)
         artifacts[name] = hashlib.sha256(text.encode()).hexdigest()
 
+    def finish(error: Optional[dict] = None) -> RunManifest:
+        files = dict(artifacts)
+        files["manifest.jsonl"] = None
+        manifest = RunManifest(config_text=config_text, seed=cfg.sim.seed, version=__version__,
+                               started=started, finished=_now(), complete=error is None,
+                               files=files, error=error)
+        with open(os.path.join(out, "manifest.jsonl"), "w", newline="") as fh:
+            fh.write(manifest.to_jsonl())
+        return manifest
+
+    try:
+        _run_experiment(cfg, write)
+    except Exception as exc:
+        finish(_error_record(exc))
+        raise
+    return finish()
+
+
+def _run_experiment(cfg: RunConfig, write) -> None:
+    """Run the configured experiment and pass each artifact to `write(name, text)`."""
+    model = build_model(cfg)
+    kind = cfg.experiment.kind
     m_ref = cfg.reference.m or None
     picard = cfg.reference.picard_iters
 
@@ -227,15 +269,6 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None,
                 title="W2 to steady state", xlabel="t", ylabel="W2"))
     else:
         raise ValidationError(f"unknown experiment kind {kind!r}")
-
-    finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    files = dict(artifacts)
-    files["manifest.jsonl"] = None
-    manifest = RunManifest(config_text=config_text, seed=cfg.sim.seed, version=__version__,
-                           started=started, finished=finished, complete=True, files=files)
-    with open(os.path.join(out, "manifest.jsonl"), "w", newline="") as fh:
-        fh.write(manifest.to_jsonl())
-    return manifest
 
 
 def replot(table_path: str, kind: str) -> str:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
 from .measures import EmpiricalMeasure
@@ -100,6 +98,10 @@ def wasserstein_assignment(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -
         )
     if mu.dim != nu.dim:
         raise ValidationError("dimension mismatch")
+
+    # scipy loads here, on first use, so d = 1 runs start on numpy alone.
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
 
     metric = "euclidean" if p == 1 else "sqeuclidean"
     costs = cdist(mu.points, nu.points, metric=metric)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from meanfieldlab import ValidationError, parse_config, serialize_config
+from meanfieldlab import DivergenceError, ValidationError, parse_config, serialize_config
 from meanfieldlab.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from meanfieldlab.plots import emit_plot
 from meanfieldlab.runner import RunManifest, load_config_or_manifest, run
@@ -53,6 +53,32 @@ observable = x0
 
 [output]
 directory = {out}
+"""
+
+
+DIVERGING_CFG = """
+[model]
+family = granular_cubic
+w_coeff = 50.0
+init_mean = 40.0
+
+[sim]
+dt = 0.1
+t_final = 2.0
+n_particles = 8
+replicas = 2
+n_grid = 8
+allow_large_dt = true
+taming = false
+seed = 1
+
+[reference]
+m = 128
+picard_iters = 1
+
+[output]
+directory = {out}
+plots = false
 """
 
 
@@ -218,8 +244,10 @@ def test_manifest_jsonl_structure(tmp_path):
     assert head["complete"] is True
     assert head["seed"] == 3
     assert "config_text" in head
+    assert {ln["kind"] for ln in lines[1:]} == {"artifact"}
     reparsed = RunManifest.from_jsonl("\n".join(json.dumps(ln) for ln in lines))
     assert reparsed.files == manifest.files
+    assert reparsed.error is None
 
 
 # ---------------------------------------------------------------------------
@@ -311,32 +339,29 @@ def test_cli_run_output_dir_override(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_cli_divergence_exit_code(tmp_path, capsys):
-    cfg = """
-[model]
-family = granular_cubic
-w_coeff = 50.0
-init_mean = 40.0
-
-[sim]
-dt = 0.1
-t_final = 2.0
-n_particles = 8
-replicas = 2
-n_grid = 8
-allow_large_dt = true
-taming = false
-seed = 1
-
-[reference]
-m = 128
-picard_iters = 1
-
-[output]
-directory = {out}
-plots = false
-"""
     p = tmp_path / "div.cfg"
-    p.write_text(cfg.format(out=str(tmp_path / "out")))
+    p.write_text(DIVERGING_CFG.format(out=str(tmp_path / "out")))
     code = main(["run", str(p)])
     assert code == EXIT_DIVERGENCE
     assert "divergence" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_failed_run_leaves_a_labelled_manifest(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(DivergenceError) as caught:
+        run(parse_config(DIVERGING_CFG.format(out=str(out))))
+    err = caught.value
+    assert sorted(os.listdir(out)) == ["manifest.jsonl"]
+    text = (out / "manifest.jsonl").read_text()
+    lines = [json.loads(ln) for ln in text.splitlines()]
+    assert [ln["kind"] for ln in lines] == ["run", "artifact", "error"]
+    assert lines[0]["complete"] is False
+    assert lines[2] == {"kind": "error", "type": "DivergenceError", "message": str(err),
+                        "step": err.step, "particle": err.particle, "replica": err.replica}
+    assert None not in (err.step, err.particle, err.replica)
+
+    manifest = RunManifest.from_jsonl(text)
+    assert manifest.complete is False
+    assert manifest.error == {k: v for k, v in lines[2].items() if k != "kind"}
+    assert manifest.files == {"manifest.jsonl": None}

@@ -159,18 +159,18 @@ DIGESTS = {
     },
     "chaos_cubic_tamed": {
         "rate_fit.csv": "87dcd5c5735ec2b52ad2a951bdb3331c97308836c0480bbc3d375d610704e1f4",
-        "rate_fit_summary.csv": "68db9190fff8e213c54d59ed8e90374ac62095df3d498fba163c9da7702d0e69",
+        "rate_fit_summary.csv": "ddcebf4a6616c63d715aff41592f434feb3a512bd472e2948ce083a9e8c21589",
     },
     "chaos_cubic_2d_tamed": {
         "rate_fit.csv": "19b7ca56cb6a48f5897e94c8afd623ecf8ae9c77d1ba9d0e6052970acc608fec",
-        "rate_fit_summary.csv": "90623fe786f855385bf83ad7eb6fdcb07fa44adaa124c380c60ef623ec9d8b4e",
+        "rate_fit_summary.csv": "9cc9ae9003383707ace374757efa3bcb62604f15bc30239031272dbcf036389d",
     },
     "chaos_kinetic_grid": {
         "rate_fit.csv": "3615b9d6f26b0e2ac5fbee4c0dfb3de9a2bade86d39ee06375e12d9d3241b6b0",
         "rate_fit_summary.csv": "be697dbbfc6d78183d1596182123548297e394acf7b6228efe8b43e49229bb9b",
     },
     "observable_kinetic_norm": {
-        "deviation_summary.csv": "bcb974899ed7fad1da4626b118f327d4f464c3d3cc65968065b19d75d5490fd2",
+        "deviation_summary.csv": "11c57fe4143a60b76723aef4ec87fb0bc72b02bb8ea48a6f62ddb8ad0f5431ff",
         "deviation_table.csv": "a50bd55dffb16d79cbf2005d9bd2b32caed84df0f53192b75e7b7fc605fc2955",
     },
     "empirical_sup_stride2": {

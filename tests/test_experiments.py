@@ -59,6 +59,19 @@ def test_linear_fit_recovers_exact_line():
     assert se == pytest.approx(0.0, abs=1e-9)
 
 
+def test_linear_fit_stderr_needs_a_degree_of_freedom():
+    slope, intercept, r2, se = linear_fit([1.0, 2.0], [3.0, 1.0])
+    assert (slope, intercept, r2) == (-2.0, 5.0, 1.0)
+    assert np.isnan(se)
+
+    x, y = np.array([0.0, 1.0, 3.0]), np.array([1.0, 0.5, -2.0])
+    slope, intercept, _, se = linear_fit(x, y)
+    ss_res = np.sum((y - slope * x - intercept) ** 2)
+    sxx = np.sum((x - x.mean()) ** 2)
+    assert ss_res > 0
+    assert se == np.sqrt(ss_res / (len(x) - 2) / sxx)
+
+
 def test_linear_fit_slope_error_scales():
     rng = np.random.default_rng(1)
     x = np.linspace(0, 1, 200)
