@@ -3,13 +3,14 @@
 A model is a pairwise drift kernel b(X, Y), a constant diffusion factor
 sigma, and an initial law.  The drift actually used by the dynamics is the
 average of b(X, .) against a measure; kernels may carry an aggregated
-evaluator exploiting linear structure (exact algebra, no subsampling), and
-kernels whose drift does not depend on the measure at all are flagged
-`law_free` so coupled runs stay bit-identical.
+evaluator exploiting linear or polynomial structure (exact algebra, no
+subsampling), and kernels whose drift does not depend on the measure at all
+are flagged `law_free` so coupled runs stay bit-identical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -53,8 +54,12 @@ class Potential:
     """Value/gradient oracle pair for a potential on R^d.
 
     `linear_grad_coeff` is set when grad(z) = coeff * z exactly, which lets
-    mean-field averages collapse to a single mean.  `grad_lipschitz` is the
-    Lipschitz constant of the gradient, or None when only locally Lipschitz.
+    mean-field averages collapse to a single mean.  `integer_power` is (p, c)
+    when the potential is c |z|^p with an integer p > 2: in 1-D its gradient
+    is a polynomial of degree p - 1 on either side of 0, which lets
+    mean-field averages collapse to prefix moments of the sorted cloud.
+    `grad_lipschitz` is the Lipschitz constant of the gradient, or None when
+    only locally Lipschitz.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -62,6 +67,7 @@ class Potential:
     grad_lipschitz: Optional[float]
     name: str = "potential"
     linear_grad_coeff: Optional[float] = None
+    integer_power: Optional[tuple[int, float]] = None
 
 
 def zero_potential() -> Potential:
@@ -118,6 +124,7 @@ def power_potential(exponent: float, coeff: float = 1.0) -> Potential:
         grad_lipschitz=abs(c) * p if p == 2 else None,
         name=f"|z|^{p}*{c}",
         linear_grad_coeff=c * p if p == 2 else None,
+        integer_power=(int(p), c) if p > 2 and p.is_integer() else None,
     )
 
 
@@ -357,14 +364,80 @@ def _pairwise_average(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
     return out
 
 
+def _count_at_or_below(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(y, x, side="right") for each row of sorted y and x.
+
+    Rows of more than one dimension merge y and x in one stable sort, which
+    ranks each point of y ahead of an equal x, and count the points of y up
+    to each x.  The counts are integers, so both ways give the same ones.
+    """
+    if y.ndim == 1:
+        return np.searchsorted(y, x, side="right")
+    m = y.shape[-1]
+    order = np.argsort(np.concatenate([y, x], axis=-1), axis=-1, kind="stable")
+    counts = np.empty_like(order)
+    np.put_along_axis(counts, order, np.cumsum(order < m, axis=-1), axis=-1)
+    return counts[..., m:]
+
+
+def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+    """Exact weighted average of grad W(x - y_j) over j for W(z) = c |z|^p in 1-D.
+
+    For an integer p, grad W(z) = c p |z|^(p-2) z is c p z^(p-1) above 0 and
+    (-1)^p c p z^(p-1) below it.  With the shift s the weighted cloud mean,
+    u = x - s and v_j = y_j - s, the average is the polynomial
+    c p sum_k (-1)^k binom(p-1, k) u^(p-1-k) a_k in u, where a_k is the moment
+    sum_j w_j v_j^k over the points y_j <= x minus the one over the points
+    above x for odd p, and over all points for even p.  The cloud is sorted
+    once and its moments summed in prefix, so X (..., n, 1) against points
+    (m, 1) or (..., m, 1) costs O((n + m) log m), not the O(n m) of the
+    pairwise average.
+
+    Every step is elementwise, or a sort, cumsum or sum along a row of one
+    cloud, so each row's result depends on the values of its own x and cloud
+    only: not on the other rows, on the replica axis, or on whether the
+    cloud is the state itself or a copy of it.  Overflow of a diverging run
+    carries through as inf or nan without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = X[..., 0], points[..., 0]
+        order = np.argsort(y, axis=-1, kind="stable")
+        y = np.take_along_axis(y, order, axis=-1)
+        w = weights[order]
+        shift = np.sum(y * w, axis=-1, keepdims=True)
+        v = y - shift
+        # moments[..., i, k] = coeff_k * sum_{j < i} w_j v_j^k
+        terms = np.empty(y.shape + (p,))
+        terms[..., 0] = w
+        for k in range(1, p):
+            np.multiply(terms[..., k - 1], v, out=terms[..., k])
+        terms *= [c * p * (-1) ** k * math.comb(p - 1, k) for k in range(p)]
+        moments = np.zeros(y.shape[:-1] + (y.shape[-1] + 1, p))
+        np.cumsum(terms, axis=-2, out=moments[..., 1:, :])
+        a = moments[..., -1:, :]
+        if p % 2:
+            at = _count_at_or_below(y, x)
+            if y.ndim > 1:  # row i of cloud r sits at r (m + 1) + i of the stacked rows
+                rows = np.arange(math.prod(y.shape[:-1])).reshape(y.shape[:-1] + (1,))
+                at += rows * moments.shape[-2]
+            a = 2.0 * np.take(moments.reshape(-1, p), at, axis=0) - a
+        u = x - shift
+        out = a[..., 0]
+        for k in range(1, p):
+            out = out * u + a[..., k]
+        return out[..., None]
+
+
 def mean_field_batch(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
                      weights: np.ndarray) -> np.ndarray:
     """Mean-field drift for a batch of states X against a weighted cloud.
 
     X is (n, d) or, for R batched replicas, (R, n, d).  points is one cloud
     (m, d) shared by every replica, or one cloud per replica (R, m, d).  The
-    closed-form evaluators broadcast over the replica axis; the pairwise
-    average runs replica by replica.
+    closed-form evaluators (the linear-gradient mean, the 1-D prefix moments
+    of an integer power) broadcast over the replica axis; the pairwise
+    average, left for d > 1 and non-integer powers, runs replica by replica.
     """
     if kernel.law_free:
         return kernel.eval(X, X)
@@ -398,7 +471,9 @@ def granular_media_model(V: Potential, W: Potential, d: int,
 
     Drift kernel b(v, w) = grad V(v) + grad W(v - w) with sigma = sqrt(2) I;
     W must be even so the interaction is symmetric.  A superlinear W (e.g.
-    |z|^3) marks the kernel for tamed integration.
+    |z|^3) marks the kernel for tamed integration.  The mean field is exact
+    algebra when W has a linear gradient, or, for d = 1, when W is an
+    integer power; otherwise it is the pairwise average.
     """
     if validate:
         _check_even(W, d)
@@ -417,6 +492,11 @@ def granular_media_model(V: Potential, W: Potential, d: int,
 
         def mean_field(X, points, weights):
             return V.grad(X) + cw * (X - (weights @ points)[..., None, :])
+    elif W.integer_power is not None and d == 1:
+        pw, cw = W.integer_power
+
+        def mean_field(X, points, weights):
+            return _power_law_average(pw, cw, X, points, weights) + V.grad(X)
 
     lip = None
     if V.grad_lipschitz is not None and W.grad_lipschitz is not None:

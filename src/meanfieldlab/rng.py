@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["NoiseGrid", "REFERENCE_NAMESPACE", "INIT_STEP"]
+__all__ = ["NoiseGrid", "REFERENCE_NAMESPACE", "TARGET_NAMESPACE", "INIT_STEP"]
 
 # Philox 4x32 round constants (Salmon et al., "Parallel random numbers:
 # as easy as 1, 2, 3").
@@ -33,6 +33,11 @@ INIT_STEP = 0xFFFFFFFE
 # Replica ids at or above this value are reserved for reference-flow
 # ensembles so their keys never collide with coupled runs.
 REFERENCE_NAMESPACE = 1 << 48
+
+# Replica ids of the built-in Gaussian equilibrium target, TARGET_NAMESPACE +
+# salt: clear of the reference flows and of the burn-in run at twice
+# REFERENCE_NAMESPACE, so the target's keys are drawn nowhere else.
+TARGET_NAMESPACE = 3 << 48
 
 
 def _splitmix64(x: int) -> int:

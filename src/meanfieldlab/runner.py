@@ -27,6 +27,7 @@ from .models import (InitialLaw, ModelSpec, Observable, granular_media_model,
                      linear_test_model, power_potential, quadratic_potential,
                      vlasov_fokker_planck_model, zero_potential)
 from .plots import emit_plot
+from .rng import TARGET_NAMESPACE, NoiseGrid
 
 __all__ = ["RunManifest", "build_model", "run", "replot"]
 
@@ -240,9 +241,9 @@ def _run_experiment(cfg: RunConfig, write) -> None:
         if cfg.experiment.target == "gaussian":
             tm, tv = cfg.experiment.target_mean, cfg.experiment.target_var
 
-            def target(n, salt, tm=tm, tv=tv, d=model.dim):
-                g = np.random.default_rng(salt)
-                return tm + np.sqrt(tv) * g.standard_normal((n, d))
+            def target(n, salt, tm=tm, tv=tv, d=model.dim, seed=cfg.sim.seed):
+                z = NoiseGrid(seed, TARGET_NAMESPACE + salt).normals(np.arange(n), 0, d)
+                return tm + np.sqrt(tv) * z
 
         curve = equilibrium_convergence(model, cfg.sim.n_particles, cfg.experiment.t_equilibrium,
                                         _sim_config(cfg, cfg.sim.n_particles),

@@ -8,6 +8,7 @@ import pytest
 from meanfieldlab import DivergenceError, ValidationError, parse_config, serialize_config
 from meanfieldlab.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from meanfieldlab.plots import emit_plot
+from meanfieldlab.rng import REFERENCE_NAMESPACE
 from meanfieldlab.runner import RunManifest, load_config_or_manifest, run
 
 CHAOS_CFG = """
@@ -75,6 +76,28 @@ seed = 1
 [reference]
 m = 128
 picard_iters = 1
+
+[output]
+directory = {out}
+plots = false
+"""
+
+GAUSSIAN_TARGET_CFG = """
+[model]
+family = granular_quadratic
+
+[sim]
+dt = 0.05
+t_final = 0.5
+n_particles = 32
+replicas = 2
+seed = 1
+
+[experiment]
+kind = equilibrium
+t_equilibrium = 0.5
+target = gaussian
+target_var = 0.5
 
 [output]
 directory = {out}
@@ -233,6 +256,20 @@ def test_seed_override_leaves_input_config_alone(tmp_path):
     assert parse_config(manifest.config_text).sim.seed == 99
 
 
+def test_gaussian_target_is_drawn_from_the_seed(tmp_path):
+    cfg = parse_config(GAUSSIAN_TARGET_CFG.format(out=str(tmp_path / "unused")))
+    names = ["equilibrium_curve.csv", "equilibrium_summary.csv"]
+    runs = {}
+    for sub, seed in (("a", 1), ("b", 1), ("c", 2)):
+        out = str(tmp_path / sub)
+        run(cfg, output_dir=out, seed=seed)
+        with open(os.path.join(out, "equilibrium_summary.csv")) as fh:
+            floor = float(fh.read().splitlines()[1].split(",")[1])
+        runs[sub] = (_sha_files(out, names), floor)
+    assert runs["a"] == runs["b"]
+    assert runs["a"][1] != runs["c"][1]
+
+
 def test_manifest_jsonl_structure(tmp_path):
     out = str(tmp_path / "m")
     cfg = parse_config(DEVIATION_CFG.format(out=out))
@@ -337,7 +374,7 @@ def test_cli_run_output_dir_override(tmp_path):
     assert not (tmp_path / "unused").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow must not warn
 def test_cli_divergence_exit_code(tmp_path, capsys):
     p = tmp_path / "div.cfg"
     p.write_text(DIVERGING_CFG.format(out=str(tmp_path / "out")))
@@ -346,7 +383,7 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow must not warn
 def test_failed_run_leaves_a_labelled_manifest(tmp_path):
     out = tmp_path / "out"
     with pytest.raises(DivergenceError) as caught:
@@ -359,7 +396,8 @@ def test_failed_run_leaves_a_labelled_manifest(tmp_path):
     assert lines[0]["complete"] is False
     assert lines[2] == {"kind": "error", "type": "DivergenceError", "message": str(err),
                         "step": err.step, "particle": err.particle, "replica": err.replica}
-    assert None not in (err.step, err.particle, err.replica)
+    # the reference flow's first particle overflows first, at step 7
+    assert (err.step, err.particle, err.replica) == (7, 0, REFERENCE_NAMESPACE)
 
     manifest = RunManifest.from_jsonl(text)
     assert manifest.complete is False

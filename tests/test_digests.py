@@ -1,11 +1,12 @@
 """Golden sha256 digests of the CSVs that `runner.run` writes.
 
 Each config is small enough to run in well under a second, and together
-they reach every engine path: coupled runs with closed-form and pairwise
-(tamed) drift, the pairwise drift in one and in two dimensions, a coupled
-n_grid that is not nested in powers of 2 (a one-particle size included)
-over several replica chunks, recorded particle-system runs at a stride, the
-kinetic family's degenerate diffusion, and 2-D transport.  A change that
+they reach every engine path: coupled runs with closed-form and tamed
+cubic drift, the cubic drift by prefix moments in one dimension and
+pairwise in two, a coupled n_grid that is not nested in powers of 2 (a
+one-particle size included) over several replica chunks, recorded
+particle-system runs at a stride, the kinetic family's degenerate
+diffusion, and 2-D transport.  A change that
 keeps the numbers must keep these digests; a change that means to alter
 them must say so and record the new values.
 """
@@ -158,8 +159,8 @@ DIGESTS = {
         "rate_fit_summary.csv": "057552a36c5b1441fcbbd99c1b6b9b16fcb2eb684e7cb13d4486d99ff3a43b45",
     },
     "chaos_cubic_tamed": {
-        "rate_fit.csv": "87dcd5c5735ec2b52ad2a951bdb3331c97308836c0480bbc3d375d610704e1f4",
-        "rate_fit_summary.csv": "ddcebf4a6616c63d715aff41592f434feb3a512bd472e2948ce083a9e8c21589",
+        "rate_fit.csv": "80e2d4598d7957e98bc75dadddfcc23c252b0bc833fea2931971654994871368",
+        "rate_fit_summary.csv": "9c744319e8a7b0ad4473bf2d256de47b055142cde1ca7f9f076a353a4597a60b",
     },
     "chaos_cubic_2d_tamed": {
         "rate_fit.csv": "19b7ca56cb6a48f5897e94c8afd623ecf8ae9c77d1ba9d0e6052970acc608fec",

@@ -2,14 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meanfieldlab import (DiffusionSpec, EmpiricalMeasure, InitialLaw, Observable,
                           ValidationError, granular_media_model, linear_test_model,
                           mean_field_drift, ou_mean, ou_variance, power_potential,
                           quadratic_potential, vlasov_fokker_planck_model, zero_potential)
 from meanfieldlab import models
+from meanfieldlab.config import parse_config
 from meanfieldlab.models import DriftKernel, Potential, mean_field_batch
 from meanfieldlab.rng import NoiseGrid
+from meanfieldlab.runner import run
 
 
 def _fd_grad(value, z, h=1e-6):
@@ -158,7 +161,9 @@ def test_power_gradient_and_granular_kernel_equal_the_old_expressions(p, d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_pairwise_drift_does_not_depend_on_block_width(d, monkeypatch):
-    kernel = granular_media_model(quadratic_potential(1.0), power_potential(3.0), d).drift
+    # a non-integer power: the 1-D integer powers take the prefix-moment path
+    kernel = granular_media_model(quadratic_potential(1.0), power_potential(2.5), d).drift
+    assert kernel.mean_field is None
     rng = np.random.default_rng(40 + d)
     n, m, R = 151, 301, 3
     w = rng.uniform(0.5, 1.5, size=m)
@@ -181,7 +186,7 @@ def test_pairwise_drift_does_not_depend_on_block_width(d, monkeypatch):
 
 
 def test_pairwise_drift_stays_in_cache_sized_blocks():
-    kernel = granular_media_model(quadratic_potential(1.0), power_potential(3.0), 1).drift
+    kernel = granular_media_model(quadratic_potential(1.0), power_potential(2.5), 1).drift
     assert kernel.taming_exponent > 0 and kernel.mean_field is None
     rng = np.random.default_rng(3)
     X = rng.normal(size=(1024, 1))
@@ -194,6 +199,142 @@ def test_pairwise_drift_stays_in_cache_sized_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak
+
+
+# ---------------------------------------------------------------------------
+# prefix-moment drift of 1-D integer powers against the pairwise oracle
+
+
+def test_only_integer_powers_above_2_carry_the_marker():
+    assert power_potential(3.0).integer_power == (3, 1.0)
+    assert power_potential(4.0, 0.2).integer_power == (4, 0.2)
+    assert power_potential(2.0).integer_power is None  # the linear-gradient mean covers it
+    assert power_potential(2.5).integer_power is None
+    assert quadratic_potential(1.0).integer_power is None
+    for d, fast in ((1, True), (2, False)):
+        kernel = granular_media_model(quadratic_potential(1.0), power_potential(3.0), d).drift
+        assert (kernel.mean_field is not None) is fast
+
+
+def _prefix_kernel(p, c=0.7):
+    kernel = granular_media_model(quadratic_potential(1.3), power_potential(p, c), 1,
+                                  validate=False).drift
+    assert kernel.mean_field is not None
+    return kernel
+
+
+def _tied_cloud(rng, centre, m):
+    """A cloud around centre with runs of duplicate points."""
+    y = centre + rng.normal(size=(m, 1))
+    y[5:9] = y[4]
+    y[-3:] = y[0]
+    return y
+
+
+def _assert_matches_oracle(kernel, X, points, w, tol=1e-12):
+    fast = kernel.mean_field(X, points, w)
+    slow = models._pairwise_average(kernel, X, points, w)
+    assert fast.shape == slow.shape
+    assert np.max(np.abs(fast - slow)) <= tol * np.max(np.abs(slow))
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("centre", [0.0, 3.0, 1e3])
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_prefix_moment_drift_matches_the_pairwise_oracle(p, centre, uniform):
+    rng = np.random.default_rng(100 * p + int(centre) + uniform)
+    kernel = _prefix_kernel(p)
+    m = 257
+    y = _tied_cloud(rng, centre, m)
+    w = np.full(m, 1.0 / m) if uniform else rng.uniform(0.1, 2.0, size=m)
+    w /= w.sum()
+    # fresh states, states equal to cloud points (tied ones included), and
+    # states beyond either end of the cloud
+    X = np.vstack([centre + rng.normal(size=(64, 1)), y[::7], y[4:6],
+                   [[centre - 10.0], [centre + 10.0]]])
+    _assert_matches_oracle(kernel, X, y, w)
+    _assert_matches_oracle(kernel, y, y, w)  # a state against its own cloud
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_prefix_moment_drift_is_a_function_of_the_values_alone(p):
+    # a state against its own cloud and against a frozen copy of it (Picard
+    # pass 0 and a later pass), and R replicas in one call against R calls
+    rng = np.random.default_rng(p)
+    kernel = _prefix_kernel(p)
+    R, n, m = 4, 33, 65
+    XR = 2.0 + rng.normal(size=(R, n, 1))
+    XR[:, 3:6] = XR[:, :1]  # ties within a row
+    XR[1] = XR[0]           # and a row equal to another
+    w_own = np.full(n, 1.0 / n)
+    shared = _tied_cloud(rng, 2.0, m)
+    per_replica = 2.0 + rng.normal(size=(R, m, 1))
+    per_replica[:, :n] = XR  # states equal to points of their own replica's cloud
+    w = rng.uniform(0.5, 1.5, size=m)
+    w /= w.sum()
+
+    own = kernel.mean_field(XR, XR, w_own)
+    assert _same_bits(own, kernel.mean_field(XR, XR.copy(), w_own))
+    with_shared = kernel.mean_field(XR, shared, w)
+    with_own_replica_cloud = kernel.mean_field(XR, per_replica, w)
+    for r in range(R):
+        x = XR[r].copy()
+        assert _same_bits(own[r], kernel.mean_field(x, x, w_own))
+        assert _same_bits(own[r], kernel.mean_field(x, x.copy(), w_own))
+        assert _same_bits(with_shared[r], kernel.mean_field(x, shared, w))
+        assert _same_bits(with_own_replica_cloud[r], kernel.mean_field(x, per_replica[r], w))
+        _assert_matches_oracle(kernel, x, per_replica[r], w)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([3, 4, 5]), m=st.integers(1, 80), n=st.integers(1, 40),
+       shift=st.floats(-1e3, 1e3), spread=st.floats(1e-2, 1e2),
+       seed=st.integers(0, 2 ** 32 - 1), uniform=st.booleans(), ties=st.integers(0, 8))
+def test_prefix_moment_drift_matches_the_pairwise_oracle_on_random_clouds(
+        p, m, n, shift, spread, seed, uniform, ties):
+    rng = np.random.default_rng(seed)
+    y = shift + spread * rng.normal(size=(m, 1))
+    y[rng.integers(0, m, size=ties)] = y[0]
+    w = np.full(m, 1.0 / m) if uniform else rng.uniform(0.1, 2.0, size=m)
+    w /= w.sum()
+    X = np.vstack([shift + spread * rng.normal(size=(n, 1)), y[:ties]])
+    _assert_matches_oracle(_prefix_kernel(p), X, y, w)
+    # the rows of a batch rank against their own clouds as searchsorted does
+    ys = np.sort(np.stack([y[:, 0], y[::-1, 0]]), axis=-1)
+    xs = np.stack([X[:, 0], X[::-1, 0]])
+    ranks = models._count_at_or_below(ys, xs)
+    for r in range(2):
+        assert np.array_equal(ranks[r], np.searchsorted(ys[r], xs[r], side="right"))
+
+
+@pytest.mark.parametrize("dim, pairwise", [(1, False), (2, True)])
+def test_cubic_chaos_run_takes_the_prefix_moment_path_in_1d(dim, pairwise, monkeypatch,
+                                                             tmp_path):
+    calls = []
+    original = models._pairwise_average
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(models, "_pairwise_average", counted)
+    run(parse_config(f"""
+[model]
+family = granular_cubic
+dim = {dim}
+[sim]
+dt = 0.05
+t_final = 0.2
+n_grid = 4, 8
+replicas = 3
+taming = true
+seed = 3
+[reference]
+m = 128
+[output]
+plots = false
+"""), output_dir=str(tmp_path))
+    assert (len(calls) > 0) is pairwise, len(calls)
 
 
 def test_kernel_lipschitz_sampled():

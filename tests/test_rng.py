@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from meanfieldlab.rng import NoiseGrid, INIT_STEP, REFERENCE_NAMESPACE
+from meanfieldlab.rng import NoiseGrid, INIT_STEP, REFERENCE_NAMESPACE, TARGET_NAMESPACE
 
 
 def test_same_key_same_value():
@@ -126,3 +126,13 @@ def test_bad_replica_ids_rejected():
                 np.array([0.0, 1.0])):
         with pytest.raises(ValueError):
             NoiseGrid(seed=0, replica_id=bad)
+
+
+def test_noise_namespaces_are_disjoint():
+    # coupled replicas, reference flows, the burn-in run (at twice the
+    # reference namespace) and the Gaussian target each own 2^48 replica ids
+    starts = [0, REFERENCE_NAMESPACE, 2 * REFERENCE_NAMESPACE, TARGET_NAMESPACE]
+    assert all(b - a >= REFERENCE_NAMESPACE for a, b in zip(starts, starts[1:]))
+    assert TARGET_NAMESPACE + REFERENCE_NAMESPACE <= 2 ** 64
+    draws = NoiseGrid(seed=3, replica_id=np.array(starts)).normals(np.arange(4), 0, 2)
+    assert len({row.tobytes() for row in draws}) == len(starts)
