@@ -15,9 +15,8 @@ from .models import (DiffusionSpec, DriftKernel, InitialLaw, ModelSpec, Observab
                      mean_field_drift, ou_mean, ou_variance, power_potential,
                      quadratic_potential, vlasov_fokker_planck_model, zero_potential)
 from .rng import NoiseGrid
-from .engine import (CoupledEnsemble, ReferenceFlow, SimConfig, TrajectoryEnsemble,
-                     build_reference_flow, euler_step, simulate_coupled,
-                     simulate_particle_system)
+from .engine import (CoupledEnsemble, SimConfig, TrajectoryEnsemble, build_reference_flow,
+                     euler_step, simulate_coupled, simulate_particle_system)
 from .wasserstein import (TransportResult, kr_dual_lower_bound, quantile_dual_family,
                           sample_w1, sample_w2, wasserstein_1d, wasserstein_assignment)
 from .experiments import (DeviationTable, EquilibriumCurve, RateFit,

@@ -52,6 +52,8 @@ class SimBlock:
 @dataclass
 class ReferenceBlock:
     m: int = 0                      # 0 resolves to 16 * max N at run time
+    # No effect: the reference flow is its own Picard fixed point, so one pass
+    # is all there is.  Still parsed and checked (>= 1) so old configs rerun.
     picard_iters: int = 2
 
 

@@ -1,4 +1,4 @@
-"""Euler-Maruyama time stepping, Picard reference flow, synchronous coupling.
+"""Euler-Maruyama time stepping, the reference flow, synchronous coupling.
 
 All randomness flows through a NoiseGrid, so a run is a pure function of
 (model, config, seed) and the particle system and its coupled nonlinear
@@ -9,19 +9,18 @@ replica r's results equal, bit for bit, a run on the grid of its own id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .models import DiffusionSpec, ModelSpec, mean_field_batch
-from .rng import INIT_STEP, NoiseGrid
+from .rng import INIT_STEP, REFERENCE_NAMESPACE, NoiseGrid
 
 __all__ = [
     "SimConfig",
     "TrajectoryEnsemble",
-    "ReferenceFlow",
     "CoupledEnsemble",
     "euler_step",
     "simulate_particle_system",
@@ -90,21 +89,6 @@ class TrajectoryEnsemble:
     @property
     def terminal(self) -> np.ndarray:
         return self.states[..., -1, :, :]
-
-
-@dataclass
-class ReferenceFlow:
-    """Approximation of the nonlinear flow f_t by M-point snapshots at every step."""
-
-    times: np.ndarray           # (n_steps + 1,)
-    snapshots: np.ndarray       # (n_steps + 1, M, d)
-    picard_iterations: int
-    dt: float
-    iterate_gaps: list = field(default_factory=list)  # terminal W2 between successive iterates
-
-    @property
-    def m_reference(self) -> int:
-        return self.snapshots.shape[1]
 
 
 @dataclass
@@ -237,47 +221,29 @@ def simulate_particle_system(model: ModelSpec, config: SimConfig,
     return TrajectoryEnsemble(times=recs * config.dt, states=states)
 
 
-def build_reference_flow(model: ModelSpec, M: int, config: SimConfig,
-                         picard_iters: int = 2,
-                         noise: Optional[NoiseGrid] = None) -> ReferenceFlow:
-    """Fixed-point construction of the nonlinear flow, in one pass.
+def build_reference_flow(model: ModelSpec, M: int, config: SimConfig) -> TrajectoryEnsemble:
+    """The nonlinear flow f_t, stood in for by an M-particle run recorded at every step.
 
-    Pass 0 simulates an M-particle system self-consistently.  A later Picard
-    pass would re-simulate the same noise keys against the frozen snapshots
-    of the pass before; by induction over the steps its state at step k is
-    the snapshot it is driven by, so it rebuilds pass 0 bit for bit.  Pass 0
-    is therefore the fixed point and the only pass run: picard_iters is
-    checked and recorded, and iterate_gaps holds the picard_iters - 1
-    terminal W2 gaps between successive passes, each exactly 0.0.  Snapshots
-    are stored at every step so coupled runs can do piecewise-constant
-    lookups.
+    The run is self-consistent and draws from its own replica namespace,
+    REFERENCE_NAMESPACE + config.replica_id, disjoint from every replica.  It
+    is its own Picard fixed point: a pass driven by its frozen snapshots on
+    the same keys rebuilds it bit for bit, step by step, so one pass is all
+    there is.  Coupled runs read its state at step k from states[k].
     """
-    if M < 1 or picard_iters < 1:
-        raise ValidationError("M and picard_iters must be >= 1")
-    noise = noise or config.noise()
-    indices = np.arange(M)
-    X0 = model.initial_law.sample(noise, indices)
-    snaps = np.empty((config.n_steps + 1, M, model.dim))
-    snaps[0] = X0
-
-    def record(k, Xs):
-        snaps[k] = Xs[0]
-
-    _integrate(model, config, noise, indices, [X0], [None], record)
-    return ReferenceFlow(times=np.arange(config.n_steps + 1) * config.dt, snapshots=snaps,
-                         picard_iterations=picard_iters, dt=config.dt,
-                         iterate_gaps=[0.0] * (picard_iters - 1))
+    noise = NoiseGrid(config.seed, REFERENCE_NAMESPACE + config.replica_id, config.dt)
+    return simulate_particle_system(model, replace(config, n_particles=M, snapshot_stride=1),
+                                    noise=noise)
 
 
-def simulate_coupled(model: ModelSpec, config: SimConfig, flow: ReferenceFlow,
+def simulate_coupled(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemble,
                      noise: Optional[NoiseGrid] = None,
                      n_grid: Optional[Sequence[int]] = None):
     """Advance X^{i,N} and the nonlinear Xbar^i on identical noise increments.
 
     The particle system sees its own empirical measure; the nonlinear
-    processes see the frozen reference flow.  Both start from the same
-    initial samples, so the per-time mean-square gap is the Theorem's
-    left-hand side.  A batched noise grid couples one system per replica
+    processes see the frozen reference flow, a run recorded at every step
+    (see build_reference_flow).  Both start from the same initial samples,
+    so the per-time mean-square gap is the Theorem's left-hand side.  A batched noise grid couples one system per replica
     against the one shared flow.  Returns one CoupledEnsemble.
 
     With n_grid, one step loop couples a particle system of every size N in
@@ -291,10 +257,12 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: ReferenceFlow,
     larger product.  A divergence is reported for the earliest step; within
     a step the systems come in grid order and the nonlinear copies last.
     """
-    if flow.dt != config.dt:
-        raise ValidationError(f"flow dt {flow.dt} does not match run dt {config.dt}")
+    if flow.states.ndim != 3:
+        raise ValidationError("reference flow must be one run, without a replica axis")
+    if flow.times[1] != config.dt:
+        raise ValidationError(f"flow step {flow.times[1]} does not match run dt {config.dt}")
     n_steps = config.n_steps
-    if n_steps + 1 > flow.snapshots.shape[0]:
+    if n_steps + 1 > len(flow.times):
         raise ValidationError("reference flow does not cover [0, t_final] at this dt")
 
     noise = noise or config.noise()
@@ -313,7 +281,7 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: ReferenceFlow,
 
     final = _integrate(model, config, noise, indices,
                        [bar0[h][..., :n, :] for n, h in zip(sizes, home)] + bar0,
-                       [None] * len(sizes) + [flow.snapshots] * len(bars), record)
+                       [None] * len(sizes) + [flow.states] * len(bars), record)
     times = np.arange(n_steps + 1) * config.dt
     runs = [CoupledEnsemble(times=times, mean_square_gap=gap, terminal_particles=X,
                             terminal_nonlinear=final[len(sizes) + h][..., :n, :])

@@ -1,7 +1,9 @@
 """Replicated experiments: chaos rate, deviation tails, equilibration.
 
-Each experiment averages independent replicas (disjoint noise namespaces,
-one shared reference flow) and reports fitted exponents with uncertainty.
+Each experiment averages independent replicas (disjoint noise namespaces)
+against one shared reference flow, an M-particle run recorded at every step
+(engine.build_reference_flow), and reports fitted exponents with
+uncertainty.
 Replicas run batched, in chunks along the engine's replica axis; replica r
 always runs on replica id config.replica_id + r and results are reduced in
 replica order, so every output is independent of the chunking.
@@ -16,11 +18,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import (ReferenceFlow, SimConfig, _record_steps, build_reference_flow,
+from .engine import (SimConfig, TrajectoryEnsemble, _record_steps, build_reference_flow,
                      simulate_coupled, simulate_particle_system)
 from .errors import ValidationError
 from .models import ModelSpec, Observable
-from .rng import REFERENCE_NAMESPACE, NoiseGrid
+from .rng import BURN_IN_NAMESPACE, NoiseGrid
 from .wasserstein import sample_w1, sample_w2, _even_subsample
 
 __all__ = [
@@ -33,7 +35,6 @@ __all__ = [
     "observable_deviation_experiment",
     "empirical_measure_deviation",
     "equilibrium_convergence",
-    "make_reference_flow",
 ]
 
 _DEGENERATE_GAP = 1e-24
@@ -105,10 +106,6 @@ class RateFit:
     slope_se: float
     degenerate: bool = False
 
-    def fitted_constant(self) -> float:
-        """C such that gap ~ C / N at the fitted slope -1 reading."""
-        return float(np.exp(self.intercept))
-
 
 @dataclass
 class DeviationTable:
@@ -143,14 +140,6 @@ class EquilibriumCurve:
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-def make_reference_flow(model: ModelSpec, M: int, config: SimConfig,
-                        picard_iters: int = 2) -> ReferenceFlow:
-    """Reference flow in its dedicated noise namespace, disjoint from all replicas."""
-    ref_cfg = replace(config, n_particles=M)
-    noise = NoiseGrid(config.seed, REFERENCE_NAMESPACE + config.replica_id, config.dt)
-    return build_reference_flow(model, M, ref_cfg, picard_iters=picard_iters, noise=noise)
 
 
 def _replica_grids(config: SimConfig, replicas: int, values_per_replica: int):
@@ -188,10 +177,14 @@ def _w2sq_debiased(cloud: np.ndarray, reference: np.ndarray):
     it is negative when the floor exceeds the raw estimate, as it can when
     the true distance is below the floor's noise.  Returns (estimate, stderr).
 
-    With fewer than three disjoint reference chunks (a cloud larger than a
-    third of the reference) there is neither a floor nor a spread to
-    measure: the estimate is one raw, uncorrected sample-W2^2 and its stderr
-    is nan, not 0.
+    The reference splits into up to 16 disjoint chunks of the cloud's size:
+    the first half (at least two) give raw estimates, the rest pair up into
+    floors.  The stderr needs the spread of both, so it is nan, not 0, with
+    fewer than two floor pairs (fewer than seven chunks: a cloud larger than
+    a seventh of the reference).  With three chunks there is no floor pair
+    and the estimate is the mean raw sample-W2^2, uncorrected; with fewer
+    than three it is one raw sample-W2^2 against an even subsample of the
+    reference.
     """
     n = len(cloud)
     n_chunks = min(len(reference) // n, 16)
@@ -204,7 +197,8 @@ def _w2sq_debiased(cloud: np.ndarray, reference: np.ndarray):
     pairs = [(k, k + 1) for k in range(n_raw, n_chunks - 1, 2)]
     floors = np.array([sample_w2(chunks[i], chunks[j]) ** 2 for i, j in pairs])
     raw_se = float(raws.std(ddof=1) / np.sqrt(len(raws)))
-    floor_se = float(floors.std(ddof=1) / np.sqrt(len(floors))) if len(floors) > 1 else 0.0
+    floor_se = (float(floors.std(ddof=1) / np.sqrt(len(floors))) if len(floors) > 1
+                else float("nan"))
     est = float(raws.mean() - floors.mean()) if len(floors) else float(raws.mean())
     return est, float(np.hypot(raw_se, floor_se))
 
@@ -246,8 +240,7 @@ def _deviation_table(stats: np.ndarray, offset: float, r_grid, n_particles: int,
 
 def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimConfig,
                           replicas: int, m_reference: Optional[int] = None,
-                          picard_iters: int = 2,
-                          flow: Optional[ReferenceFlow] = None) -> RateFit:
+                          flow: Optional[TrajectoryEnsemble] = None) -> RateFit:
     """Terminal mean-square coupling gap against N, with its log-log slope.
 
     One reference flow (M >= 16 max N) is shared across the whole grid so the
@@ -258,12 +251,12 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     is reported: the distance-between-laws side of the chain.
     """
     n_grid = sorted(int(n) for n in n_grid)
-    M = flow.m_reference if flow is not None else m_reference or 16 * max(n_grid)
+    M = flow.states.shape[1] if flow is not None else m_reference or 16 * max(n_grid)
     if M < 16 * max(n_grid):
         raise ValidationError(f"reference ensemble must satisfy M >= 16 max(n_grid) "
                               f"(M={M}, max(n_grid)={max(n_grid)})")
     if flow is None:
-        flow = make_reference_flow(model, M, config, picard_iters)
+        flow = build_reference_flow(model, M, config)
 
     gaps, first_particle = [], []
     for noise in _coupled_grids(config, replicas, n_grid):
@@ -278,7 +271,7 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     for g, first in zip(gaps, first_particle):
         mean_gaps.append(float(g.mean()))
         stderrs.append(float(g.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0)
-        w2sq, w2se = _w2sq_debiased(first, flow.snapshots[-1])
+        w2sq, w2se = _w2sq_debiased(first, flow.terminal)
         w2_sqs.append(w2sq)
         w2_ses.append(w2se)
 
@@ -295,8 +288,7 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
 
 def observable_deviation_experiment(model: ModelSpec, observable: Observable, n_particles: int,
                                     r_grid: Sequence[float], replicas: int, config: SimConfig,
-                                    m_reference: Optional[int] = None,
-                                    picard_iters: int = 2) -> DeviationTable:
+                                    m_reference: Optional[int] = None) -> DeviationTable:
     """Tail probabilities of the one-observable deviation of the particle average.
 
     The deviation event uses threshold sqrt(mse) + r, where mse is this very
@@ -304,10 +296,10 @@ def observable_deviation_experiment(model: ModelSpec, observable: Observable, n_
     tail table and the mean-square fit are internally consistent.  The
     reference flow has m_reference points, 16 n_particles by default.
     """
-    flow = make_reference_flow(model, m_reference or 16 * n_particles, config, picard_iters)
+    flow = build_reference_flow(model, m_reference or 16 * n_particles, config)
     L = observable.lipschitz_constant
     phi = observable.eval if L <= 1.0 else (lambda x: np.asarray(observable.eval(x)) / L)
-    ref_value = float(np.mean(phi(flow.snapshots[-1])))
+    ref_value = float(np.mean(phi(flow.terminal)))
 
     cfg = replace(config, n_particles=n_particles, snapshot_stride=config.n_steps)
     errors = np.concatenate([
@@ -325,8 +317,7 @@ def observable_deviation_experiment(model: ModelSpec, observable: Observable, n_
 
 def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequence[float],
                                 replicas: int, config: SimConfig, sup_over_time: bool = False,
-                                m_reference: Optional[int] = None,
-                                picard_iters: int = 2) -> DeviationTable:
+                                m_reference: Optional[int] = None) -> DeviationTable:
     """Tail probabilities of W1 between the empirical measure and the reference flow.
 
     W1 is estimated by exact transport against an equal-size, evenly strided
@@ -335,11 +326,11 @@ def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequ
     is all we have; noted in metadata).  The reference flow has m_reference
     points, 16 n_particles by default.
     """
-    flow = make_reference_flow(model, m_reference or 16 * n_particles, config, picard_iters)
+    flow = build_reference_flow(model, m_reference or 16 * n_particles, config)
     stride = config.snapshot_stride if sup_over_time else config.n_steps
     # equal-size reference subsample per recorded step
     steps_used = set(range(0, config.n_steps + 1, stride)) | {config.n_steps}
-    ref_subs = {s: _even_subsample(flow.snapshots[s], n_particles) for s in steps_used}
+    ref_subs = {s: _even_subsample(flow.states[s], n_particles) for s in steps_used}
 
     def statistic(states, steps):
         if sup_over_time:
@@ -362,8 +353,7 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
                             config: SimConfig,
                             target_sampler: Optional[Callable[[int, int], np.ndarray]] = None,
                             replicas: int = 8, gap_times: Optional[Sequence[float]] = None,
-                            m_reference: Optional[int] = None,
-                            picard_iters: int = 2) -> EquilibriumCurve:
+                            m_reference: Optional[int] = None) -> EquilibriumCurve:
     """Sample-W2 decay toward the steady state, plus coupling-gap time-uniformity.
 
     target_sampler(n, salt) draws n points from the steady state; when absent
@@ -376,8 +366,7 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
     if target_sampler is None:
         burn_cfg = replace(cfg, n_particles=4 * n_particles)
         burn = simulate_particle_system(model, burn_cfg,
-                                        noise=NoiseGrid(cfg.seed, REFERENCE_NAMESPACE * 2,
-                                                        cfg.dt))
+                                        noise=NoiseGrid(cfg.seed, BURN_IN_NAMESPACE, cfg.dt))
         cloud = burn.terminal
 
         def target_sampler(n, salt):
@@ -408,7 +397,7 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
     gap_means, gap_ses, gslope, gslope_se = [], [], None, None
     if gap_times:
         M = m_reference or 16 * n_particles
-        flow = make_reference_flow(model, M, cfg, picard_iters)
+        flow = build_reference_flow(model, M, cfg)
         steps = [int(round(t / cfg.dt)) for t in gap_times]
 
         gaps = np.concatenate([  # (replicas, len(gap_times))

@@ -223,12 +223,11 @@ class DiffusionSpec:
 class InitialLaw:
     """Initial distribution from a family with closed-form second moment."""
 
-    def __init__(self, kind: str, dim: int, second_moment: float, sampler, params: dict):
+    def __init__(self, kind: str, dim: int, second_moment: float, sampler):
         self.kind = kind
         self.dim = dim
         self.second_moment = float(second_moment)
         self._sampler = sampler
-        self.params = params
         if not np.isfinite(self.second_moment):
             raise ValidationError("initial law must have a finite second moment")
 
@@ -248,7 +247,7 @@ class InitialLaw:
         def sampler(grid, particles):
             return np.tile(x, grid.batch_shape + (len(particles), 1))
 
-        return cls("point", len(x), float(np.sum(x ** 2)), sampler, {"x": x})
+        return cls("point", len(x), float(np.sum(x ** 2)), sampler)
 
     @classmethod
     def gaussian(cls, mean, cov) -> "InitialLaw":
@@ -268,7 +267,7 @@ class InitialLaw:
             return mean + z @ chol.T
 
         m2 = float(mean @ mean + np.trace(cov))
-        return cls("gaussian", d, m2, sampler, {"mean": mean, "cov": cov})
+        return cls("gaussian", d, m2, sampler)
 
     @classmethod
     def uniform_box(cls, lo, hi) -> "InitialLaw":
@@ -283,7 +282,7 @@ class InitialLaw:
             return lo + u * (hi - lo)
 
         m2 = float(np.sum((lo ** 2 + lo * hi + hi ** 2) / 3.0))
-        return cls("uniform", d, m2, sampler, {"lo": lo, "hi": hi})
+        return cls("uniform", d, m2, sampler)
 
     @classmethod
     def mixture(cls, components: Sequence["InitialLaw"], weights) -> "InitialLaw":
@@ -304,7 +303,7 @@ class InitialLaw:
             return np.take_along_axis(draws, idx[None, ..., None], axis=0)[0]
 
         m2 = float(weights @ [c.second_moment for c in components])
-        return cls("mixture", d, m2, sampler, {"weights": weights, "components": components})
+        return cls("mixture", d, m2, sampler)
 
 
 @dataclass(frozen=True)

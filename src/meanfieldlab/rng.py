@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["NoiseGrid", "REFERENCE_NAMESPACE", "TARGET_NAMESPACE", "INIT_STEP"]
+__all__ = ["NoiseGrid", "REFERENCE_NAMESPACE", "BURN_IN_NAMESPACE", "TARGET_NAMESPACE",
+           "INIT_STEP"]
 
 # Philox 4x32 round constants (Salmon et al., "Parallel random numbers:
 # as easy as 1, 2, 3").
@@ -34,9 +35,13 @@ INIT_STEP = 0xFFFFFFFE
 # ensembles so their keys never collide with coupled runs.
 REFERENCE_NAMESPACE = 1 << 48
 
+# Replica id of the burned-in run that stands in for the equilibrium target
+# when none is given.
+BURN_IN_NAMESPACE = 2 << 48
+
 # Replica ids of the built-in Gaussian equilibrium target, TARGET_NAMESPACE +
-# salt: clear of the reference flows and of the burn-in run at twice
-# REFERENCE_NAMESPACE, so the target's keys are drawn nowhere else.
+# salt: clear of the reference flows and of the burn-in run, so the target's
+# keys are drawn nowhere else.
 TARGET_NAMESPACE = 3 << 48
 
 

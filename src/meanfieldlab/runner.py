@@ -189,12 +189,10 @@ def _run_experiment(cfg: RunConfig, write) -> None:
     model = build_model(cfg)
     kind = cfg.experiment.kind
     m_ref = cfg.reference.m or None
-    picard = cfg.reference.picard_iters
 
     if kind == "chaos_rate":
         fit = chaos_rate_experiment(model, cfg.sim.n_grid, _sim_config(cfg, max(cfg.sim.n_grid)),
-                                    replicas=cfg.sim.replicas, m_reference=m_ref,
-                                    picard_iters=picard)
+                                    replicas=cfg.sim.replicas, m_reference=m_ref)
         write("rate_fit.csv", _csv(
             ["n", "mean_sq_gap", "stderr", "w2_sq_estimate", "w2_sq_stderr"],
             zip(fit.n_grid, fit.mean_sq_gaps, fit.stderrs,
@@ -211,7 +209,7 @@ def _run_experiment(cfg: RunConfig, write) -> None:
     elif kind in ("observable_deviation", "empirical_deviation"):
         common = dict(n_particles=cfg.sim.n_particles, r_grid=cfg.experiment.r_grid,
                       replicas=cfg.sim.replicas, config=_sim_config(cfg, cfg.sim.n_particles),
-                      m_reference=m_ref, picard_iters=picard)
+                      m_reference=m_ref)
         if kind == "observable_deviation":
             obs = _observable(cfg.experiment.observable, model.dim)
             table = observable_deviation_experiment(model, obs, **common)
@@ -249,7 +247,7 @@ def _run_experiment(cfg: RunConfig, write) -> None:
                                         _sim_config(cfg, cfg.sim.n_particles),
                                         target_sampler=target, replicas=cfg.sim.replicas,
                                         gap_times=cfg.experiment.gap_times or None,
-                                        m_reference=m_ref, picard_iters=picard)
+                                        m_reference=m_ref)
         write("equilibrium_curve.csv", _csv(["t", "w2_to_target"],
                                             zip(curve.times, curve.w2_to_target)))
         write("equilibrium_summary.csv", _csv(

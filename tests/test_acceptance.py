@@ -22,7 +22,6 @@ from meanfieldlab import (EmpiricalMeasure, Observable, SimConfig,
                           build_reference_flow, parse_config)
 from meanfieldlab.engine import ModelSpec
 from meanfieldlab.models import DriftKernel, DiffusionSpec, InitialLaw
-from meanfieldlab.experiments import make_reference_flow
 from meanfieldlab.runner import load_config_or_manifest, run
 
 pytestmark = pytest.mark.slow
@@ -43,7 +42,7 @@ def chaos_fit():
     """Shared by criteria 1 and 4: the full-scale rate experiment."""
     cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=512, seed=2026)
     return chaos_rate_experiment(_quadratic_model(), [16, 32, 64, 128, 256, 512], cfg,
-                                 replicas=200, m_reference=8192, picard_iters=2)
+                                 replicas=200, m_reference=8192)
 
 
 def test_criterion_01_chaos_rate(chaos_fit):
@@ -67,7 +66,7 @@ def test_criterion_02_coupling_null():
 
     ok, details = True, []
     for model in (zero_model, linear):
-        flow = make_reference_flow(model, 256, cfg, picard_iters=1)
+        flow = build_reference_flow(model, 256, cfg)
         res = simulate_coupled(model, cfg, flow)
         exact = bool(np.all(res.mean_square_gap == 0.0))
         ok = ok and exact
@@ -160,7 +159,7 @@ def test_criterion_06_observable_deviation_tails():
     cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=128, seed=606)
     table = observable_deviation_experiment(
         model, obs, 128, [0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.12],
-        replicas=5000, config=cfg, m_reference=8192, picard_iters=2)
+        replicas=5000, config=cfg, m_reference=8192)
 
     c, se = table.fitted_c, table.fitted_c_se
     ci_excludes_zero = c is not None and se is not None and c - 1.959964 * se > 0
@@ -180,8 +179,7 @@ def test_criterion_07_w1_deviation_monotone_in_n():
     for n in (128, 256, 512):
         cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=n, seed=707)
         tables[n] = empirical_measure_deviation(model, n, r_grid, replicas=400,
-                                                config=cfg, m_reference=8192,
-                                                picard_iters=2)
+                                                config=cfg, m_reference=8192)
     ok, notes = True, []
     for k, r in enumerate(r_grid):
         probs = [tables[n].empirical_probs[k] for n in (128, 256, 512)]
@@ -213,8 +211,7 @@ def test_criterion_08_equilibration():
                                  initial_law=InitialLaw.gaussian([3.0], [[1.0]]))
     gcfg = SimConfig(dt=0.02, t_final=8.0, n_particles=128, seed=809, snapshot_stride=20)
     curve = equilibrium_convergence(model, 128, 8.0, gcfg, replicas=30,
-                                    gap_times=[1.0, 2.0, 4.0, 8.0], m_reference=2048,
-                                    picard_iters=2)
+                                    gap_times=[1.0, 2.0, 4.0, 8.0], m_reference=2048)
     granular_ok = curve.fitted_decay_rate is not None and curve.fitted_decay_rate > 0
     mean_gap = float(np.mean(curve.gap_means))
     # no systematic growth: trend over t in {1,2,4,8} indistinguishable from flat
@@ -242,7 +239,7 @@ def test_criterion_09_tamed_cubic():
 
     cfg = SimConfig(dt=0.005, t_final=0.5, n_particles=128, seed=910, taming=True)
     fit = chaos_rate_experiment(model, [16, 32, 64, 128], cfg, replicas=40,
-                                m_reference=2048, picard_iters=2)
+                                m_reference=2048)
     slope_ok = fit.slope <= -0.5 and not fit.degenerate
     ok = no_div and slope_ok
     _report(9, "tamed cubic model", ok,

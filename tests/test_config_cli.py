@@ -178,6 +178,24 @@ def test_list_and_bool_parsing():
         parse_config("[sim]\ntaming = maybe\nn_grid = 4\n")
 
 
+def test_picard_iters_is_checked_but_changes_no_byte(tmp_path):
+    # the reference flow is its own Picard fixed point, so the key only has
+    # to parse: old configs and manifests carry it
+    with pytest.raises(ValidationError, match="picard_iters must be >= 1"):
+        parse_config(CHAOS_CFG.replace("picard_iters = 1", "picard_iters = 0").format(out="x"))
+    for text, names in ((CHAOS_CFG, ["rate_fit.csv", "rate_fit_summary.csv"]),
+                        (DEVIATION_CFG, ["deviation_table.csv", "deviation_summary.csv"])):
+        digests = []
+        for passes in (1, 3):
+            out = str(tmp_path / f"{names[0]}-{passes}")
+            cfg = parse_config(text.replace("picard_iters = 1", f"picard_iters = {passes}")
+                               .format(out=out))
+            assert cfg.reference.picard_iters == passes
+            run(cfg)
+            digests.append(_sha_files(out, names))
+        assert digests[0] == digests[1]
+
+
 # ---------------------------------------------------------------------------
 # runner artifacts and reproducibility
 

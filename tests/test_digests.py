@@ -167,7 +167,7 @@ DIGESTS = {
         "rate_fit_summary.csv": "9cc9ae9003383707ace374757efa3bcb62604f15bc30239031272dbcf036389d",
     },
     "chaos_kinetic_grid": {
-        "rate_fit.csv": "3615b9d6f26b0e2ac5fbee4c0dfb3de9a2bade86d39ee06375e12d9d3241b6b0",
+        "rate_fit.csv": "348cfd635d5cd6ceff65d88df3c8cf7bb1866c385a25f646af8499800e399f82",
         "rate_fit_summary.csv": "be697dbbfc6d78183d1596182123548297e394acf7b6228efe8b43e49229bb9b",
     },
     "observable_kinetic_norm": {

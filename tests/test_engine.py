@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meanfieldlab import (DiffusionSpec, DivergenceError, InitialLaw, ReferenceFlow, SimConfig,
-                          ValidationError, build_reference_flow, engine, euler_step,
-                          granular_media_model, linear_test_model, power_potential,
+from meanfieldlab import (DiffusionSpec, DivergenceError, InitialLaw, SimConfig,
+                          TrajectoryEnsemble, ValidationError, build_reference_flow, engine,
+                          euler_step, granular_media_model, linear_test_model, power_potential,
                           quadratic_potential, simulate_coupled, simulate_particle_system,
                           sample_w2, vlasov_fokker_planck_model, zero_potential)
 from meanfieldlab.models import DriftKernel, ModelSpec
@@ -235,34 +235,13 @@ def test_vfp_position_update_is_exactly_v_dt():
 # reference flow
 
 
-def test_reference_flow_law_independent_iterates_identical():
-    m = _pure_diffusion_model()
-    cfg = SimConfig(dt=0.01, t_final=0.2, n_particles=1, seed=23)
-    f1 = build_reference_flow(m, 64, cfg, picard_iters=1, noise=_ref_noise(cfg))
-    f3 = build_reference_flow(m, 64, cfg, picard_iters=3, noise=_ref_noise(cfg))
-    assert np.array_equal(f1.snapshots, f3.snapshots)
-    assert all(g == 0.0 for g in f3.iterate_gaps)
-
-
 def test_reference_flow_matches_ou_moments():
     m = linear_test_model(1.0, 1, mean0=1.0, var0=1.0)
     cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=1, seed=29)
-    flow = build_reference_flow(m, 8192, cfg, picard_iters=1, noise=_ref_noise(cfg))
-    term = flow.snapshots[-1].ravel()
+    flow = build_reference_flow(m, 8192, cfg)
+    term = flow.states[-1].ravel()
     assert abs(term.mean() - np.exp(-1.0)) < 3 * term.std() / np.sqrt(len(term)) + 0.01
     assert abs(term.var() - 1.0) < 0.05
-
-
-def test_picard_iterates_contract():
-    # successive-iterate W2 at t_final is nonincreasing (here: the fixed point
-    # is reached at the first pass, so all gaps sit at the zero floor)
-    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
-    cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=1, seed=31)
-    flow = build_reference_flow(m, 4096, cfg, picard_iters=3, noise=_ref_noise(cfg))
-    gaps = flow.iterate_gaps
-    assert len(gaps) == 2
-    assert all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
-    assert gaps[-1] <= max(gaps[0] / 2, 1e-9)  # at least factor-2 contraction or at floor
 
 
 def test_granular_reference_mean_decays():
@@ -270,8 +249,8 @@ def test_granular_reference_mean_decays():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1,
                              initial_law=InitialLaw.gaussian([1.0], [[1.0]]))
     cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=1, seed=37)
-    flow = build_reference_flow(m, 4096, cfg, picard_iters=2, noise=_ref_noise(cfg))
-    means = flow.snapshots.mean(axis=(1, 2))
+    flow = build_reference_flow(m, 4096, cfg)
+    means = flow.states.mean(axis=(1, 2))
     expect = np.exp(-flow.times)
     assert np.max(np.abs(means - expect)) < 0.05
     # monotone decay within MC noise
@@ -279,6 +258,7 @@ def test_granular_reference_mean_decays():
 
 
 PICARD_CASES = {
+    "pure-diffusion": (_pure_diffusion_model(), False),
     "quadratic": (granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1),
                   False),
     "tamed-cubic-1d": (granular_media_model(quadratic_potential(1.0), power_potential(3.0, 1.0),
@@ -314,10 +294,10 @@ def test_one_reference_pass_equals_the_picard_loop(case, passes):
             gaps.append(sample_w2(prev[-1], snaps[-1]))
         prev = snaps
 
-    flow = build_reference_flow(m, M, cfg, picard_iters=passes, noise=noise)
-    assert np.array_equal(flow.snapshots, prev)
-    assert flow.iterate_gaps == gaps == [0.0] * (passes - 1)
-    assert flow.picard_iterations == passes
+    flow = build_reference_flow(m, M, cfg)
+    assert np.array_equal(flow.states, prev)
+    assert np.array_equal(flow.times, np.arange(cfg.n_steps + 1) * cfg.dt)
+    assert gaps == [0.0] * (passes - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +307,7 @@ def test_one_reference_pass_equals_the_picard_loop(case, passes):
 def test_coupling_null_for_zero_drift():
     m = _pure_diffusion_model()
     cfg = SimConfig(dt=0.01, t_final=0.5, n_particles=64, seed=41)
-    flow = build_reference_flow(m, 256, cfg, picard_iters=1, noise=_ref_noise(cfg))
+    flow = build_reference_flow(m, 256, cfg)
     res = simulate_coupled(m, cfg, flow)
     assert np.array_equal(res.mean_square_gap, np.zeros_like(res.mean_square_gap))
     assert np.array_equal(res.terminal_particles, res.terminal_nonlinear)
@@ -336,7 +316,7 @@ def test_coupling_null_for_zero_drift():
 def test_coupling_null_for_law_free_drift():
     m = linear_test_model(1.0, 1, mean0=0.5)
     cfg = SimConfig(dt=0.01, t_final=0.5, n_particles=64, seed=43)
-    flow = build_reference_flow(m, 256, cfg, picard_iters=1, noise=_ref_noise(cfg))
+    flow = build_reference_flow(m, 256, cfg)
     res = simulate_coupled(m, cfg, flow)
     assert np.all(res.mean_square_gap == 0.0)
 
@@ -344,7 +324,7 @@ def test_coupling_null_for_law_free_drift():
 def test_coupling_gap_scales_inversely_with_n():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
     cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=1, seed=47)
-    flow = build_reference_flow(m, 4096, cfg, picard_iters=2, noise=_ref_noise(cfg))
+    flow = build_reference_flow(m, 4096, cfg)
     gaps = {}
     for n in (64, 256):
         vals = []
@@ -360,7 +340,7 @@ def test_coupled_consumes_identical_noise():
     # reconstruct the nonlinear path by hand from the same keys
     m = linear_test_model(2.0, 1)
     cfg = SimConfig(dt=0.01, t_final=0.1, n_particles=4, seed=53)
-    flow = build_reference_flow(m, 64, cfg, picard_iters=1, noise=_ref_noise(cfg))
+    flow = build_reference_flow(m, 64, cfg)
     res = simulate_coupled(m, cfg, flow)
     noise = cfg.noise()
     x = m.initial_law.sample(noise, np.arange(4))
@@ -376,9 +356,9 @@ def test_reference_pass_and_coupled_particles_match_particle_system(cubic):
     W = power_potential(3.0, 1.0) if cubic else quadratic_potential(1.0)
     m = granular_media_model(quadratic_potential(1.0), W, 1)
     cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=64, seed=67, taming=cubic)
-    flow = build_reference_flow(m, 64, cfg, picard_iters=1, noise=_ref_noise(cfg))
+    flow = build_reference_flow(m, 64, cfg)
     traj = simulate_particle_system(m, cfg, noise=_ref_noise(cfg))
-    assert np.array_equal(flow.snapshots, traj.states)
+    assert np.array_equal(flow.states, traj.states)
 
     small = SimConfig(dt=0.02, t_final=0.2, n_particles=8, seed=67, taming=cubic)
     res = simulate_coupled(m, small, flow)
@@ -388,13 +368,23 @@ def test_reference_pass_and_coupled_particles_match_particle_system(cubic):
 def test_coupled_rejects_mismatched_flow():
     m = linear_test_model(1.0, 1)
     cfg = SimConfig(dt=0.01, t_final=0.5, n_particles=4, seed=59)
-    flow = build_reference_flow(m, 32, cfg, picard_iters=1, noise=_ref_noise(cfg))
+    flow = build_reference_flow(m, 32, cfg)
     longer = SimConfig(dt=0.01, t_final=1.0, n_particles=4, seed=59)
     with pytest.raises(ValidationError):
         simulate_coupled(m, longer, flow)
     other_dt = SimConfig(dt=0.005, t_final=0.5, n_particles=4, seed=59)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="does not match run dt"):
         simulate_coupled(m, other_dt, flow)
+    # a flow on another dt, or recorded at a stride, would be read at the wrong times
+    coarse = build_reference_flow(m, 32, replace(cfg, dt=0.02))
+    strided = simulate_particle_system(m, replace(cfg, n_particles=32, snapshot_stride=2))
+    for other in (coarse, strided):
+        with pytest.raises(ValidationError, match="does not match run dt"):
+            simulate_coupled(m, cfg, other)
+    batched = simulate_particle_system(m, replace(cfg, n_particles=32),
+                                       noise=NoiseGrid(cfg.seed, np.arange(3), cfg.dt))
+    with pytest.raises(ValidationError, match="without a replica axis"):
+        simulate_coupled(m, cfg, batched)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +425,7 @@ def test_batched_simulations_equal_per_replica_runs(case):
     m, taming = BATCH_CASES[case]
     cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=12, seed=73, taming=taming,
                     snapshot_stride=3)
-    flow = build_reference_flow(m, 64, cfg, picard_iters=1, noise=_ref_noise(cfg))
+    flow = build_reference_flow(m, 64, cfg)
     ids = np.array([6, 2, 11, REFERENCE_NAMESPACE + 1])
     labels = np.array([7, 3, 30, 1, 12, 9, 0, 4, 5, 2, 8, 6])
     batch_noise = NoiseGrid(cfg.seed, ids, cfg.dt)
@@ -473,7 +463,7 @@ def test_grid_call_equals_per_size_runs(case, batched):
     # matrix products numpy may round differently from a row of a larger one)
     m, taming = GRID_CASES[case]
     cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=3, seed=83, taming=taming)
-    flow = build_reference_flow(m, 64, cfg, picard_iters=1, noise=_ref_noise(cfg))
+    flow = build_reference_flow(m, 64, cfg)
     noise = NoiseGrid(cfg.seed, np.array([6, 2, 11]) if batched else 4, cfg.dt)
     n_grid = [12, 1, 5, 7]
     runs = simulate_coupled(m, cfg, flow, noise=noise, n_grid=n_grid)
@@ -503,9 +493,8 @@ def _threshold_model(levels):
 def test_grid_divergence_is_earliest_step_then_grid_order_then_nonlinear_side():
     cfg = SimConfig(dt=0.1, t_final=2.0, n_particles=1, seed=89)
     M, n_grid = 64, [5, 12, 20]
-    flow = ReferenceFlow(times=np.arange(cfg.n_steps + 1) * cfg.dt,
-                         snapshots=np.zeros((cfg.n_steps + 1, M, 1)), picard_iterations=1,
-                         dt=cfg.dt)
+    flow = TrajectoryEnsemble(times=np.arange(cfg.n_steps + 1) * cfg.dt,
+                              states=np.zeros((cfg.n_steps + 1, M, 1)))
     ids = np.array([105, 101, 108])
     noise = NoiseGrid(cfg.seed, ids, cfg.dt)
     start = InitialLaw.gaussian(np.zeros(1), np.eye(1)).sample(noise, np.arange(20))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from meanfieldlab import (DiffusionSpec, InitialLaw, Observable, SimConfig, ValidationError,
-                          chaos_rate_experiment, empirical_measure_deviation,
+                          build_reference_flow, chaos_rate_experiment, empirical_measure_deviation,
                           equilibrium_convergence, granular_media_model, linear_test_model,
                           observable_deviation_experiment, ou_variance, power_potential,
-                          quadratic_potential, simulate_coupled, simulate_particle_system,
-                          vlasov_fokker_planck_model, wilson_interval)
+                          quadratic_potential, sample_w2, simulate_coupled,
+                          simulate_particle_system, vlasov_fokker_planck_model, wilson_interval)
 from meanfieldlab import experiments
-from meanfieldlab.experiments import linear_fit, make_reference_flow
+from meanfieldlab.experiments import linear_fit
 from meanfieldlab.models import ModelSpec
 from meanfieldlab.rng import REFERENCE_NAMESPACE, NoiseGrid
 
@@ -72,6 +72,34 @@ def test_linear_fit_stderr_needs_a_degree_of_freedom():
     assert se == np.sqrt(ss_res / (len(x) - 2) / sxx)
 
 
+@pytest.mark.parametrize("n_chunks", range(2, 9))
+def test_w2sq_debiased_stderr_needs_two_floor_pairs(n_chunks):
+    # the first half of the chunks (at least two) give raw estimates and the
+    # rest pair up into floors; a spread needs two of each, so the stderr is
+    # nan, not 0, below two floor pairs, while the estimate stays as it was
+    rng = np.random.default_rng(n_chunks)
+    n = 10
+    cloud = rng.normal(0.3, 1.0, (n, 1))
+    reference = rng.normal(0.0, 1.0, (n * n_chunks + 3, 1))
+    est, se = experiments._w2sq_debiased(cloud, reference)
+
+    chunks = [reference[k::n_chunks][:n] for k in range(n_chunks)]
+    n_raw = max(2, n_chunks // 2)
+    raws = np.array([sample_w2(cloud, chunks[k]) ** 2 for k in range(n_raw)])
+    floors = np.array([sample_w2(chunks[k], chunks[k + 1]) ** 2
+                       for k in range(n_raw, n_chunks - 1, 2)])
+    assert len(floors) == max(0, (n_chunks - n_raw) // 2)
+    if n_chunks < 3:
+        raw = sample_w2(cloud, experiments._even_subsample(reference, n))
+        assert est == float(raw ** 2)
+    else:
+        assert est == float(raws.mean() - floors.mean() if len(floors) else raws.mean())
+    assert np.isnan(se) == (len(floors) < 2) == (n_chunks < 7)
+    if len(floors) >= 2:
+        assert se == float(np.hypot(raws.std(ddof=1) / np.sqrt(len(raws)),
+                                    floors.std(ddof=1) / np.sqrt(len(floors))))
+
+
 def test_linear_fit_slope_error_scales():
     rng = np.random.default_rng(1)
     x = np.linspace(0, 1, 200)
@@ -87,8 +115,7 @@ def test_linear_fit_slope_error_scales():
 def test_chaos_rate_degenerate_for_law_free_model():
     # the linear test model ignores the measure, so coupled gaps are exactly 0
     m = linear_test_model(1.0, 1)
-    fit = chaos_rate_experiment(m, [16, 32], _cfg(), replicas=3, m_reference=512,
-                                picard_iters=1)
+    fit = chaos_rate_experiment(m, [16, 32], _cfg(), replicas=3, m_reference=512)
     assert fit.degenerate
     assert all(g == 0.0 for g in fit.mean_sq_gaps)
     assert np.isnan(fit.slope)
@@ -96,8 +123,7 @@ def test_chaos_rate_degenerate_for_law_free_model():
 
 def test_chaos_rate_gap_decreases_with_n():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
-    fit = chaos_rate_experiment(m, [16, 64], _cfg(), replicas=40, m_reference=1024,
-                                picard_iters=1)
+    fit = chaos_rate_experiment(m, [16, 64], _cfg(), replicas=40, m_reference=1024)
     assert not fit.degenerate
     assert fit.mean_sq_gaps[1] < fit.mean_sq_gaps[0]
     assert fit.slope < -0.3
@@ -107,7 +133,7 @@ def test_chaos_rate_is_in_order_mean_over_replicas():
     # replica r runs as replica_id + r, and the gaps are averaged in replica order
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
     cfg = _cfg(replica_id=3)
-    flow = make_reference_flow(m, 512, cfg, picard_iters=1)
+    flow = build_reference_flow(m, 512, cfg)
     replicas = 10  # at this count a reversed or rotated reduction changes the last bit
     fit = chaos_rate_experiment(m, [16, 32], cfg, replicas=replicas, flow=flow)
     for n, got in zip([16, 32], fit.mean_sq_gaps):
@@ -140,21 +166,21 @@ def test_results_do_not_depend_on_batch_width(case, monkeypatch):
     # bits are the in-order reduction of runs on one replica id each
     m, taming = WIDTH_CASES[case]
     cfg = _cfg(dt=0.02, t_final=0.2, replica_id=5, taming=taming)
-    flow = make_reference_flow(m, 256, cfg, picard_iters=1)
+    flow = build_reference_flow(m, 256, cfg)
     obs = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
     replicas = 7
 
     def run_all():
         fit = chaos_rate_experiment(m, [8, 16], cfg, replicas=replicas, flow=flow)
         table = observable_deviation_experiment(m, obs, 16, [0.05, 0.2], replicas=replicas,
-                                                config=cfg, m_reference=256, picard_iters=1)
+                                                config=cfg, m_reference=256)
         w1 = empirical_measure_deviation(m, 16, [0.05, 0.2], replicas=replicas,
                                          config=replace(cfg, snapshot_stride=4),
-                                         sup_over_time=True, m_reference=256, picard_iters=1)
+                                         sup_over_time=True, m_reference=256)
         curve = equilibrium_convergence(
             m, 16, 0.2, replace(cfg, snapshot_stride=4), replicas=replicas,
             target_sampler=lambda n, salt: np.random.default_rng(salt).normal(size=(n, m.dim)),
-            gap_times=[0.1, 0.2], m_reference=256, picard_iters=1)
+            gap_times=[0.1, 0.2], m_reference=256)
         return (fit.mean_sq_gaps, fit.stderrs, fit.w2_sq_estimates, fit.slope,
                 table.mean_square_error, table.empirical_probs, w1.empirical_probs,
                 curve.w2_to_target, curve.gap_means, curve.gap_stderrs)
@@ -165,7 +191,7 @@ def test_results_do_not_depend_on_batch_width(case, monkeypatch):
         results.append(run_all())
     assert results[0] == results[1] == results[2]
 
-    ref_value = float(np.mean(flow.snapshots[-1][:, 0]))
+    ref_value = float(np.mean(flow.terminal[:, 0]))
     errors = []
     for r in range(replicas):
         one = replace(cfg, n_particles=16, replica_id=cfg.replica_id + r)
@@ -194,7 +220,7 @@ def test_chaos_rate_grid_equals_per_size_and_replica_runs(law, monkeypatch):
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1,
                              initial_law=INITIAL_LAWS[law])
     cfg = _cfg(dt=0.02, t_final=0.2, replica_id=5)
-    flow = make_reference_flow(m, 320, cfg, picard_iters=1)
+    flow = build_reference_flow(m, 320, cfg)
     replicas = 7
     fits = []
     for values in (1, experiments._BATCH_VALUES):
@@ -205,7 +231,7 @@ def test_chaos_rate_grid_equals_per_size_and_replica_runs(law, monkeypatch):
                                  flow) for r in range(replicas)]
         gaps = np.array([res.mean_square_gap[-1] for res in runs])
         first = np.array([res.terminal_particles[0] for res in runs])
-        w2 = experiments._w2sq_debiased(first, flow.snapshots[-1])
+        w2 = experiments._w2sq_debiased(first, flow.terminal)
         for fit in fits:
             assert fit.n_grid[k] == n
             assert fit.mean_sq_gaps[k] == float(gaps.mean())
@@ -227,7 +253,7 @@ def test_chaos_rate_draws_replica_noise_once_per_chunk_and_step(monkeypatch):
     monkeypatch.setattr(NoiseGrid, "normals", counting)
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
     cfg = _cfg(dt=0.05, t_final=0.5)
-    flow = make_reference_flow(m, 512, cfg, picard_iters=1)
+    flow = build_reference_flow(m, 512, cfg)
     n_grid = [8, 16, 32]
     # one chunk for the whole grid at the default width whatever the replica
     # count; one chunk per replica when a chunk holds a single replica
@@ -250,7 +276,7 @@ def test_chaos_rate_rejects_small_reference():
 def test_chaos_rate_rejects_small_supplied_flow():
     # the M rule applies to the flow that is used, not to the m_reference argument
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
-    flow = make_reference_flow(m, 64, _cfg(), picard_iters=1)
+    flow = build_reference_flow(m, 64, _cfg())
     with pytest.raises(ValidationError, match="M=64"):
         chaos_rate_experiment(m, [32, 64], _cfg(), replicas=2, m_reference=1024, flow=flow)
 
@@ -264,7 +290,7 @@ def test_constant_observable_has_zero_tails():
     obs = Observable(eval=lambda x: np.zeros(np.asarray(x).shape[:-1]),
                      lipschitz_constant=1.0, name="const")
     table = observable_deviation_experiment(m, obs, 32, [0.01, 0.1], replicas=20,
-                                            config=_cfg(), m_reference=512, picard_iters=1)
+                                            config=_cfg(), m_reference=512)
     assert table.empirical_probs == [0.0, 0.0]
     assert table.mean_square_error == 0.0
 
@@ -277,7 +303,7 @@ def test_observable_mse_matches_lln_oracle():
     reps = 400
     cfg = _cfg(dt=0.01, t_final=0.5)
     table = observable_deviation_experiment(m, obs, n, [0.05], replicas=reps, config=cfg,
-                                            m_reference=200_000, picard_iters=1)
+                                            m_reference=200_000)
     expected_mse = ou_variance(0.5, 1.0, 1.0) / n
     se = expected_mse * np.sqrt(2.0 / reps)
     assert abs(table.mean_square_error - expected_mse) < 4 * se + 0.1 * expected_mse
@@ -289,7 +315,7 @@ def test_observable_probs_decrease_in_r():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
     obs = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
     table = observable_deviation_experiment(m, obs, 32, [0.0, 0.05, 0.5], replicas=60,
-                                            config=_cfg(), m_reference=512, picard_iters=1)
+                                            config=_cfg(), m_reference=512)
     p = table.empirical_probs
     assert p[0] >= p[1] >= p[2]
     assert p[2] == 0.0
@@ -300,7 +326,7 @@ def test_observable_rescaling_flag():
     wide = Observable(eval=lambda x: 3.0 * np.asarray(x)[..., 0], lipschitz_constant=3.0,
                       name="3x")
     table = observable_deviation_experiment(m, wide, 16, [0.05], replicas=10, config=_cfg(),
-                                            m_reference=512, picard_iters=1)
+                                            m_reference=512)
     assert table.metadata["rescaled"] is True
 
 
@@ -311,7 +337,7 @@ def test_observable_rescaling_flag():
 def test_empirical_deviation_extreme_radii():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
     table = empirical_measure_deviation(m, 32, [0.0, 100.0], replicas=15, config=_cfg(),
-                                        m_reference=512, picard_iters=1)
+                                        m_reference=512)
     assert table.empirical_probs[0] == 1.0  # W1 > 0 almost surely
     assert table.empirical_probs[1] == 0.0
 
@@ -320,9 +346,9 @@ def test_sup_over_time_dominates_terminal():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
     cfg = _cfg(snapshot_stride=5)
     term = empirical_measure_deviation(m, 32, [0.05], replicas=25, config=cfg,
-                                       m_reference=512, picard_iters=1)
+                                       m_reference=512)
     sup = empirical_measure_deviation(m, 32, [0.05], replicas=25, config=cfg,
-                                      m_reference=512, picard_iters=1, sup_over_time=True)
+                                      m_reference=512, sup_over_time=True)
     assert sup.empirical_probs[0] >= term.empirical_probs[0]
     assert sup.metadata["statistic"] == "sup_t W1"
 
@@ -364,8 +390,7 @@ def test_equilibrium_gap_uniformity_outputs():
     curve = equilibrium_convergence(m, 32, 1.0, _cfg(dt=0.02, snapshot_stride=10),
                                     target_sampler=lambda n, salt: np.random.default_rng(
                                         salt).normal(size=(n, 1)),
-                                    replicas=5, gap_times=[0.25, 0.5, 1.0], m_reference=512,
-                                    picard_iters=1)
+                                    replicas=5, gap_times=[0.25, 0.5, 1.0], m_reference=512)
     assert len(curve.gap_means) == 3
     assert all(g >= 0.0 for g in curve.gap_means)
     assert curve.gap_slope is not None and curve.gap_slope_se is not None
@@ -374,9 +399,9 @@ def test_equilibrium_gap_uniformity_outputs():
 def test_reference_flow_reuse_is_deterministic():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
     cfg = _cfg()
-    f1 = make_reference_flow(m, 512, cfg, picard_iters=1)
-    f2 = make_reference_flow(m, 512, cfg, picard_iters=1)
-    assert np.array_equal(f1.snapshots, f2.snapshots)
+    f1 = build_reference_flow(m, 512, cfg)
+    f2 = build_reference_flow(m, 512, cfg)
+    assert np.array_equal(f1.states, f2.states)
     fit1 = chaos_rate_experiment(m, [16], cfg, replicas=4, m_reference=512, flow=f1)
     fit2 = chaos_rate_experiment(m, [16], cfg, replicas=4, m_reference=512, flow=f2)
     assert fit1.mean_sq_gaps == fit2.mean_sq_gaps
