@@ -23,7 +23,7 @@ from .engine import (SimConfig, TrajectoryEnsemble, _record_steps, build_referen
 from .errors import ValidationError
 from .models import ModelSpec, Observable
 from .rng import BURN_IN_NAMESPACE, NoiseGrid
-from .wasserstein import sample_w1, sample_w2, _even_subsample
+from .wasserstein import _even_subsample, sample_w1, sample_w2, wasserstein_1d_rows
 
 __all__ = [
     "RateFit",
@@ -167,6 +167,21 @@ def _particle_grids(config: SimConfig, replicas: int):
     return _replica_grids(config, replicas, config.n_particles * records)
 
 
+def _sample_w(p: int, clouds_a, clouds_b) -> np.ndarray:
+    """Sample W_p between matching clouds of two stacks of equal-size (n, d) clouds.
+
+    The stacks broadcast against each other over their leading axes, which
+    the result keeps.  In one dimension every pair goes into one batched
+    quantile solve; in more, each pair is one exact assignment.
+    """
+    A, B = np.broadcast_arrays(clouds_a, clouds_b)
+    if A.shape[-1] == 1:
+        return wasserstein_1d_rows(p, A[..., 0], B[..., 0])
+    sample = sample_w1 if p == 1 else sample_w2
+    pairs = zip(A.reshape((-1,) + A.shape[-2:]), B.reshape((-1,) + B.shape[-2:]))
+    return np.array([sample(a, b) for a, b in pairs]).reshape(A.shape[:-2])
+
+
 def _w2sq_debiased(cloud: np.ndarray, reference: np.ndarray):
     """Sample-W2^2 between a cloud and a reference ensemble, floor-corrected.
 
@@ -191,11 +206,15 @@ def _w2sq_debiased(cloud: np.ndarray, reference: np.ndarray):
     if n_chunks < 3:
         raw = sample_w2(cloud, _even_subsample(reference, min(n, len(reference))))
         return float(raw ** 2), float("nan")
-    chunks = [reference[k::n_chunks][:n] for k in range(n_chunks)]
+    chunks = np.stack([reference[k::n_chunks][:n] for k in range(n_chunks)])
     n_raw = max(2, n_chunks // 2)
-    raws = np.array([sample_w2(cloud, chunks[k]) ** 2 for k in range(n_raw)])
-    pairs = [(k, k + 1) for k in range(n_raw, n_chunks - 1, 2)]
-    floors = np.array([sample_w2(chunks[i], chunks[j]) ** 2 for i, j in pairs])
+    n_floor = (n_chunks - n_raw) // 2
+    # raw solves (cloud, chunk k < n_raw), then floor pairs (n_raw + 2j, n_raw + 2j + 1)
+    lefts = np.concatenate([np.broadcast_to(cloud, (n_raw,) + cloud.shape),
+                            chunks[n_raw:n_raw + 2 * n_floor:2]])
+    rights = np.concatenate([chunks[:n_raw], chunks[n_raw + 1:n_raw + 2 * n_floor:2]])
+    squares = np.array([float(w) ** 2 for w in _sample_w(2, lefts, rights)])
+    raws, floors = squares[:n_raw], squares[n_raw:]
     raw_se = float(raws.std(ddof=1) / np.sqrt(len(raws)))
     floor_se = (float(floors.std(ddof=1) / np.sqrt(len(floors))) if len(floors) > 1
                 else float("nan"))
@@ -248,7 +267,8 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     runs the whole grid in one coupled step loop, with the nonlinear copies
     simulated once at max N (see simulate_coupled).  Alongside the gap, the
     sample-W2^2 between replicated one-particle draws and reference samples
-    is reported: the distance-between-laws side of the chain.
+    is reported: the distance-between-laws side of the chain.  A gap's
+    stderr is nan with one replica, which leaves no degree of freedom.
     """
     n_grid = sorted(int(n) for n in n_grid)
     M = flow.states.shape[1] if flow is not None else m_reference or 16 * max(n_grid)
@@ -270,7 +290,8 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     mean_gaps, stderrs, w2_sqs, w2_ses = [], [], [], []
     for g, first in zip(gaps, first_particle):
         mean_gaps.append(float(g.mean()))
-        stderrs.append(float(g.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0)
+        stderrs.append(float(g.std(ddof=1) / np.sqrt(replicas)) if replicas > 1
+                       else float("nan"))
         w2sq, w2se = _w2sq_debiased(first, flow.terminal)
         w2_sqs.append(w2sq)
         w2_ses.append(w2se)
@@ -328,22 +349,15 @@ def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequ
     """
     flow = build_reference_flow(model, m_reference or 16 * n_particles, config)
     stride = config.snapshot_stride if sup_over_time else config.n_steps
-    # equal-size reference subsample per recorded step
-    steps_used = set(range(0, config.n_steps + 1, stride)) | {config.n_steps}
-    ref_subs = {s: _even_subsample(flow.states[s], n_particles) for s in steps_used}
-
-    def statistic(states, steps):
-        if sup_over_time:
-            return max(sample_w1(states[k], ref_subs[int(s)]) for k, s in enumerate(steps))
-        return sample_w1(states[-1], ref_subs[config.n_steps])
+    # an equal-size reference subsample per snapshot the statistic reads
+    steps = _record_steps(config.n_steps, stride) if sup_over_time else [config.n_steps]
+    refs = np.stack([_even_subsample(flow.states[s], n_particles) for s in steps])
 
     cfg = replace(config, n_particles=n_particles, snapshot_stride=stride)
-    stats = []
-    for noise in _particle_grids(cfg, replicas):
-        traj = simulate_particle_system(model, cfg, noise=noise)
-        steps = np.rint(traj.times / config.dt).astype(int)
-        stats.extend(statistic(states, steps) for states in traj.states)
-    stats = np.array(stats)
+    stats = np.concatenate([  # (replicas, snapshots) W1, maximized over the snapshots
+        _sample_w(1, simulate_particle_system(model, cfg, noise=noise).states[:, -len(steps):],
+                  refs).max(axis=1)
+        for noise in _particle_grids(cfg, replicas)])
     return _deviation_table(stats, 0.0, r_grid, n_particles,
                             metadata={"statistic": "sup_t W1" if sup_over_time else "terminal W1",
                                       "time_grid": "snapshot steps only"})
@@ -374,16 +388,16 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
             return cloud[idx]
 
     target = target_sampler(n_particles, 0)
-    floor_draws = [sample_w2(target_sampler(n_particles, 2 * k + 1),
-                             target_sampler(n_particles, 2 * k + 2)) for k in range(3)]
-    floor = float(np.mean(floor_draws))
+    # three same-law pairs, drawn at salts (1, 2), (3, 4) and (5, 6)
+    draws = np.stack([target_sampler(n_particles, salt) for salt in range(1, 7)])
+    floor = float(np.mean(_sample_w(2, draws[0::2], draws[1::2])))
 
     curves = []
     for noise in _particle_grids(cfg, replicas):
         traj = simulate_particle_system(model, cfg, noise=noise)
-        curves.extend(np.array([sample_w2(s, target) for s in states]) for states in traj.states)
+        curves.append(_sample_w(2, traj.states, target))  # (replicas, snapshots)
     times = traj.times
-    curve = np.mean(curves, axis=0)
+    curve = np.mean(np.concatenate(curves), axis=0)
 
     mask = curve > 2.0 * floor
     mask[0] = False  # t = 0 reflects the initial law, not the decay regime

@@ -77,14 +77,16 @@ def emit_plot(x, y, yerr=None, kind: str = "loglog", slope: float | None = None,
     xlo, xhi = float(X.min()), float(X.max())
     ylo = float(np.nanmin(Y[finite]))
     yhi = float(np.nanmax(Y[finite]))
-    if yerr is not None and logy:
+    if yerr is not None:
         ye = np.asarray(yerr, dtype=np.float64)
+        bars = finite & np.isfinite(ye)  # a nan stderr (no degree of freedom) draws no bar
+        ye = np.where(bars, ye, 0.0)
+    if yerr is not None and logy:
         lows = np.where((y - ye) > 0, ty(np.maximum(y - ye, 1e-300)), Y)
         highs = ty(y + np.where(pos, ye, 0))
         ylo = min(ylo, float(np.nanmin(lows[finite])))
         yhi = max(yhi, float(np.nanmax(highs[finite])))
     elif yerr is not None:
-        ye = np.asarray(yerr, dtype=np.float64)
         ylo = min(ylo, float(np.min(y - ye)))
         yhi = max(yhi, float(np.max(y + ye)))
     padx = 0.05 * (xhi - xlo or 1.0)
@@ -130,8 +132,7 @@ def emit_plot(x, y, yerr=None, kind: str = "loglog", slope: float | None = None,
                f'font-size="12" transform="rotate(-90 15 {_H // 2})">{ylabel}</text>')
 
     if yerr is not None:
-        ye = np.asarray(yerr, dtype=np.float64)
-        for xi, yi, ei, ok in zip(x, y, ye, finite):
+        for xi, yi, ei, ok in zip(x, y, ye, bars):
             if not ok:
                 continue
             top = ty(yi + ei) if logy else yi + ei

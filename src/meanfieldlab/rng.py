@@ -7,6 +7,11 @@ batch width.  This is what makes synchronous coupling and batched replicas
 bit-reproducible: the particle system and the nonlinear processes simply read
 the *same* keys, and a grid over a vector of replica ids draws, in one call,
 exactly what one grid per replica would draw.
+
+A key's Philox output gives two uniforms, and Box-Muller turns them into a
+cosine and a sine normal, coordinates 2j and 2j+1 of block j.  A
+one-dimensional draw reads only the cosine half of its key and computes no
+sine; the key layout is the same for every dimension.
 """
 
 from __future__ import annotations
@@ -74,8 +79,13 @@ def _philox4x32(c0, c1, c2, c3, k0, k1):
 
 def _to_unit(hi, lo):
     """Combine two 32-bit words into a 53-bit uniform in (0, 1)."""
-    bits = (hi << _SHIFT32) | lo
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    bits = hi << _SHIFT32
+    bits |= lo
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 class NoiseGrid:
@@ -117,7 +127,7 @@ class NoiseGrid:
         return np.shape(self.replica_id)
 
     def _raw_pairs(self, particles, step: int, n_pairs: int, channel: int):
-        """Two uniforms in (0,1) per (particle, block) key, shape batch + (n, n_pairs, 2)."""
+        """Two uniforms in (0,1) per (particle, block) key: two arrays, batch + (n, n_pairs)."""
         particles = np.asarray(particles, dtype=np.int64)
         if np.any(particles < 0) or np.any(particles >= 2 ** 32):
             raise ValueError("particle indices must fit in uint32")
@@ -130,20 +140,23 @@ class NoiseGrid:
         c2 = np.broadcast_to(blocks[None, :], (n, n_pairs))
         c3 = np.full((n, n_pairs), _U64(channel))
         r0, r1, r2, r3 = _philox4x32(c0, c1, c2, c3, self._k0, self._k1)
-        u = np.empty(self.batch_shape + (n, n_pairs, 2))
-        u[..., 0] = _to_unit(r0, r1)
-        u[..., 1] = _to_unit(r2, r3)
-        return u
+        return _to_unit(r0, r1), _to_unit(r2, r3)
 
     def normals(self, particles, step: int, dim: int) -> np.ndarray:
         """Standard normal draws, shape batch + (len(particles), dim), via Box-Muller."""
         if np.isscalar(particles):
             particles = np.arange(int(particles))
         n_pairs = (dim + 1) // 2
-        u = self._raw_pairs(particles, step, n_pairs, channel=0)
-        radius = np.sqrt(-2.0 * np.log(u[..., 0]))
-        angle = 2.0 * np.pi * u[..., 1]
-        z = np.empty(u.shape[:-2] + (2 * n_pairs,))
+        radius, angle = self._raw_pairs(particles, step, n_pairs, channel=0)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * np.pi
+        if dim == 1:
+            np.cos(angle, out=angle)
+            angle *= radius
+            return angle
+        z = np.empty(radius.shape[:-1] + (2 * n_pairs,))
         z[..., 0::2] = radius * np.cos(angle)
         z[..., 1::2] = radius * np.sin(angle)
         return z[..., :dim]
@@ -153,9 +166,11 @@ class NoiseGrid:
         if np.isscalar(particles):
             particles = np.arange(int(particles))
         n_pairs = (dim + 1) // 2
-        u = self._raw_pairs(particles, step, n_pairs, channel=1)
+        u = np.stack(self._raw_pairs(particles, step, n_pairs, channel=1), axis=-1)
         return u.reshape(u.shape[:-2] + (2 * n_pairs,))[..., :dim]
 
     def increments(self, particles, step: int, dim: int) -> np.ndarray:
         """Brownian increments N(0, dt), shape batch + (len(particles), dim)."""
-        return self.normals(particles, step, dim) * np.sqrt(self.dt)
+        dw = self.normals(particles, step, dim)
+        dw *= np.sqrt(self.dt)  # after Box-Muller: scaling the radius would round differently
+        return dw

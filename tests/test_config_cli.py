@@ -330,6 +330,15 @@ def test_emit_plot_deterministic_bytes():
     assert a == b
 
 
+@pytest.mark.parametrize("kind", ["loglog", "timeseries"])
+def test_emit_plot_draws_no_bar_for_a_nan_stderr(kind):
+    # a one-replica chaos run writes a nan gap stderr; its bar is left out
+    svg = emit_plot([8, 16, 32], [0.1, 0.05, 0.02], yerr=[0.01, float("nan"), 0.002],
+                    kind=kind)
+    assert "nan" not in svg
+    assert svg.count('stroke="gray"') == 2
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -9,10 +9,12 @@ from meanfieldlab import (DiffusionSpec, InitialLaw, Observable, SimConfig, Vali
                           observable_deviation_experiment, ou_variance, power_potential,
                           quadratic_potential, sample_w2, simulate_coupled,
                           simulate_particle_system, vlasov_fokker_planck_model, wilson_interval)
-from meanfieldlab import experiments
+from meanfieldlab import experiments, wasserstein
+from meanfieldlab.config import parse_config
 from meanfieldlab.experiments import linear_fit
 from meanfieldlab.models import ModelSpec
 from meanfieldlab.rng import REFERENCE_NAMESPACE, NoiseGrid
+from meanfieldlab.runner import run
 
 
 def _cfg(**kw):
@@ -265,6 +267,65 @@ def test_chaos_rate_draws_replica_noise_once_per_chunk_and_step(monkeypatch):
         chaos_rate_experiment(m, n_grid, cfg, replicas=replicas, flow=flow)
         # the initial law's draw, then one increment draw per step, for all of n_grid
         assert len(replica_calls) == chunks * (cfg.n_steps + 1)
+
+
+def test_chaos_rate_gap_stderr_is_nan_for_one_replica():
+    # one replica leaves no degree of freedom: nan, not an exact-looking 0.0
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+    cfg = _cfg(dt=0.05, t_final=0.5)
+    flow = build_reference_flow(m, 512, cfg)
+    one = chaos_rate_experiment(m, [8, 16], cfg, replicas=1, flow=flow)
+    assert all(np.isnan(se) for se in one.stderrs)
+    assert all(np.isfinite(g) and g > 0 for g in one.mean_sq_gaps)
+    two = chaos_rate_experiment(m, [8, 16], cfg, replicas=2, flow=flow)
+    assert all(np.isfinite(se) and se > 0 for se in two.stderrs)
+
+
+# Each run has 5 steps recorded at steps 0, 2, 4 and 5, a 256-point reference
+# and 128 values per replica chunk.  d = 1 makes one batched solve per site
+# and chunk and never reaches wasserstein_1d; d = 2 makes one exact
+# assignment per pair of clouds.  (kind, dim, [sim] lines, [experiment]
+# lines, batched solves, assignments)
+TRANSPORT_CASES = {
+    # one solve per N: 16 reference chunks give 8 raw solves and 4 floor pairs
+    "chaos_1d": ("chaos_rate", 1, "n_grid = 4, 8, 16\nreplicas = 9", "", 3, 0),
+    "chaos_2d": ("chaos_rate", 2, "n_grid = 4, 8\nreplicas = 9", "", 0, 2 * (8 + 4)),
+    # a W1 per replica and snapshot; 16 particles x 4 snapshots: 2 replicas a chunk
+    "empirical_1d": ("empirical_deviation", 1, "n_particles = 16\nreplicas = 40",
+                     "sup_over_time = true\nr_grid = 0.1, 0.2\n", 20, 0),
+    "empirical_2d": ("empirical_deviation", 2, "n_particles = 16\nreplicas = 5",
+                     "sup_over_time = true\nr_grid = 0.1, 0.2\n", 0, 5 * 4),
+    # the three floor pairs in one solve, then a W2 per replica and snapshot
+    "equilibrium_1d": ("equilibrium", 1, "n_particles = 16\nreplicas = 4",
+                       "t_equilibrium = 0.5\n", 1 + 2, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSPORT_CASES))
+def test_transport_calls_per_site(case, monkeypatch, tmp_path):
+    kind, dim, sim, experiment, batched, assignments = TRANSPORT_CASES[case]
+    calls = {"wasserstein_1d": 0, "wasserstein_assignment": 0, "wasserstein_1d_rows": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(wasserstein, "wasserstein_1d")
+    counted(wasserstein, "wasserstein_assignment")
+    counted(experiments, "wasserstein_1d_rows")
+    monkeypatch.setattr(experiments, "_BATCH_VALUES", 128)
+    run(parse_config(f"[model]\nfamily = granular_quadratic\ndim = {dim}\n"
+                     f"[sim]\ndt = 0.1\nt_final = 0.5\nseed = 3\n{sim}\n"
+                     f"[reference]\nm = 256\n[experiment]\nkind = {kind}\n{experiment}"
+                     f"[output]\nplots = false\nsnapshot_stride = 2\n"),
+        output_dir=str(tmp_path))
+    assert calls == {"wasserstein_1d": 0, "wasserstein_assignment": assignments,
+                     "wasserstein_1d_rows": batched}
 
 
 def test_chaos_rate_rejects_small_reference():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from meanfieldlab.rng import (BURN_IN_NAMESPACE, INIT_STEP, REFERENCE_NAMESPACE,
-                              TARGET_NAMESPACE, NoiseGrid)
+                              TARGET_NAMESPACE, NoiseGrid, _philox4x32)
 
 
 def test_same_key_same_value():
@@ -137,3 +139,82 @@ def test_noise_namespaces_are_disjoint():
     assert TARGET_NAMESPACE + REFERENCE_NAMESPACE <= 2 ** 64
     draws = NoiseGrid(seed=3, replica_id=np.array(starts)).normals(np.arange(4), 0, 2)
     assert len({row.tobytes() for row in draws}) == len(starts)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the interleaved uniform pairs and two-half Box-Muller that the
+# cosine-only transform replaced, kept literally
+
+
+def _oracle_raw_pairs(grid, particles, step, n_pairs, channel):
+    particles = np.asarray(particles, dtype=np.int64)
+    n = particles.shape[0]
+    blocks = np.arange(n_pairs, dtype=np.uint64)
+    c0 = np.broadcast_to(particles.astype(np.uint64)[:, None], (n, n_pairs))
+    c1 = np.full((n, n_pairs), np.uint64(step))
+    c2 = np.broadcast_to(blocks[None, :], (n, n_pairs))
+    c3 = np.full((n, n_pairs), np.uint64(channel))
+    r0, r1, r2, r3 = _philox4x32(c0, c1, c2, c3, grid._k0, grid._k1)
+
+    def to_unit(hi, lo):
+        bits = (hi << np.uint64(32)) | lo
+        return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+
+    u = np.empty(grid.batch_shape + (n, n_pairs, 2))
+    u[..., 0] = to_unit(r0, r1)
+    u[..., 1] = to_unit(r2, r3)
+    return u
+
+
+def _oracle_draw(grid, draw, particles, step, dim):
+    n_pairs = (dim + 1) // 2
+    if draw == "uniforms":
+        u = _oracle_raw_pairs(grid, particles, step, n_pairs, channel=1)
+        return u.reshape(u.shape[:-2] + (2 * n_pairs,))[..., :dim]
+    u = _oracle_raw_pairs(grid, particles, step, n_pairs, channel=0)
+    radius = np.sqrt(-2.0 * np.log(u[..., 0]))
+    angle = 2.0 * np.pi * u[..., 1]
+    z = np.empty(u.shape[:-2] + (2 * n_pairs,))
+    z[..., 0::2] = radius * np.cos(angle)
+    z[..., 1::2] = radius * np.sin(angle)
+    z = z[..., :dim]
+    return z * np.sqrt(grid.dt) if draw == "increments" else z
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("draw", ["normals", "uniforms", "increments"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ids", [7, np.array([9, 2, REFERENCE_NAMESPACE + 3, 0])],
+                         ids=["scalar", "batched"])
+def test_draws_equal_the_two_half_box_muller_oracle(draw, dim, ids):
+    particles = np.array([5, 0, 17, 3, 1000, 2 ** 32 - 1])
+    grid = NoiseGrid(2024, ids, dt=0.03)
+    for step in (0, 11, INIT_STEP):
+        got = getattr(grid, draw)(particles, step, dim)
+        want = _oracle_draw(grid, draw, particles, step, dim)
+        assert got.shape == want.shape == grid.batch_shape + (len(particles), dim)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(st.integers(0, 2 ** 52), min_size=1, max_size=5, unique=True),
+       particles=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=12, unique=True),
+       dim=st.integers(1, 4), step=st.sampled_from([0, 5, INIT_STEP]), rand=st.randoms())
+def test_draws_do_not_depend_on_order_or_batch(ids, particles, dim, step, rand):
+    # one batched call over every replica and particle, against the same
+    # draws shuffled, split into per-replica grids and per-particle calls
+    full = NoiseGrid(11, np.array(ids), dt=0.2).increments(np.array(particles), step, dim)
+    rows, cols = list(range(len(ids))), list(range(len(particles)))
+    rand.shuffle(rows)
+    rand.shuffle(cols)
+    shuffled = NoiseGrid(11, np.array(ids)[rows], dt=0.2).increments(
+        np.array(particles)[cols], step, dim)
+    assert np.array_equal(_bits(shuffled), _bits(full[rows][:, cols]))
+    for r in rows[:2]:
+        grid = NoiseGrid(11, ids[r], dt=0.2)
+        for c in cols[:3]:
+            one = grid.increments(np.array([particles[c]]), step, dim)
+            assert np.array_equal(_bits(one[0]), _bits(full[r, c]))

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meanfieldlab import (EmpiricalMeasure, Observable, ValidationError,
                           kr_dual_lower_bound, quantile_dual_family, sample_w1,
                           sample_w2, wasserstein_1d, wasserstein_assignment)
+from meanfieldlab.wasserstein import wasserstein_1d_rows
 
 
 def _brute_force_permutation(p, xs, ys):
@@ -290,3 +292,51 @@ def test_sample_w2_consistency_under_refinement():
     d_large = np.mean([sample_w2(rng.normal(size=(800, 1)), rng.normal(size=(800, 1)))
                        for _ in range(20)])
     assert d_large < d_small / 2
+
+
+def _cloud_rows(rng, kind, shape, center):
+    if kind == "normal":
+        return center + rng.normal(size=shape)
+    if kind == "ties":  # few distinct values, so sorting meets many ties
+        return center + 0.5 * rng.integers(-3, 4, size=shape)
+    return center + rng.choice([-0.0, 0.0, 1.0, -1.0], size=shape)  # signed zeros
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 1000), rows=st.integers(1, 3), p=st.sampled_from([1, 2]),
+       kinds=st.tuples(*[st.sampled_from(["normal", "ties", "zeros"])] * 2),
+       centers=st.tuples(*[st.sampled_from([0.0, 1e3])] * 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_rows_equal_per_pair_quantile_solves(n, rows, p, kinds, centers, seed):
+    rng = np.random.default_rng(seed)
+    A = _cloud_rows(rng, kinds[0], (rows, n), centers[0])
+    B = _cloud_rows(rng, kinds[1], (rows, n), centers[1])
+    if kinds == ("zeros", "zeros"):
+        B[:, : n // 2] = A[:, : n // 2]  # exact ties across the clouds too
+    got = wasserstein_1d_rows(p, A, B)
+    sample = sample_w1 if p == 1 else sample_w2
+    want = np.array([sample(a[:, None], b[:, None]) for a, b in zip(A, B)])
+    assert got.shape == (rows,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_batched_rows_keep_leading_shape_and_validate():
+    rng = np.random.default_rng(4)
+    A, B = rng.normal(size=(2, 3, 7)), rng.normal(size=(2, 3, 7))
+    got = wasserstein_1d_rows(2, A, B)
+    assert got.shape == (2, 3)
+    assert got[1, 2] == sample_w2(A[1, 2][:, None], B[1, 2][:, None])
+    for p, a, b in ((3, A, B), (1, A, B[..., :6]), (1, A[..., :0], B[..., :0])):
+        with pytest.raises(ValidationError):
+            wasserstein_1d_rows(p, a, b)
+
+
+def test_batched_rows_take_the_root_as_scalar_pow():
+    # sqrt and C pow round about one value in a thousand differently; each row
+    # takes its root as wasserstein_1d does, as an np.float64 ** 0.5
+    rng = np.random.default_rng(8)
+    A, B = rng.normal(size=(4000, 2)), rng.normal(size=(4000, 2))
+    got = wasserstein_1d_rows(2, A, B)
+    want = np.array([sample_w2(a[:, None], b[:, None]) for a, b in zip(A, B)])
+    assert np.array_equal(got, want)
+    costs = np.sum(0.5 * (np.sort(A) - np.sort(B)) ** 2, axis=1)
+    assert np.any(np.sqrt(costs) != got)  # the rows tell the two roots apart
