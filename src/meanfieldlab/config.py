@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import re
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Optional
 
-from .engine import time_grid_errors
+from .engine import equilibrium_time_errors, time_grid_errors
 from .errors import ValidationError
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "EXPERIMENT_KINDS", "MODEL_FAMILIES"]
@@ -191,6 +192,12 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
         errs.append("[reference] picard_iters must be >= 1")
     if cfg.output.snapshot_stride < 1:
         errs.append("[output] snapshot_stride must be >= 1")
+    if cfg.experiment.kind == "equilibrium":
+        errs.extend(f"[experiment] {e}" for e in equilibrium_time_errors(
+            cfg.sim.dt, cfg.experiment.t_equilibrium, cfg.experiment.gap_times))
+    if not re.fullmatch("norm|x[0-9]*", cfg.experiment.observable):
+        errs.append(f"[experiment] observable {cfg.experiment.observable!r} must be "
+                    f"'norm', 'x' or 'x<k>' for a coordinate k")
     if cfg.experiment.target not in ("burn_in", "gaussian"):
         errs.append("[experiment] target must be 'burn_in' or 'gaussian'")
     if cfg.model.family == "linear" and cfg.model.rate <= 0:

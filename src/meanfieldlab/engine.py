@@ -51,6 +51,27 @@ def time_grid_errors(dt: float, t_final: float, allow_large_dt: bool) -> list[st
     return errs
 
 
+def equilibrium_time_errors(dt: float, t_equilibrium: float, gap_times) -> list[str]:
+    """Every rule that an equilibrium run breaks in its times, one message each.
+
+    The run covers [0, t_equilibrium] at step dt, which must pass
+    time_grid_errors (the rules on dt alone are the run's own and are not
+    repeated here), and reads its coupling gaps at gap_times, each of which
+    must be a step of that grid: in [0, t_equilibrium] and a multiple of dt.
+    """
+    if dt <= 0:
+        return []
+    errs = [e.replace("t_final", "t_equilibrium")
+            for e in time_grid_errors(dt, t_equilibrium, allow_large_dt=True)]
+    for t in gap_times:
+        steps = t / dt
+        if not 0 <= t <= t_equilibrium:
+            errs.append(f"gap_times entry {t} is outside [0, t_equilibrium={t_equilibrium}]")
+        elif abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            errs.append(f"gap_times entry {t} is not an integer multiple of dt={dt}")
+    return errs
+
+
 @dataclass(frozen=True)
 class SimConfig:
     dt: float

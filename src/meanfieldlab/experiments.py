@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .engine import (SimConfig, TrajectoryEnsemble, _record_steps, build_reference_flow,
-                     simulate_coupled, simulate_particle_system)
+                     equilibrium_time_errors, simulate_coupled, simulate_particle_system)
 from .errors import ValidationError
 from .models import ModelSpec, Observable
 from .rng import BURN_IN_NAMESPACE, NoiseGrid
@@ -182,15 +182,19 @@ def _sample_w(p: int, clouds_a, clouds_b) -> np.ndarray:
     return np.array([sample(a, b) for a, b in pairs]).reshape(A.shape[:-2])
 
 
-def _w2sq_debiased(cloud: np.ndarray, reference: np.ndarray):
-    """Sample-W2^2 between a cloud and a reference ensemble, floor-corrected.
+def _w2sq_debiased(clouds: np.ndarray, reference: np.ndarray) -> list:
+    """Sample-W2^2 between each of a stack of (n, d) clouds and a reference, floor-corrected.
 
     The raw estimator between finite same-size clouds carries an O(n^{-1/d})
     positive bias even at distance zero; subtracting the same-law floor,
     measured on disjoint equal-size reference subsamples, makes the estimate
     comparable to the coupling gap.  The estimate is signed and not clipped:
     it is negative when the floor exceeds the raw estimate, as it can when
-    the true distance is below the floor's noise.  Returns (estimate, stderr).
+    the true distance is below the floor's noise.  Returns one (estimate,
+    stderr) per cloud.  The floor depends on the reference and n alone, so
+    it is solved once for the whole stack, in the same transport call as
+    every cloud's raw solves; each cloud's pair equals that of a stack of
+    that one cloud, bit for bit.
 
     The reference splits into up to 16 disjoint chunks of the cloud's size:
     the first half (at least two) give raw estimates, the rest pair up into
@@ -201,25 +205,30 @@ def _w2sq_debiased(cloud: np.ndarray, reference: np.ndarray):
     than three it is one raw sample-W2^2 against an even subsample of the
     reference.
     """
-    n = len(cloud)
+    n_clouds, n = clouds.shape[:2]
     n_chunks = min(len(reference) // n, 16)
     if n_chunks < 3:
-        raw = sample_w2(cloud, _even_subsample(reference, min(n, len(reference))))
-        return float(raw ** 2), float("nan")
+        sub = _even_subsample(reference, min(n, len(reference)))
+        return [(float(sample_w2(cloud, sub) ** 2), float("nan")) for cloud in clouds]
     chunks = np.stack([reference[k::n_chunks][:n] for k in range(n_chunks)])
     n_raw = max(2, n_chunks // 2)
     n_floor = (n_chunks - n_raw) // 2
-    # raw solves (cloud, chunk k < n_raw), then floor pairs (n_raw + 2j, n_raw + 2j + 1)
-    lefts = np.concatenate([np.broadcast_to(cloud, (n_raw,) + cloud.shape),
+    # raw solves (cloud i, chunk k < n_raw) cloud by cloud, then the floor
+    # pairs (n_raw + 2j, n_raw + 2j + 1)
+    lefts = np.concatenate([np.repeat(clouds, n_raw, axis=0),
                             chunks[n_raw:n_raw + 2 * n_floor:2]])
-    rights = np.concatenate([chunks[:n_raw], chunks[n_raw + 1:n_raw + 2 * n_floor:2]])
+    rights = np.concatenate([np.tile(chunks[:n_raw], (n_clouds, 1, 1)),
+                             chunks[n_raw + 1:n_raw + 2 * n_floor:2]])
     squares = np.array([float(w) ** 2 for w in _sample_w(2, lefts, rights)])
-    raws, floors = squares[:n_raw], squares[n_raw:]
-    raw_se = float(raws.std(ddof=1) / np.sqrt(len(raws)))
+    floors = squares[n_clouds * n_raw:]
     floor_se = (float(floors.std(ddof=1) / np.sqrt(len(floors))) if len(floors) > 1
                 else float("nan"))
-    est = float(raws.mean() - floors.mean()) if len(floors) else float(raws.mean())
-    return est, float(np.hypot(raw_se, floor_se))
+    out = []
+    for raws in squares[:n_clouds * n_raw].reshape(n_clouds, n_raw):
+        raw_se = float(raws.std(ddof=1) / np.sqrt(len(raws)))
+        est = float(raws.mean() - floors.mean()) if len(floors) else float(raws.mean())
+        out.append((est, float(np.hypot(raw_se, floor_se))))
+    return out
 
 
 def _tail_fit(n_particles: int, r_grid, probs, replicas: int):
@@ -287,14 +296,10 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     gaps = np.concatenate(gaps, axis=1)
     first_particle = np.concatenate(first_particle, axis=1)
 
-    mean_gaps, stderrs, w2_sqs, w2_ses = [], [], [], []
-    for g, first in zip(gaps, first_particle):
-        mean_gaps.append(float(g.mean()))
-        stderrs.append(float(g.std(ddof=1) / np.sqrt(replicas)) if replicas > 1
-                       else float("nan"))
-        w2sq, w2se = _w2sq_debiased(first, flow.terminal)
-        w2_sqs.append(w2sq)
-        w2_ses.append(w2se)
+    mean_gaps = [float(g.mean()) for g in gaps]
+    stderrs = [float(g.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else float("nan")
+               for g in gaps]
+    w2_sqs, w2_ses = (list(v) for v in zip(*_w2sq_debiased(first_particle, flow.terminal)))
 
     degenerate = any(g <= _DEGENERATE_GAP for g in mean_gaps)
     if degenerate or len(n_grid) < 2:
@@ -375,6 +380,10 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
     decay rate is fitted log-linearly on the window above twice the Monte
     Carlo noise floor.
     """
+    gap_times = list(gap_times) if gap_times is not None else []
+    errs = equilibrium_time_errors(config.dt, t_final, gap_times)
+    if errs:
+        raise ValidationError("; ".join(errs))
     cfg = replace(config, t_final=t_final, n_particles=n_particles)
 
     if target_sampler is None:
@@ -407,7 +416,6 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
         slope, _, _, _ = linear_fit(times[mask], np.log(curve[mask]))
         fitted = -slope
 
-    gap_times = list(gap_times) if gap_times is not None else []
     gap_means, gap_ses, gslope, gslope_se = [], [], None, None
     if gap_times:
         M = m_reference or 16 * n_particles

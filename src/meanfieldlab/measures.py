@@ -43,10 +43,6 @@ class EmpiricalMeasure:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return cls(pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))
 
-    @classmethod
-    def dirac(cls, point) -> "EmpiricalMeasure":
-        return cls(np.atleast_2d(np.asarray(point, dtype=np.float64)), np.array([1.0]))
-
     @property
     def n(self) -> int:
         return self.points.shape[0]

@@ -2,10 +2,9 @@
 
 A model is a pairwise drift kernel b(X, Y), a constant diffusion factor
 sigma, and an initial law.  The drift actually used by the dynamics is the
-average of b(X, .) against a measure; kernels may carry an aggregated
-evaluator exploiting linear or polynomial structure (exact algebra, no
-subsampling), and kernels whose drift does not depend on the measure at all
-are flagged `law_free` so coupled runs stay bit-identical.
+average of b(X, .) against a measure.  A kernel may carry that average in
+closed form, exploiting linear or polynomial structure (exact algebra, no
+subsampling); otherwise it is the pairwise average over the cloud.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measures import EmpiricalMeasure
 from .rng import INIT_STEP, NoiseGrid
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "InitialLaw",
     "Observable",
     "ModelSpec",
-    "mean_field_drift",
     "mean_field_batch",
     "granular_media_model",
     "vlasov_fokker_planck_model",
@@ -163,24 +160,21 @@ def _check_even(pot: Potential, dim: int, n_points: int = 100, seed: int = 11):
 class DriftKernel:
     """Pairwise drift b(X, Y) on R^d x R^d.
 
-    `eval` must broadcast over leading axes.  `lipschitz_bound` is the joint
-    Lipschitz constant L with |b(X,Y)-b(X',Y')| <= L(|X-X'| + |Y-Y'|), or
-    None for locally-Lipschitz-only kernels.  `taming_exponent` > 0 requests
+    `eval` must broadcast over leading axes.  `taming_exponent` > 0 requests
     drift taming inside the integrator (tamed drift b/(1 + dt^q |b|)).
+    `mean_field(X, points, weights)`, when set, is the exact weighted average
+    of b(X, .) over the cloud in closed form, taking the same batched shapes
+    as mean_field_batch; when None, that average is taken pair by pair.
     """
 
     dim: int
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lipschitz_bound: Optional[float]
     taming_exponent: float = 0.0
-    law_free: bool = False
     mean_field: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim <= 0:
             raise ValidationError("kernel dimension must be positive")
-        if self.lipschitz_bound is not None and self.lipschitz_bound < 0:
-            raise ValidationError("lipschitz_bound must be nonnegative")
         if self.taming_exponent < 0:
             raise ValidationError("taming_exponent must be nonnegative")
 
@@ -434,28 +428,16 @@ def mean_field_batch(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
 
     X is (n, d) or, for R batched replicas, (R, n, d).  points is one cloud
     (m, d) shared by every replica, or one cloud per replica (R, m, d).  The
-    closed-form evaluators (the linear-gradient mean, the 1-D prefix moments
-    of an integer power) broadcast over the replica axis; the pairwise
+    kernel's closed form (the linear-gradient mean, the 1-D prefix moments
+    of an integer power) broadcasts over the replica axis; the pairwise
     average, left for d > 1 and non-integer powers, runs replica by replica.
     """
-    if kernel.law_free:
-        return kernel.eval(X, X)
     if kernel.mean_field is not None:
         return kernel.mean_field(X, points, weights)
     if X.ndim == 2:
         return _pairwise_average(kernel, X, points, weights)
     clouds = points if points.ndim == 3 else [points] * len(X)
     return np.stack([_pairwise_average(kernel, x, c, weights) for x, c in zip(X, clouds)])
-
-
-def mean_field_drift(kernel: DriftKernel, X, measure: EmpiricalMeasure) -> np.ndarray:
-    """b[X, p] = integral of b(X, Y) dp(Y), as an exact weighted average."""
-    X = np.atleast_1d(np.asarray(X, dtype=np.float64))
-    if X.shape != (kernel.dim,):
-        raise ValueError(f"state has shape {X.shape}, kernel dimension is {kernel.dim}")
-    if measure.dim != kernel.dim:
-        raise ValueError(f"measure dimension {measure.dim} != kernel dimension {kernel.dim}")
-    return _pairwise_average(kernel, X[None, :], measure.points, measure.weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -497,21 +479,10 @@ def granular_media_model(V: Potential, W: Potential, d: int,
         def mean_field(X, points, weights):
             return _power_law_average(pw, cw, X, points, weights) + V.grad(X)
 
-    lip = None
-    if V.grad_lipschitz is not None and W.grad_lipschitz is not None:
-        lip = V.grad_lipschitz + W.grad_lipschitz
     taming = 1.0 if W.grad_lipschitz is None or (V.grad_lipschitz is None) else 0.0
 
-    kernel = DriftKernel(
-        dim=d,
-        eval=kernel_eval,
-        lipschitz_bound=lip,
-        taming_exponent=taming,
-        law_free=W.grad_lipschitz == 0.0 and W.linear_grad_coeff == 0.0,
-        mean_field=mean_field,
-    )
     return ModelSpec(
-        drift=kernel,
+        drift=DriftKernel(dim=d, eval=kernel_eval, taming_exponent=taming, mean_field=mean_field),
         diffusion=DiffusionSpec.isotropic(d),
         initial_law=initial_law or InitialLaw.gaussian(np.zeros(d), np.eye(d)),
         name=name or f"granular(V={V.name}, W={W.name}, d={d})",
@@ -520,8 +491,6 @@ def granular_media_model(V: Potential, W: Potential, d: int,
 
 def vlasov_fokker_planck_model(U: Potential, A: Callable, B: Callable, d_prime: int,
                                initial_law: Optional[InitialLaw] = None,
-                               a_lipschitz: Optional[float] = None,
-                               b_lipschitz: Optional[float] = None,
                                name: Optional[str] = None,
                                validate: bool = True) -> ModelSpec:
     """Kinetic phase-space model on states (x, v) in R^{2 d'}.
@@ -559,14 +528,10 @@ def vlasov_fokker_planck_model(U: Potential, A: Callable, B: Callable, d_prime: 
             out[..., d_prime:] = A(v) + B(x) + cu * (x - ybar)
             return out
 
-    lip = None
-    if a_lipschitz is not None and b_lipschitz is not None and U.grad_lipschitz is not None:
-        lip = 1.0 + a_lipschitz + b_lipschitz + U.grad_lipschitz
-
     sigma = np.zeros((d, d))
     sigma[d_prime:, d_prime:] = np.sqrt(2.0) * np.eye(d_prime)
     return ModelSpec(
-        drift=DriftKernel(dim=d, eval=kernel_eval, lipschitz_bound=lip, mean_field=mean_field),
+        drift=DriftKernel(dim=d, eval=kernel_eval, mean_field=mean_field),
         diffusion=DiffusionSpec(sigma),
         initial_law=initial_law or InitialLaw.gaussian(np.zeros(d), np.eye(d)),
         name=name or f"vfp(U={U.name}, d'={d_prime})",
@@ -589,15 +554,8 @@ def linear_test_model(rate: float, d: int = 1, mean0: float = 0.0,
         X = np.asarray(X, dtype=np.float64)
         return r * (X + np.zeros_like(np.asarray(Y, dtype=np.float64)))
 
-    kernel = DriftKernel(
-        dim=d,
-        eval=kernel_eval,
-        lipschitz_bound=r,
-        law_free=True,
-        mean_field=lambda X, points, weights: r * X,
-    )
     return ModelSpec(
-        drift=kernel,
+        drift=DriftKernel(dim=d, eval=kernel_eval, mean_field=lambda X, points, weights: r * X),
         diffusion=DiffusionSpec.isotropic(d),
         initial_law=InitialLaw.gaussian(np.full(d, float(mean0)), np.eye(d) * float(var0)),
         name=f"linear(rate={r})",

@@ -92,8 +92,6 @@ def build_model(cfg: RunConfig) -> ModelSpec:
             B=lambda x: m.confinement_coeff * x,
             d_prime=m.dim,
             initial_law=init2,
-            a_lipschitz=abs(m.friction_coeff),
-            b_lipschitz=abs(m.confinement_coeff),
         )
     raise ValidationError(f"unknown model family {m.family!r}")
 
@@ -121,16 +119,15 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _observable(name: str, dim: int) -> Observable:
-    if name.startswith("x"):
-        c = int(name[1:]) if len(name) > 1 else 0
-        if c >= dim:
-            raise ValidationError(f"observable {name!r} out of range for dimension {dim}")
-        return Observable(eval=lambda x, c=c: np.asarray(x)[..., c],
-                          lipschitz_constant=1.0, name=name)
+    """The observable of a validated name: 'norm', or coordinate k of 'x<k>' ('x' is x0)."""
     if name == "norm":
         return Observable(eval=lambda x: np.linalg.norm(np.asarray(x), axis=-1),
                           lipschitz_constant=1.0, name="norm")
-    raise ValidationError(f"unknown observable {name!r} (use x<k> or norm)")
+    c = int(name[1:] or 0)
+    if c >= dim:
+        raise ValidationError(f"observable {name!r} out of range for dimension {dim}")
+    return Observable(eval=lambda x, c=c: np.asarray(x)[..., c], lipschitz_constant=1.0,
+                      name=name)
 
 
 def _error_record(exc: Exception) -> dict:

@@ -58,7 +58,7 @@ def test_criterion_02_coupling_null():
     zero_model = ModelSpec(
         drift=DriftKernel(dim=1, eval=lambda x, y: np.zeros(np.broadcast_shapes(x.shape,
                                                                                 y.shape)),
-                          lipschitz_bound=0.0, law_free=True),
+                          mean_field=lambda x, points, weights: np.zeros_like(x)),
         diffusion=DiffusionSpec.isotropic(1),
         initial_law=InitialLaw.gaussian([0.0], [[1.0]]),
         name="zero-drift")

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from meanfieldlab import DivergenceError, ValidationError, parse_config, serialize_config
+from meanfieldlab import (DivergenceError, SimConfig, ValidationError, equilibrium_convergence,
+                          granular_media_model, parse_config, quadratic_potential,
+                          serialize_config)
 from meanfieldlab.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from meanfieldlab.plots import emit_plot
 from meanfieldlab.rng import REFERENCE_NAMESPACE
@@ -355,6 +357,64 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     p.write_text("[sim]\nn_partcles = 8\n")
     assert main(["validate", str(p)]) == EXIT_VALIDATION
     assert "n_particles" in capsys.readouterr().err
+
+
+EQUILIBRIUM_CFG = """
+[model]
+family = granular_quadratic
+
+[sim]
+dt = 0.05
+n_particles = 8
+replicas = 2
+
+[experiment]
+kind = equilibrium
+t_equilibrium = {t_eq}
+gap_times = {gaps}
+"""
+
+
+@pytest.mark.parametrize("t_eq, gaps, key", [
+    (1.0, "0.5, 3.0", "gap_times"),   # past t_equilibrium: an IndexError at run time
+    (1.0, "-0.5", "gap_times"),       # read the last step
+    (1.0, "0.52", "gap_times"),       # rounded to the step at 0.5
+    (1.03, "", "t_equilibrium"),      # off the dt grid: failed only at run time
+])
+def test_cli_validate_rejects_equilibrium_times_it_cannot_run(t_eq, gaps, key, tmp_path,
+                                                              capsys):
+    p = tmp_path / "eq.cfg"
+    p.write_text(EQUILIBRIUM_CFG.format(t_eq=t_eq, gaps=gaps))
+    assert main(["validate", str(p)]) == EXIT_VALIDATION
+    assert f"[experiment] {key}" in capsys.readouterr().err
+    # the run applies the same rule, before it simulates anything
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+    with pytest.raises(ValidationError, match=key):
+        equilibrium_convergence(m, 8, t_eq, SimConfig(dt=0.05, t_final=1.0, n_particles=8,
+                                                      seed=1),
+                                gap_times=[float(g) for g in gaps.split(",") if g.strip()])
+
+
+def test_cli_validate_accepts_gap_times_on_the_grid(tmp_path, capsys):
+    p = tmp_path / "eq.cfg"
+    p.write_text(EQUILIBRIUM_CFG.format(t_eq=1.0, gaps="0, 0.05, 0.5, 1.0"))
+    assert main(["validate", str(p)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("name, valid", [
+    ("x-1", False),  # ran on the last coordinate
+    ("xa", False),   # an unlabelled ValueError at run time
+    ("x1.5", False),
+    ("y", False),
+    ("x", True), ("x1", True), ("norm", True),
+])
+def test_cli_validate_checks_the_observable_name(name, valid, tmp_path, capsys):
+    p = tmp_path / "obs.cfg"
+    p.write_text(DEVIATION_CFG.format(out=str(tmp_path / "out"))
+                 .replace("rate = 1.0", "rate = 1.0\ndim = 2")
+                 .replace("observable = x0", f"observable = {name}"))
+    assert main(["validate", str(p)]) == (EXIT_OK if valid else EXIT_VALIDATION)
+    assert ("[experiment] observable" in capsys.readouterr().err) is not valid
 
 
 def test_cli_missing_file_is_io_error(tmp_path, capsys):

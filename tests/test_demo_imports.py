@@ -1,0 +1,52 @@
+"""Every name a demo imports from meanfieldlab still exists.
+
+The demos are narrative scripts that no other test runs, so a removed or
+renamed public name would otherwise surface only when someone runs one.
+Each `demos/*.py` is parsed with `ast`, not executed: the check resolves the
+`from meanfieldlab... import ...` names and the `import meanfieldlab...`
+modules, and takes well under a second.
+"""
+
+import ast
+import glob
+import importlib
+import os
+
+import pytest
+
+DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "demos", "*.py")))
+
+
+def _imports(path):
+    """(module, name) for each meanfieldlab import in the file; name None for a module."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "meanfieldlab":
+                for alias in node.names:
+                    yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "meanfieldlab":
+                    yield alias.name, None
+
+
+def test_there_are_demos():
+    assert len(DEMOS) >= 4
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_imports_resolve(path):
+    imports = list(_imports(path))
+    assert imports, f"{path} imports nothing from meanfieldlab"
+    missing = []
+    for module, name in imports:
+        owner = importlib.import_module(module)
+        if name is not None and not hasattr(owner, name):
+            try:  # a submodule imported by name
+                importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                missing.append(f"{module}.{name}")
+    assert missing == []

@@ -16,7 +16,7 @@ def _static_model(d=1):
     """b = 0, sigma = 0: nothing moves."""
     return ModelSpec(
         drift=DriftKernel(dim=d, eval=lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)),
-                          lipschitz_bound=0.0, law_free=True),
+                          mean_field=lambda x, points, weights: np.zeros_like(x)),
         diffusion=DiffusionSpec(np.zeros((d, d))),
         initial_law=InitialLaw.gaussian(np.zeros(d), np.eye(d)),
         name="static",
@@ -27,7 +27,7 @@ def _pure_diffusion_model(d=1):
     """b = 0 but sigma = sqrt(2) I."""
     return ModelSpec(
         drift=DriftKernel(dim=d, eval=lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)),
-                          lipschitz_bound=0.0, law_free=True),
+                          mean_field=lambda x, points, weights: np.zeros_like(x)),
         diffusion=DiffusionSpec.isotropic(d),
         initial_law=InitialLaw.gaussian(np.zeros(d), np.eye(d)),
         name="pure-diffusion",
@@ -171,7 +171,7 @@ def test_divergence_error_reports_caller_label():
     top = start.max()
     m = ModelSpec(
         drift=DriftKernel(dim=1, eval=lambda x, y: np.where(x >= top, np.inf, 0.0),
-                          lipschitz_bound=0.0, law_free=True),
+                          mean_field=lambda x, points, weights: np.where(x >= top, np.inf, 0.0)),
         diffusion=DiffusionSpec(np.zeros((1, 1))),
         initial_law=InitialLaw.gaussian(np.zeros(1), np.eye(1)),
         name="one-blows-up",
@@ -187,7 +187,7 @@ def test_batched_divergence_names_the_replica_of_the_per_replica_run():
     # a law-free kernel that blows up every particle that wanders above 2
     m = ModelSpec(
         drift=DriftKernel(dim=1, eval=lambda x, y: np.where(x >= 2.0, np.inf, 0.0),
-                          lipschitz_bound=0.0, law_free=True),
+                          mean_field=lambda x, points, weights: np.where(x >= 2.0, np.inf, 0.0)),
         diffusion=DiffusionSpec.isotropic(1),
         initial_law=InitialLaw.gaussian(np.zeros(1), np.eye(1)),
         name="blows-up-above-2",
@@ -484,7 +484,7 @@ def _threshold_model(levels):
         return np.where(X >= levels.get(len(weights), np.inf), np.inf, -1.0)
 
     return ModelSpec(drift=DriftKernel(dim=1, eval=lambda x, y: -np.ones_like(x),
-                                       lipschitz_bound=0.0, mean_field=mean_field),
+                                       mean_field=mean_field),
                      diffusion=DiffusionSpec(np.zeros((1, 1))),
                      initial_law=InitialLaw.gaussian(np.zeros(1), np.eye(1)),
                      name="climbs-then-blows-up")

@@ -83,7 +83,7 @@ def test_w2sq_debiased_stderr_needs_two_floor_pairs(n_chunks):
     n = 10
     cloud = rng.normal(0.3, 1.0, (n, 1))
     reference = rng.normal(0.0, 1.0, (n * n_chunks + 3, 1))
-    est, se = experiments._w2sq_debiased(cloud, reference)
+    [(est, se)] = experiments._w2sq_debiased(cloud[None], reference)
 
     chunks = [reference[k::n_chunks][:n] for k in range(n_chunks)]
     n_raw = max(2, n_chunks // 2)
@@ -100,6 +100,31 @@ def test_w2sq_debiased_stderr_needs_two_floor_pairs(n_chunks):
     if len(floors) >= 2:
         assert se == float(np.hypot(raws.std(ddof=1) / np.sqrt(len(raws)),
                                     floors.std(ddof=1) / np.sqrt(len(floors))))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_chunks", [2, 3, 6, 7, 16])
+def test_w2sq_debiased_stack_equals_one_cloud_at_a_time(n_chunks, dim, monkeypatch):
+    # a stack shares one floor solve, yet each cloud gets the bits of a stack of
+    # that cloud alone; the floor pairs are solved once, not once per cloud
+    rng = np.random.default_rng(40 + n_chunks + dim)
+    n = 6
+    clouds = rng.normal(0.3, 1.0, (4, n, dim))
+    reference = rng.normal(0.0, 1.0, (n * n_chunks + 1, dim))
+    alone = [experiments._w2sq_debiased(c[None], reference)[0] for c in clouds]
+    pairs = []
+    original = experiments._sample_w
+
+    def counted(p, a, b):
+        pairs.append(len(a))
+        return original(p, a, b)
+
+    monkeypatch.setattr(experiments, "_sample_w", counted)
+    stacked = experiments._w2sq_debiased(clouds, reference)
+    # compared as hex so that nan stderrs compare equal
+    assert [(e.hex(), s.hex()) for e, s in stacked] == [(e.hex(), s.hex()) for e, s in alone]
+    n_raw = max(2, n_chunks // 2)
+    assert pairs == ([] if n_chunks < 3 else [len(clouds) * n_raw + (n_chunks - n_raw) // 2])
 
 
 def test_linear_fit_slope_error_scales():
@@ -233,7 +258,7 @@ def test_chaos_rate_grid_equals_per_size_and_replica_runs(law, monkeypatch):
                                  flow) for r in range(replicas)]
         gaps = np.array([res.mean_square_gap[-1] for res in runs])
         first = np.array([res.terminal_particles[0] for res in runs])
-        w2 = experiments._w2sq_debiased(first, flow.terminal)
+        [w2] = experiments._w2sq_debiased(first[None], flow.terminal)
         for fit in fits:
             assert fit.n_grid[k] == n
             assert fit.mean_sq_gaps[k] == float(gaps.mean())
@@ -287,9 +312,10 @@ def test_chaos_rate_gap_stderr_is_nan_for_one_replica():
 # assignment per pair of clouds.  (kind, dim, [sim] lines, [experiment]
 # lines, batched solves, assignments)
 TRANSPORT_CASES = {
-    # one solve per N: 16 reference chunks give 8 raw solves and 4 floor pairs
-    "chaos_1d": ("chaos_rate", 1, "n_grid = 4, 8, 16\nreplicas = 9", "", 3, 0),
-    "chaos_2d": ("chaos_rate", 2, "n_grid = 4, 8\nreplicas = 9", "", 0, 2 * (8 + 4)),
+    # 16 reference chunks give 8 raw solves per N and 4 floor pairs, solved
+    # once for the whole grid: in d = 1 all of them in one batched solve
+    "chaos_1d": ("chaos_rate", 1, "n_grid = 4, 8, 16\nreplicas = 9", "", 1, 0),
+    "chaos_2d": ("chaos_rate", 2, "n_grid = 4, 8\nreplicas = 9", "", 0, 2 * 8 + 4),
     # a W1 per replica and snapshot; 16 particles x 4 snapshots: 2 replicas a chunk
     "empirical_1d": ("empirical_deviation", 1, "n_particles = 16\nreplicas = 40",
                      "sup_over_time = true\nr_grid = 0.1, 0.2\n", 20, 0),
@@ -451,7 +477,7 @@ def test_equilibrium_gap_uniformity_outputs():
     curve = equilibrium_convergence(m, 32, 1.0, _cfg(dt=0.02, snapshot_stride=10),
                                     target_sampler=lambda n, salt: np.random.default_rng(
                                         salt).normal(size=(n, 1)),
-                                    replicas=5, gap_times=[0.25, 0.5, 1.0], m_reference=512)
+                                    replicas=5, gap_times=[0.24, 0.5, 1.0], m_reference=512)
     assert len(curve.gap_means) == 3
     assert all(g >= 0.0 for g in curve.gap_means)
     assert curve.gap_slope is not None and curve.gap_slope_se is not None

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meanfieldlab import (DiffusionSpec, EmpiricalMeasure, InitialLaw, Observable,
-                          ValidationError, granular_media_model, linear_test_model,
-                          mean_field_drift, ou_mean, ou_variance, power_potential,
-                          quadratic_potential, vlasov_fokker_planck_model, zero_potential)
+from meanfieldlab import (DiffusionSpec, InitialLaw, Observable, ValidationError,
+                          granular_media_model, linear_test_model, ou_mean, ou_variance,
+                          power_potential, quadratic_potential, vlasov_fokker_planck_model,
+                          zero_potential)
 from meanfieldlab import models
 from meanfieldlab.config import parse_config
 from meanfieldlab.models import DriftKernel, Potential, mean_field_batch
@@ -28,46 +28,45 @@ def _fd_grad(value, z, h=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# mean_field_drift
+# the pairwise mean-field drift b[X, p] = integral of b(X, Y) dp(Y)
+
+
+def _drift_at(kernel, x, points, weights=None):
+    """The pairwise average of b(x, .) over the points, for one state x."""
+    points = np.asarray(points, dtype=np.float64)
+    if weights is None:
+        weights = np.full(len(points), 1.0 / len(points))
+    return models._pairwise_average(kernel, np.array([x], dtype=np.float64), points,
+                                    np.asarray(weights, dtype=np.float64))[0]
 
 
 def test_mean_field_drift_symmetry():
-    k = DriftKernel(dim=1, eval=lambda x, y: x - y, lipschitz_bound=1.0)
-    assert mean_field_drift(k, [0.0], EmpiricalMeasure.dirac([0.0])) == pytest.approx(0.0)
+    k = DriftKernel(dim=1, eval=lambda x, y: x - y)
+    assert _drift_at(k, [0.0], [[0.0]]) == pytest.approx(0.0)
 
 
 def test_mean_field_drift_mean_cancellation():
-    k = DriftKernel(dim=1, eval=lambda x, y: x - y, lipschitz_bound=1.0)
-    mu = EmpiricalMeasure([[0.0], [2.0]], [0.5, 0.5])
-    assert mean_field_drift(k, [1.0], mu)[0] == pytest.approx(0.0, abs=1e-15)
+    k = DriftKernel(dim=1, eval=lambda x, y: x - y)
+    assert _drift_at(k, [1.0], [[0.0], [2.0]], [0.5, 0.5])[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_mean_field_drift_cubic_gradient():
     # grad of W(z) = |z|^3 in 1D is 3|z| z; oracle: finite differences of |z|^3
-    k = DriftKernel(dim=1, eval=lambda x, y: 3 * np.abs(x - y) * (x - y), lipschitz_bound=None)
-    got = mean_field_drift(k, [1.0], EmpiricalMeasure.dirac([0.0]))[0]
+    k = DriftKernel(dim=1, eval=lambda x, y: 3 * np.abs(x - y) * (x - y))
+    got = _drift_at(k, [1.0], [[0.0]])[0]
     fd = _fd_grad(lambda z: abs(z[0]) ** 3, [1.0])[0]
     assert got == pytest.approx(3.0)
     assert got == pytest.approx(fd, rel=1e-6)
 
 
-def test_mean_field_drift_dimension_mismatch():
-    k = DriftKernel(dim=2, eval=lambda x, y: x - y, lipschitz_bound=1.0)
-    with pytest.raises(ValueError):
-        mean_field_drift(k, [1.0], EmpiricalMeasure.dirac([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        mean_field_drift(k, [1.0, 0.0], EmpiricalMeasure.dirac([0.0]))
-
-
 def test_mean_field_drift_linear_in_measure():
-    k = DriftKernel(dim=1, eval=lambda x, y: np.sin(x - y) + y ** 2, lipschitz_bound=None)
+    k = DriftKernel(dim=1, eval=lambda x, y: np.sin(x - y) + y ** 2)
     rng = np.random.default_rng(0)
     a = rng.normal(size=(8, 1))
     b = rng.normal(size=(8, 1))
-    mix = EmpiricalMeasure(np.vstack([a, b]), np.full(16, 1 / 16))
-    half_a = mean_field_drift(k, [0.3], EmpiricalMeasure.uniform(a))
-    half_b = mean_field_drift(k, [0.3], EmpiricalMeasure.uniform(b))
-    whole = mean_field_drift(k, [0.3], mix)
+    half_a = _drift_at(k, [0.3], a)
+    half_b = _drift_at(k, [0.3], b)
+    whole = _drift_at(k, [0.3], np.vstack([a, b]), np.full(16, 1 / 16))
     assert np.all(np.abs(whole - 0.5 * (half_a + half_b)) < 1e-12)
 
 
@@ -95,7 +94,6 @@ def test_granular_cubic_kernel_matches_finite_differences():
         assert got == pytest.approx(expect)
         assert got == pytest.approx(fd, rel=1e-5)
     assert m.drift.taming_exponent == 1.0
-    assert m.drift.lipschitz_bound is None
 
 
 def test_granular_rejects_odd_interaction():
@@ -338,16 +336,16 @@ plots = false
 
 
 def test_kernel_lipschitz_sampled():
-    # declared bound holds on 1e4 random quadruples in a bounded box
-    models = [
-        granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1),
-        granular_media_model(quadratic_potential(0.5), quadratic_potential(2.0), 2),
-        linear_test_model(1.0, 2),
-    ]
+    # |b(X,Y) - b(X',Y')| <= L (|X-X'| + |Y-Y'|) on 1e4 random quadruples in a
+    # bounded box, with L = Lip(grad V) + Lip(grad W) for granular media and
+    # the rate for the linear model
+    cases = []
+    for V, W, d in [(quadratic_potential(1.0), quadratic_potential(1.0), 1),
+                    (quadratic_potential(0.5), quadratic_potential(2.0), 2)]:
+        cases.append((granular_media_model(V, W, d), V.grad_lipschitz + W.grad_lipschitz))
+    cases.append((linear_test_model(1.0, 2), 1.0))
     rng = np.random.default_rng(10)
-    for m in models:
-        L = m.drift.lipschitz_bound
-        assert L is not None
+    for m, L in cases:
         d = m.dim
         X, Xp, Y, Yp = (rng.uniform(-3, 3, size=(10_000, d)) for _ in range(4))
         lhs = np.linalg.norm(m.drift.eval(X, Y) - m.drift.eval(Xp, Yp), axis=1)
@@ -392,7 +390,12 @@ def test_linear_model_closed_form_values():
     assert ou_variance(0.0, 1.0, 1.0) == pytest.approx(1.0)   # stationary at v0 = 1/rate
     assert ou_variance(50.0, 0.0, 1.0) == pytest.approx(1.0)  # relaxes to 1/rate
     m = linear_test_model(1.0, 1)
-    assert m.drift.law_free
+    # the drift reads the state alone: two different clouds give the same bits
+    X = np.random.default_rng(3).normal(size=(5, 1))
+    w = np.full(4, 0.25)
+    near = mean_field_batch(m.drift, X, np.zeros((4, 1)), w)
+    far = mean_field_batch(m.drift, X, np.arange(4.0)[:, None] * 100.0, w)
+    assert np.array_equal(near.view(np.uint64), far.view(np.uint64))
     assert m.drift.eval(np.array([2.0]), np.array([-1.0]))[0] == pytest.approx(2.0)
 
 
