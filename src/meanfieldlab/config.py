@@ -16,7 +16,8 @@ from typing import Optional
 from .engine import equilibrium_time_errors, time_grid_errors
 from .errors import ValidationError
 
-__all__ = ["RunConfig", "parse_config", "serialize_config", "EXPERIMENT_KINDS", "MODEL_FAMILIES"]
+__all__ = ["RunConfig", "parse_config", "serialize_config", "observable_errors",
+           "EXPERIMENT_KINDS", "MODEL_FAMILIES"]
 
 MODEL_FAMILIES = ("granular_quadratic", "granular_cubic", "linear", "kinetic")
 EXPERIMENT_KINDS = ("chaos_rate", "observable_deviation", "empirical_deviation", "equilibrium")
@@ -195,9 +196,9 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
     if cfg.experiment.kind == "equilibrium":
         errs.extend(f"[experiment] {e}" for e in equilibrium_time_errors(
             cfg.sim.dt, cfg.experiment.t_equilibrium, cfg.experiment.gap_times))
-    if not re.fullmatch("norm|x[0-9]*", cfg.experiment.observable):
-        errs.append(f"[experiment] observable {cfg.experiment.observable!r} must be "
-                    f"'norm', 'x' or 'x<k>' for a coordinate k")
+    # the kinetic family's state is (position, velocity): 2 * dim coordinates
+    coords = 2 * cfg.model.dim if cfg.model.family == "kinetic" else cfg.model.dim
+    errs.extend(f"[experiment] {e}" for e in observable_errors(cfg.experiment.observable, coords))
     if cfg.experiment.target not in ("burn_in", "gaussian"):
         errs.append("[experiment] target must be 'burn_in' or 'gaussian'")
     if cfg.model.family == "linear" and cfg.model.rate <= 0:
@@ -205,6 +206,18 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
     if cfg.model.init_var < 0 or cfg.model.var0 < 0:
         errs.append("[model] variances must be nonnegative")
     return errs
+
+
+def observable_errors(name: str, coords: int) -> list[str]:
+    """Why `name` names no observable of a state with `coords` coordinates: [] if it does.
+
+    An observable is 'norm', or coordinate k of 'x<k>' ('x' is x0) with k < coords.
+    """
+    if not re.fullmatch("norm|x[0-9]*", name):
+        return [f"observable {name!r} must be 'norm', 'x' or 'x<k>' for a coordinate k"]
+    if name != "norm" and int(name[1:] or 0) >= coords:
+        return [f"observable {name!r} out of range: the state has {coords} coordinates"]
+    return []
 
 
 def _fmt_value(v) -> str:

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .rng import INIT_STEP, NoiseGrid
+from .rng import INIT_STEP, SELECT_STEP, NoiseGrid
 
 __all__ = [
     "Potential",
@@ -289,9 +289,9 @@ class InitialLaw:
         cumw = np.cumsum(weights)
 
         def sampler(grid, particles):
-            # selector lives past the component columns so it never reuses
-            # the draws the components consume
-            sel = grid.uniforms(particles, INIT_STEP, d + 1)[..., d]
+            # the selector reads a step of its own, so it never reuses the
+            # draws the components consume
+            sel = grid.uniforms(particles, SELECT_STEP, 1)[..., 0]
             idx = np.searchsorted(cumw, sel, side="right").clip(0, len(components) - 1)
             draws = np.stack([c.sample(grid, particles) for c in components], axis=0)
             return np.take_along_axis(draws, idx[None, ..., None], axis=0)[0]

@@ -1,40 +1,59 @@
 """Counter-based Gaussian noise, addressable by (seed, replica, particle, step, coordinate).
 
-Every Brownian increment consumed anywhere in the lab is produced by a
-stateless Philox-4x32-10 evaluation at its own key, so the same key always
-yields the same value regardless of evaluation order, vectorization width or
-batch width.  This is what makes synchronous coupling and batched replicas
+Every Brownian increment consumed anywhere in the lab is read from a keyed
+Philox4x64-10 stream (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11), evaluated by numpy's compiled `np.random.Philox`, whose
+output for a given key and counter NumPy keeps stable (NEP 19).  A value
+depends only on its own address, so the same address always yields the same
+value regardless of evaluation order, vectorization width or batch width.
+This is what makes synchronous coupling and batched replicas
 bit-reproducible: the particle system and the nonlinear processes simply read
-the *same* keys, and a grid over a vector of replica ids draws, in one call,
+the *same* values, and a grid over a vector of replica ids draws, in one call,
 exactly what one grid per replica would draw.
 
-A key's Philox output gives two uniforms, and Box-Muller turns them into a
-cosine and a sine normal, coordinates 2j and 2j+1 of block j.  A
-one-dimensional draw reads only the cosine half of its key and computes no
-sine; the key layout is the same for every dimension.
+Layout (stream name `philox4x64-v2`).  The (seed, replica) pair gives the
+Philox key `[k, 0]`, k by splitmix64; each (key, step, channel) is one flat
+stream of 64-bit words, and stream word w is word w mod 4 of the Philox
+block at counter `(w div 4 + 1, step, channel, 0)`.  The `+ 1` is numpy's:
+a generator set to counter c steps it before it generates, so it yields
+block c + 1 first, and a draw sets c = w div 4 (never a block - 1, which at
+0 would borrow from the step word).  A d-dimensional draw gives particle i
+the values `[d*i, d*(i+1))` of its stream:
+
+- uniforms (channel 1) take one word per value, `((w >> 11) + 0.5) * 2^-53`;
+- normals (channel 0) take one word pair per two values: words 2p and 2p+1
+  become uniforms u, v and Box-Muller gives value 2p = r cos(theta) and value
+  2p+1 = r sin(theta), with r = sqrt(-2 log u) and theta = 2 pi v.  No draw is
+  thrown away, whatever d is.
+
+A contiguous run of particles costs, per replica, one counter set and one
+`random_raw` call; a particle set that is not contiguous splits into runs.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-__all__ = ["NoiseGrid", "REFERENCE_NAMESPACE", "BURN_IN_NAMESPACE", "TARGET_NAMESPACE",
-           "INIT_STEP"]
+__all__ = ["NoiseGrid", "STREAM", "REFERENCE_NAMESPACE", "BURN_IN_NAMESPACE",
+           "TARGET_NAMESPACE", "INIT_STEP", "SELECT_STEP"]
 
-# Philox 4x32 round constants (Salmon et al., "Parallel random numbers:
-# as easy as 1, 2, 3").
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint32(0x9E3779B9)
-_W1 = np.uint32(0xBB67AE85)
+# Name of the stream layout above.  A run records it, and a manifest written
+# under another layout is refused, since its config would rerun to other bytes.
+STREAM = "philox4x64-v2"
 
-_U64 = np.uint64
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_NORMALS, _UNIFORMS = 0, 1  # channels
 
 # Step index reserved for initial-condition draws; simulations are validated
 # to use strictly fewer steps than this.
 INIT_STEP = 0xFFFFFFFE
+
+# Step index of a mixture's component selector, one uniform per particle.  A
+# (d+1)-dimensional draw at INIT_STEP would share words with other particles'
+# d-dimensional component draws, so the selector reads a stream of its own.
+SELECT_STEP = 0xFFFFFFFF
 
 # Replica ids at or above this value are reserved for reference-flow
 # ensembles so their keys never collide with coupled runs.
@@ -51,50 +70,49 @@ TARGET_NAMESPACE = 3 << 48
 
 
 def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def _philox4x32(c0, c1, c2, c3, k0, k1):
-    """Ten Philox rounds on arrays of 32-bit words; returns four such arrays.
-
-    Words ride in uint64 lanes (every value stays below 2^32), so a round is
-    two multiplies, two shifts, two masks and four XORs, with no dtype
-    conversion.  The keys k0, k1 broadcast against the counters, so one call
-    evaluates many streams (one key per replica) at once.
-    """
-    rounds = np.arange(10, dtype=_U64).reshape((10,) + (1,) * np.ndim(k0))
-    rk0 = (np.asarray(k0, dtype=_U64) + rounds * _U64(_W0)) & _MASK32
-    rk1 = (np.asarray(k1, dtype=_U64) + rounds * _U64(_W1)) & _MASK32
-    for r in range(10):
-        p0 = _M0 * c0
-        p1 = _M1 * c2
-        c0, c1, c2, c3 = ((p1 >> _SHIFT32) ^ c1 ^ rk0[r], p1 & _MASK32,
-                          (p0 >> _SHIFT32) ^ c3 ^ rk1[r], p0 & _MASK32)
-    return c0, c1, c2, c3
-
-
-def _to_unit(hi, lo):
-    """Combine two 32-bit words into a 53-bit uniform in (0, 1)."""
-    bits = hi << _SHIFT32
-    bits |= lo
-    bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
-    u += 0.5
+def _to_unit(words):
+    """One 53-bit uniform in (0, 1) per 64-bit word, as a new contiguous array."""
+    u = np.add(words >> np.uint64(11), 0.5)  # exact: the 53-bit integers convert exactly
     u *= 2.0 ** -53
     return u
+
+
+def _box_muller(words):
+    """Word pair p -> values 2p (r cos theta) and 2p+1 (r sin theta); words has even length.
+
+    Every transcendental runs on a contiguous array, so a value's bits do not
+    depend on the shape or the strides of the call it came from.
+    """
+    radius = _to_unit(words[..., 0::2])
+    angle = _to_unit(words[..., 1::2])
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    cos = np.cos(angle)
+    cos *= radius
+    np.sin(angle, out=angle)
+    angle *= radius
+    z = np.empty(words.shape)
+    z[..., 0::2] = cos
+    z[..., 1::2] = angle
+    return z
 
 
 class NoiseGrid:
     """Deterministic N(0, dt) increments keyed by (seed, replica, particle, step, coordinate).
 
-    The (seed, replica) pair selects the Philox key; (particle, step,
-    coordinate-block, channel) fills the 128-bit counter.  Channel 0 carries
-    Gaussian draws, channel 1 uniform draws, so initial-condition sampling
-    never reuses increment keys.
+    The (seed, replica) pair selects the Philox key; (step, channel) select
+    the stream, and (particle, coordinate) the value in it (see the module
+    docstring).  Channel 0 carries Gaussian draws, channel 1 uniform draws, so
+    initial-condition sampling never reuses increment values.
 
     `replica_id` is an integer or a 1-D integer array.  With an array of R
     ids every draw gains a leading replica axis, shape (R, n, dim), and row r
@@ -114,60 +132,80 @@ class NoiseGrid:
         self.replica_id = int(ids) if ids.ndim == 0 else ids.astype(np.int64)
         self.dt = float(dt)
         base = _splitmix64(self.seed)
-        keys = np.array([_splitmix64(base ^ ((int(r) * 0xA24BAED4963EE407) & 0xFFFFFFFFFFFFFFFF))
-                         for r in ids.ravel()], dtype=_U64)
-        # one key per replica, shaped to broadcast against (particle, block) counters
-        keys = keys.reshape(ids.shape + (1, 1)) if ids.ndim else keys[0]
-        self._k0 = keys & _MASK32
-        self._k1 = keys >> _SHIFT32
+        keys = [_splitmix64(base ^ ((int(r) * 0xA24BAED4963EE407) & _MASK64))
+                for r in ids.ravel()]
+        # One bit generator, and one state per replica key that a draw points
+        # at a counter and assigns: building a Philox costs ~40 state sets,
+        # and a state of plain lists sets twice as fast as one of arrays.
+        self._bitgen = np.random.Philox(key=[keys[0], 0])
+        self._states = [{"bit_generator": "Philox", "state": {"counter": None, "key": [k, 0]},
+                         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+                         "uinteger": 0} for k in keys]
 
     @property
     def batch_shape(self) -> tuple:
         """() for a single replica, (R,) for a vector of R replica ids."""
         return np.shape(self.replica_id)
 
-    def _raw_pairs(self, particles, step: int, n_pairs: int, channel: int):
-        """Two uniforms in (0,1) per (particle, block) key: two arrays, batch + (n, n_pairs)."""
+    def _draw(self, particles, step: int, dim: int, channel: int, transform):
+        """Values [dim*i, dim*(i+1)) of the (step, channel) stream for each particle i.
+
+        `transform` maps a replica-by-word array to values at the same
+        positions.  Word ranges start and end on even words, so a normal
+        draw reads whole word pairs.
+        """
+        if np.isscalar(particles):
+            particles = np.arange(int(particles))
         particles = np.asarray(particles, dtype=np.int64)
-        if np.any(particles < 0) or np.any(particles >= 2 ** 32):
-            raise ValueError("particle indices must fit in uint32")
         if not 0 <= step < 2 ** 32:
             raise ValueError("step index must fit in uint32")
-        n = particles.shape[0]
-        blocks = np.arange(n_pairs, dtype=_U64)
-        c0 = np.broadcast_to(particles.astype(_U64)[:, None], (n, n_pairs))
-        c1 = np.full((n, n_pairs), _U64(step))
-        c2 = np.broadcast_to(blocks[None, :], (n, n_pairs))
-        c3 = np.full((n, n_pairs), _U64(channel))
-        r0, r1, r2, r3 = _philox4x32(c0, c1, c2, c3, self._k0, self._k1)
-        return _to_unit(r0, r1), _to_unit(r2, r3)
+        n = len(particles)
+        if n == 0:
+            return np.empty(self.batch_shape + (0, dim))
+        if particles.min() < 0 or particles.max() >= 2 ** 32:
+            raise ValueError("particle indices must fit in uint32")
+        if (particles[1:] - particles[:-1] == 1).all():
+            firsts, ends = [int(particles[0])], [int(particles[-1]) + 1]
+        else:  # split the sorted, distinct particles into contiguous runs
+            uniq, inverse = np.unique(particles, return_inverse=True)
+            cut = np.flatnonzero(np.diff(uniq) != 1) + 1
+            firsts = uniq[np.r_[0, cut]].tolist()
+            ends = (uniq[np.r_[cut, len(uniq)] - 1] + 1).tolist()
+        starts = [dim * a // 2 * 2 for a in firsts]
+        stops = [-(-dim * b // 2) * 2 for b in ends]
+        offsets = list(itertools.accumulate((w1 - w0 for w0, w1 in zip(starts, stops)),
+                                            initial=0))
+        # numpy steps the counter before it generates, so counter (w0 div 4,
+        # step, channel, 0) yields the block that holds stream word w0 first
+        runs = [([w0 // 4, step, channel, 0], w0 % 4, w1 - w0) for w0, w1 in zip(starts, stops)]
+        gen = self._bitgen
+        chunks = []
+        for state in self._states:
+            for counter, skip, count in runs:
+                state["state"]["counter"] = counter
+                gen.state = state
+                chunk = gen.random_raw(skip + count)
+                chunks.append(chunk[skip:] if skip else chunk)
+        values = transform(np.concatenate(chunks).reshape(len(self._states), -1))
+
+        # a C-contiguous result: numpy may round a reduction over another
+        # layout differently, and a replica's bits must not depend on the batch
+        if len(starts) == 1:
+            head = dim * firsts[0] - starts[0]
+            out = np.ascontiguousarray(values[:, head:head + n * dim]).reshape(-1, n, dim)
+        else:
+            base = np.repeat(np.subtract(offsets[:-1], starts), np.subtract(ends, firsts))
+            first_value = base + dim * uniq
+            out = np.take(values, first_value[inverse][:, None] + np.arange(dim), axis=1)
+        return out if self.batch_shape else out[0]
 
     def normals(self, particles, step: int, dim: int) -> np.ndarray:
         """Standard normal draws, shape batch + (len(particles), dim), via Box-Muller."""
-        if np.isscalar(particles):
-            particles = np.arange(int(particles))
-        n_pairs = (dim + 1) // 2
-        radius, angle = self._raw_pairs(particles, step, n_pairs, channel=0)
-        np.log(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        angle *= 2.0 * np.pi
-        if dim == 1:
-            np.cos(angle, out=angle)
-            angle *= radius
-            return angle
-        z = np.empty(radius.shape[:-1] + (2 * n_pairs,))
-        z[..., 0::2] = radius * np.cos(angle)
-        z[..., 1::2] = radius * np.sin(angle)
-        return z[..., :dim]
+        return self._draw(particles, step, dim, _NORMALS, _box_muller)
 
     def uniforms(self, particles, step: int, dim: int) -> np.ndarray:
         """Uniform(0,1) draws, shape batch + (len(particles), dim)."""
-        if np.isscalar(particles):
-            particles = np.arange(int(particles))
-        n_pairs = (dim + 1) // 2
-        u = np.stack(self._raw_pairs(particles, step, n_pairs, channel=1), axis=-1)
-        return u.reshape(u.shape[:-2] + (2 * n_pairs,))[..., :dim]
+        return self._draw(particles, step, dim, _UNIFORMS, _to_unit)
 
     def increments(self, particles, step: int, dim: int) -> np.ndarray:
         """Brownian increments N(0, dt), shape batch + (len(particles), dim)."""

@@ -2,7 +2,9 @@
 
 Every run leaves a JSONL manifest alongside its CSV tables and SVG plots;
 re-running from the manifest's embedded config reproduces the numeric
-outputs byte for byte.
+outputs byte for byte.  The manifest names the noise stream the run drew
+from, and a manifest of any other stream is refused, since its config would
+rerun to other bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, parse_config, serialize_config
+from .config import RunConfig, observable_errors, parse_config, serialize_config
 from .engine import SimConfig
 from .errors import DivergenceError, ValidationError
 from .experiments import (chaos_rate_experiment, empirical_measure_deviation,
@@ -27,7 +29,7 @@ from .models import (InitialLaw, ModelSpec, Observable, granular_media_model,
                      linear_test_model, power_potential, quadratic_potential,
                      vlasov_fokker_planck_model, zero_potential)
 from .plots import emit_plot
-from .rng import TARGET_NAMESPACE, NoiseGrid
+from .rng import STREAM, TARGET_NAMESPACE, NoiseGrid
 
 __all__ = ["RunManifest", "build_model", "run", "replot"]
 
@@ -42,12 +44,14 @@ class RunManifest:
     complete: bool
     files: dict  # path -> sha256 (or None for the manifest itself)
     error: Optional[dict] = None  # why an incomplete run stopped
+    noise: Optional[str] = STREAM  # the noise stream's name; None if the manifest has none
 
     def to_jsonl(self) -> str:
         buf = io.StringIO()
         head = {"kind": "run", "version": self.version, "seed": self.seed,
                 "started": self.started, "finished": self.finished,
-                "complete": self.complete, "config_text": self.config_text}
+                "complete": self.complete, "noise": self.noise,
+                "config_text": self.config_text}
         buf.write(json.dumps(head, sort_keys=True) + "\n")
         for path in sorted(self.files):
             buf.write(json.dumps({"kind": "artifact", "path": path,
@@ -66,7 +70,7 @@ class RunManifest:
         return cls(config_text=head["config_text"], seed=head["seed"],
                    version=head["version"], started=head["started"],
                    finished=head["finished"], complete=head["complete"], files=files,
-                   error=error)
+                   error=error, noise=head.get("noise"))
 
 
 def build_model(cfg: RunConfig) -> ModelSpec:
@@ -119,13 +123,14 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _observable(name: str, dim: int) -> Observable:
-    """The observable of a validated name: 'norm', or coordinate k of 'x<k>' ('x' is x0)."""
+    """The observable 'norm', or coordinate k of 'x<k>' ('x' is x0), of a dim-coordinate state."""
+    errors = observable_errors(name, dim)
+    if errors:
+        raise ValidationError(errors[0])
     if name == "norm":
         return Observable(eval=lambda x: np.linalg.norm(np.asarray(x), axis=-1),
                           lipschitz_constant=1.0, name="norm")
     c = int(name[1:] or 0)
-    if c >= dim:
-        raise ValidationError(f"observable {name!r} out of range for dimension {dim}")
     return Observable(eval=lambda x, c=c: np.asarray(x)[..., c], lipschitz_constant=1.0,
                       name=name)
 
@@ -282,10 +287,19 @@ def replot(table_path: str, kind: str) -> str:
 
 
 def load_config_or_manifest(path: str) -> RunConfig:
-    """Accept either a config file or a manifest.jsonl with an embedded config."""
+    """Accept either a config file or a manifest.jsonl with an embedded config.
+
+    A manifest must name the noise stream this version draws from.
+    """
     with open(path) as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return parse_config(RunManifest.from_jsonl(text).config_text)
+        manifest = RunManifest.from_jsonl(text)
+        if manifest.noise != STREAM:
+            found = "names no noise stream" if manifest.noise is None \
+                else f"was drawn from noise stream {manifest.noise!r}"
+            raise ValidationError(f"{path}: the run {found}, and this version draws from "
+                                  f"{STREAM!r}, so its config would not rerun to the same bytes")
+        return parse_config(manifest.config_text)
     return parse_config(text)

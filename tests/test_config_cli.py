@@ -257,6 +257,38 @@ def test_manifest_rerun_reproduces_results(tmp_path):
     assert _sha_files(out1, names) == _sha_files(out2, names)
 
 
+def test_cli_reruns_a_manifest_byte_for_byte(tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_text(DEVIATION_CFG.format(out=str(tmp_path / "one")))
+    assert main(["run", str(p)]) == EXIT_OK
+    manifest = tmp_path / "one" / "manifest.jsonl"
+    head = json.loads(manifest.read_text().splitlines()[0])
+    assert head["kind"] == "run" and head["noise"] == "philox4x64-v2"
+    assert main(["run", str(manifest), "--output-dir", str(tmp_path / "two")]) == EXIT_OK
+    names = ["deviation_table.csv", "deviation_summary.csv"]
+    assert _sha_files(str(tmp_path / "one"), names) == _sha_files(str(tmp_path / "two"), names)
+
+
+@pytest.mark.parametrize("noise", ["philox4x32-v1", None], ids=["other-stream", "no-stream"])
+def test_cli_refuses_a_manifest_of_another_noise_stream(noise, tmp_path, capsys):
+    run(parse_config(DEVIATION_CFG.format(out=str(tmp_path / "one"))))
+    lines = (tmp_path / "one" / "manifest.jsonl").read_text().splitlines()
+    head = json.loads(lines[0])
+    if noise is None:
+        del head["noise"]
+    else:
+        head["noise"] = noise
+    old = tmp_path / "old.jsonl"
+    old.write_text("\n".join([json.dumps(head, sort_keys=True)] + lines[1:]) + "\n")
+    for argv in (["run", str(old), "--output-dir", str(tmp_path / "two")],
+                 ["validate", str(old)]):
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "philox4x64-v2" in err and "would not rerun to the same bytes" in err
+        assert ("names no noise stream" in err) is (noise is None)
+    assert not (tmp_path / "two").exists()
+
+
 def test_seed_override_changes_results(tmp_path):
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     run(parse_config(DEVIATION_CFG.format(out=out1)))
@@ -415,6 +447,25 @@ def test_cli_validate_checks_the_observable_name(name, valid, tmp_path, capsys):
                  .replace("observable = x0", f"observable = {name}"))
     assert main(["validate", str(p)]) == (EXIT_OK if valid else EXIT_VALIDATION)
     assert ("[experiment] observable" in capsys.readouterr().err) is not valid
+
+
+@pytest.mark.parametrize("family, dim, name, valid", [
+    ("linear", 2, "x1", True), ("linear", 2, "x2", False), ("linear", 2, "x5", False),
+    ("kinetic", 1, "x1", True), ("kinetic", 1, "x2", False),  # (position, velocity)
+    ("kinetic", 2, "x3", True), ("kinetic", 2, "x4", False),
+])
+def test_cli_checks_the_observable_coordinate_against_the_state(family, dim, name, valid,
+                                                                 tmp_path, capsys):
+    p = tmp_path / "obs.cfg"
+    out = tmp_path / "out"
+    p.write_text(DEVIATION_CFG.format(out=str(out))
+                 .replace("family = linear", f"family = {family}\ndim = {dim}")
+                 .replace("observable = x0", f"observable = {name}"))
+    assert main(["validate", str(p)]) == (EXIT_OK if valid else EXIT_VALIDATION)
+    assert main(["run", str(p)]) == (EXIT_OK if valid else EXIT_VALIDATION)
+    err = capsys.readouterr().err
+    assert ("[experiment] observable" in err) is not valid
+    assert (out / "deviation_table.csv").exists() is valid
 
 
 def test_cli_missing_file_is_io_error(tmp_path, capsys):

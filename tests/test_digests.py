@@ -155,33 +155,33 @@ plots = false
 
 DIGESTS = {
     "chaos_quadratic": {
-        "rate_fit.csv": "d46cd356d9a9d94c899babb685c1070c0f5064ae7e4ade7e8c2522cfd612fdf1",
-        "rate_fit_summary.csv": "057552a36c5b1441fcbbd99c1b6b9b16fcb2eb684e7cb13d4486d99ff3a43b45",
+        "rate_fit.csv": "6583e55c3b4d67061b4be1a89c953440c8975efb23e2ae9496be2f1b52fb7f6b",
+        "rate_fit_summary.csv": "059b45763a872def118eaf2b3c703258f40519e4dc762a2bbe80273fe0f387e0",
     },
     "chaos_cubic_tamed": {
-        "rate_fit.csv": "80e2d4598d7957e98bc75dadddfcc23c252b0bc833fea2931971654994871368",
-        "rate_fit_summary.csv": "9c744319e8a7b0ad4473bf2d256de47b055142cde1ca7f9f076a353a4597a60b",
+        "rate_fit.csv": "c6c7fd66bae37619e43369a43a6ec3e1caa8a3143cd74f32a71227e4b88d9479",
+        "rate_fit_summary.csv": "0d30f0f2818d74956517962f569535d45976f211dfd928207efca2871e1029cc",
     },
     "chaos_cubic_2d_tamed": {
-        "rate_fit.csv": "19b7ca56cb6a48f5897e94c8afd623ecf8ae9c77d1ba9d0e6052970acc608fec",
-        "rate_fit_summary.csv": "9cc9ae9003383707ace374757efa3bcb62604f15bc30239031272dbcf036389d",
+        "rate_fit.csv": "4077b0672628db593f18a8d7cc1bbb7d490497233d2d7a1cd737febb61efb819",
+        "rate_fit_summary.csv": "cc151165b36cb92da937c78b874944e54d04c35f809f44fea02c589550f56147",
     },
     "chaos_kinetic_grid": {
-        "rate_fit.csv": "348cfd635d5cd6ceff65d88df3c8cf7bb1866c385a25f646af8499800e399f82",
-        "rate_fit_summary.csv": "be697dbbfc6d78183d1596182123548297e394acf7b6228efe8b43e49229bb9b",
+        "rate_fit.csv": "3d46743a85b9b3abd9bffe43ced7c21cef0fa1366d73c6533c4a8bf9675d3af2",
+        "rate_fit_summary.csv": "06cb902d03cc07156f34a6849a1995623d3e1d03066b1cbafd7df8094409934b",
     },
     "observable_kinetic_norm": {
-        "deviation_summary.csv": "11c57fe4143a60b76723aef4ec87fb0bc72b02bb8ea48a6f62ddb8ad0f5431ff",
-        "deviation_table.csv": "a50bd55dffb16d79cbf2005d9bd2b32caed84df0f53192b75e7b7fc605fc2955",
+        "deviation_summary.csv": "35c751451c117f9a2c0a0941633697769dc256b0bcef10505dce9573d6377add",
+        "deviation_table.csv": "4802e060506ff258f76bc8d0855aa605bce6924f9eff50fa024ad4af8fbd6f21",
     },
     "empirical_sup_stride2": {
-        "deviation_summary.csv": "64e3cfcd3a5efea30e1bf9808f89cf9a28cb0fa04b1f3e01e9665ab83817d9f2",
-        "deviation_table.csv": "12c3475b237bf854f0174e71a127062d4b77e967a96ec52e2135fe0fe0509b67",
+        "deviation_summary.csv": "5ddfa2617f745501f9e5fd0ecf0968bb11ffcff4de2dc3ea8fd5b5feab8f861f",
+        "deviation_table.csv": "8e05b61bfe3332936a944839f4ba1b1ea15bde21441c490405c9abeed29326ad",
     },
     "equilibrium_2d_gaps": {
-        "equilibrium_curve.csv": "b7002559ce226cd77ff6e306c0d5c1accb0225bcb6c7d5e060f9f4b8167a3757",
-        "equilibrium_summary.csv": "53879353882e171fb6e978ac762e2b543b57d95f618d82d37823442eb9a667c3",
-        "gap_uniformity.csv": "bfa8c394c8a8d14ffdfd01a5766b1e63ac11e7a000e173322f4ea52e55bd1b4f",
+        "equilibrium_curve.csv": "52f6185ef5888c5cfb05c751ca3b9b9a04eb1cb80b24f5087fbb9dad4f1a6c89",
+        "equilibrium_summary.csv": "0f98dbcabf1b627356f8435ec697213815a71d6b2f84ae9fe287169194972b23",
+        "gap_uniformity.csv": "f57b292bbbc80ac33ec4930e6d7de8b589bc43756976b2c72d1730f8748d11cb",
     },
 }
 

@@ -183,18 +183,39 @@ def test_divergence_error_reports_caller_label():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_batched_divergence_names_the_replica_of_the_per_replica_run():
-    # a law-free kernel that blows up every particle that wanders above 2
-    m = ModelSpec(
-        drift=DriftKernel(dim=1, eval=lambda x, y: np.where(x >= 2.0, np.inf, 0.0),
-                          mean_field=lambda x, points, weights: np.where(x >= 2.0, np.inf, 0.0)),
+def _blows_up_above(threshold):
+    """A law-free kernel that blows up every particle at or above the threshold."""
+    def blow_up(x, *_):
+        return np.where(x >= threshold, np.inf, 0.0)
+
+    return ModelSpec(
+        drift=DriftKernel(dim=1, eval=blow_up, mean_field=blow_up),
         diffusion=DiffusionSpec.isotropic(1),
         initial_law=InitialLaw.gaussian(np.zeros(1), np.eye(1)),
-        name="blows-up-above-2",
+        name=f"blows-up-above-{threshold}",
     )
+
+
+def test_batched_divergence_names_the_replica_of_the_per_replica_run():
     cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=4, seed=71)
     labels = np.array([30, 10, 20, 0])
     ids = np.array([105, 101, 108, 102, 104])
+    # The scenario is read off the draws: below the threshold the drift is 0,
+    # so each replica follows its calm path until the step at which one of
+    # its particles first reaches the threshold.  Take the highest threshold
+    # that every replica reaches and that a replica other than the batch's
+    # first reaches first.
+    calm = simulate_particle_system(_blows_up_above(np.inf), cfg,
+                                    noise=NoiseGrid(cfg.seed, ids, cfg.dt),
+                                    particle_indices=labels)
+    highs = calm.states[:, :-1, :, 0].max(axis=-1)  # (replica, step): drift is read there
+
+    def first_to_cross(t):
+        return min((int(np.argmax(h >= t)), pos) for pos, h in enumerate(highs))
+
+    reached = np.unique(highs[highs <= highs.max(axis=1).min()])
+    threshold = max(t for t in reached if first_to_cross(t)[1] > 0)
+    m = _blows_up_above(threshold)
     alone = []
     for pos, rid in enumerate(ids):
         with pytest.raises(DivergenceError) as exc:
@@ -210,10 +231,10 @@ def test_batched_divergence_names_the_replica_of_the_per_replica_run():
     assert (exc.value.replica, exc.value.step, exc.value.particle) == (ids[pos], step, particle)
     assert f"replica {ids[pos]}, step {step}, particle {particle}" in str(exc.value)
 
-    # every particle of every replica starts above 2, so all diverge at step 0:
-    # the batch names the first replica and, like the per-replica run, the
-    # first particle in key order
-    m = replace(m, initial_law=InitialLaw.point([3.0]))
+    # every particle of every replica starts above the threshold, so all
+    # diverge at step 0: the batch names the first replica and, like the
+    # per-replica run, the first particle in key order
+    m = replace(m, initial_law=InitialLaw.point([threshold + 1.0]))
     errs = []
     for noise in (NoiseGrid(cfg.seed, ids, cfg.dt), NoiseGrid(cfg.seed, int(ids[0]), cfg.dt)):
         with pytest.raises(DivergenceError) as exc:

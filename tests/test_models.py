@@ -434,6 +434,32 @@ def test_mixture_selector_honors_weights():
     assert np.mean(s > 0) == pytest.approx(0.75, abs=0.01)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mixture_selector_shares_no_draw_with_its_components(d):
+    # A d-dimensional draw gives particle i the values [d*i, d*(i+1)) of the
+    # (step, channel) stream, so draws of different widths at one step share
+    # values across particles.  Any two draws a mixture makes must read the
+    # same values or disjoint ones.
+    reads = []
+
+    class Spy(NoiseGrid):
+        def normals(self, particles, step, dim):
+            reads.append({(0, step, dim * i + c) for i in particles for c in range(dim)})
+            return super().normals(particles, step, dim)
+
+        def uniforms(self, particles, step, dim):
+            reads.append({(1, step, dim * i + c) for i in particles for c in range(dim)})
+            return super().uniforms(particles, step, dim)
+
+    law = InitialLaw.mixture([InitialLaw.uniform_box(np.zeros(d), np.ones(d)),
+                              InitialLaw.gaussian(np.zeros(d), np.eye(d))], [0.4, 0.6])
+    law.sample(Spy(seed=5, replica_id=0), np.arange(64))
+    assert len(reads) == 3
+    for a in reads:
+        for b in reads:
+            assert a == b or not a & b
+
+
 def test_observable_lipschitz_sample_check():
     obs = Observable(eval=lambda x: np.sin(np.asarray(x)[..., 0]), lipschitz_constant=1.0)
     rng = np.random.default_rng(2)

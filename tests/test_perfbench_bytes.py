@@ -5,8 +5,10 @@ each workload listed in BENCHMARK.json is run once at seed 7 through
 `runner.run`, as the benchmark's child process runs it, and the sha256 over
 its CSVs is compared with the value pinned here.  `perfbench/workloads.py`
 is loaded by path and only read.  The pins are literals because
-`perfbench/digests.json` still holds the `chaos_cubic` digest from before the
-prefix-moment cubic drift.
+`perfbench/digests.json` pins neither workload: it still holds digests drawn
+from the noise stream before `philox4x64-v2`, so the benchmark's
+`digest_match` reads 0 on both workloads until a change to the benchmark
+alone re-records them.
 """
 
 import importlib.util
@@ -22,8 +24,8 @@ WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 
 SEED = 7
 DIGESTS = {
-    "chaos_quadratic": "3de15ac9a031d6da437f9712c50f3a4a174ced12e42b8f023fa23ad201215794",
-    "chaos_cubic": "b4ab966bcd8640abe496a452943324e349478848872fc49d7a0c4c080d72da2d",
+    "chaos_quadratic": "c126a0eb4347027ccb4d1012591155106e5187759909677d43851ed67eb2ebbb",
+    "chaos_cubic": "b8fb59fe3f866bd060f4ea3a3743d4b9585a1cda5bb46fd9a40437f39d8f4774",
 }
 
 

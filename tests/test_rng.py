@@ -1,3 +1,6 @@
+import functools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from meanfieldlab.rng import (BURN_IN_NAMESPACE, INIT_STEP, REFERENCE_NAMESPACE,
-                              TARGET_NAMESPACE, NoiseGrid, _philox4x32)
+                              TARGET_NAMESPACE, NoiseGrid, _splitmix64)
 
 
 def test_same_key_same_value():
@@ -142,61 +145,73 @@ def test_noise_namespaces_are_disjoint():
 
 
 # ---------------------------------------------------------------------------
-# oracle: the interleaved uniform pairs and two-half Box-Muller that the
-# cosine-only transform replaced, kept literally
+# oracle: a pure-Python Philox4x64-10 read in the flat stream layout, with
+# uniforms and Box-Muller on top
 
 
-def _oracle_raw_pairs(grid, particles, step, n_pairs, channel):
-    particles = np.asarray(particles, dtype=np.int64)
-    n = particles.shape[0]
-    blocks = np.arange(n_pairs, dtype=np.uint64)
-    c0 = np.broadcast_to(particles.astype(np.uint64)[:, None], (n, n_pairs))
-    c1 = np.full((n, n_pairs), np.uint64(step))
-    c2 = np.broadcast_to(blocks[None, :], (n, n_pairs))
-    c3 = np.full((n, n_pairs), np.uint64(channel))
-    r0, r1, r2, r3 = _philox4x32(c0, c1, c2, c3, grid._k0, grid._k1)
-
-    def to_unit(hi, lo):
-        bits = (hi << np.uint64(32)) | lo
-        return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-
-    u = np.empty(grid.batch_shape + (n, n_pairs, 2))
-    u[..., 0] = to_unit(r0, r1)
-    u[..., 1] = to_unit(r2, r3)
-    return u
+_MASK = 2 ** 64 - 1
 
 
-def _oracle_draw(grid, draw, particles, step, dim):
-    n_pairs = (dim + 1) // 2
+@functools.lru_cache(maxsize=None)
+def _philox4x64(counter, key):
+    (c0, c1, c2, c3), (k0, k1) = counter, key
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK, (k1 + 0xBB67AE8584CAA73B) & _MASK
+    return c0, c1, c2, c3
+
+
+def _stream_unit(key, step, channel, w):
+    """Word w of the (key, step, channel) stream as a uniform: block w div 4 + 1."""
+    word = _philox4x64((w // 4 + 1, step, channel, 0), (key, 0))[w % 4]
+    return ((word >> 11) + 0.5) * 2.0 ** -53
+
+
+def _oracle_draw(seed, replica, dt, draw, particles, step, dim):
+    key = _splitmix64(_splitmix64(seed) ^ ((replica * 0xA24BAED4963EE407) & _MASK))
+    values = np.array([v for i in particles for v in range(dim * i, dim * (i + 1))])
     if draw == "uniforms":
-        u = _oracle_raw_pairs(grid, particles, step, n_pairs, channel=1)
-        return u.reshape(u.shape[:-2] + (2 * n_pairs,))[..., :dim]
-    u = _oracle_raw_pairs(grid, particles, step, n_pairs, channel=0)
-    radius = np.sqrt(-2.0 * np.log(u[..., 0]))
-    angle = 2.0 * np.pi * u[..., 1]
-    z = np.empty(u.shape[:-2] + (2 * n_pairs,))
-    z[..., 0::2] = radius * np.cos(angle)
-    z[..., 1::2] = radius * np.sin(angle)
-    z = z[..., :dim]
-    return z * np.sqrt(grid.dt) if draw == "increments" else z
+        u = np.array([_stream_unit(key, step, 1, v) for v in values.tolist()])
+        return u.reshape(len(particles), dim)
+    u = np.array([_stream_unit(key, step, 0, v - v % 2) for v in values.tolist()])
+    a = np.array([_stream_unit(key, step, 0, v - v % 2 + 1) for v in values.tolist()])
+    radius = np.sqrt(-2.0 * np.log(u))
+    angle = 2.0 * np.pi * a
+    z = np.where(values % 2 == 0, radius * np.cos(angle), radius * np.sin(angle))
+    z = z.reshape(len(particles), dim)
+    return z * np.sqrt(dt) if draw == "increments" else z
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+PARTICLE_SETS = [
+    [4, 5, 6, 7, 8, 9, 10],              # a run from an even particle
+    [3, 4, 5, 6, 7],                     # a run from an odd particle
+    [7],
+    [21, 0, 1, 2, 9, 8, 2 ** 32 - 1, 5],  # unsorted, in four runs
+]
+
+
 @pytest.mark.parametrize("draw", ["normals", "uniforms", "increments"])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("ids", [7, np.array([9, 2, REFERENCE_NAMESPACE + 3, 0])],
-                         ids=["scalar", "batched"])
-def test_draws_equal_the_two_half_box_muller_oracle(draw, dim, ids):
-    particles = np.array([5, 0, 17, 3, 1000, 2 ** 32 - 1])
-    grid = NoiseGrid(2024, ids, dt=0.03)
-    for step in (0, 11, INIT_STEP):
-        got = getattr(grid, draw)(particles, step, dim)
-        want = _oracle_draw(grid, draw, particles, step, dim)
-        assert got.shape == want.shape == grid.batch_shape + (len(particles), dim)
-        assert np.array_equal(_bits(got), _bits(want))
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+def test_draws_equal_the_two_half_box_muller_oracle(draw, dim, batched):
+    rand = random.Random(f"{draw}-{dim}-{batched}")
+    seed = rand.getrandbits(64)
+    ids = [rand.getrandbits(48) for _ in range(3)] + [REFERENCE_NAMESPACE + 3] if batched \
+        else rand.getrandbits(48)
+    grid = NoiseGrid(seed, np.array(ids) if batched else ids, dt=0.03)
+    for step in (0, rand.randrange(INIT_STEP), INIT_STEP):
+        for particles in PARTICLE_SETS:
+            got = getattr(grid, draw)(np.array(particles), step, dim)
+            want = np.array([_oracle_draw(seed, int(rid), 0.03, draw, particles, step, dim)
+                             for rid in np.atleast_1d(ids)])
+            want = want if batched else want[0]
+            assert got.shape == want.shape == grid.batch_shape + (len(particles), dim)
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 @settings(max_examples=40, deadline=None)
