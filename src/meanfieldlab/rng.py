@@ -164,7 +164,8 @@ class NoiseGrid:
             return np.empty(self.batch_shape + (0, dim))
         if particles.min() < 0 or particles.max() >= 2 ** 32:
             raise ValueError("particle indices must fit in uint32")
-        if (particles[1:] - particles[:-1] == 1).all():
+        ascending = bool((particles[1:] - particles[:-1] == 1).all())
+        if ascending:
             firsts, ends = [int(particles[0])], [int(particles[-1]) + 1]
         else:  # split the sorted, distinct particles into contiguous runs
             uniq, inverse = np.unique(particles, return_inverse=True)
@@ -190,7 +191,7 @@ class NoiseGrid:
 
         # a C-contiguous result: numpy may round a reduction over another
         # layout differently, and a replica's bits must not depend on the batch
-        if len(starts) == 1:
+        if ascending:
             head = dim * firsts[0] - starts[0]
             out = np.ascontiguousarray(values[:, head:head + n * dim]).reshape(-1, n, dim)
         else:

@@ -191,6 +191,7 @@ PARTICLE_SETS = [
     [4, 5, 6, 7, 8, 9, 10],              # a run from an even particle
     [3, 4, 5, 6, 7],                     # a run from an odd particle
     [7],
+    [6, 5, 4, 3],                        # one contiguous run, in descending order
     [21, 0, 1, 2, 9, 8, 2 ** 32 - 1, 5],  # unsorted, in four runs
 ]
 
