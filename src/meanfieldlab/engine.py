@@ -116,11 +116,14 @@ class TrajectoryEnsemble:
 class CoupledEnsemble:
     """Synchronously coupled particle system and nonlinear processes.
 
-    Batched runs carry a leading replica axis R on every field but times.
+    The gap is recorded on the snapshot grid of the run's snapshot_stride
+    (step 0, every stride-th step and the last), the steps a
+    TrajectoryEnsemble records; stride 1 gives every step.  Batched runs
+    carry a leading replica axis R on every field but times.
     """
 
-    times: np.ndarray               # (n_steps + 1,)
-    mean_square_gap: np.ndarray     # (n_steps + 1,), (1/N) sum_i |X_i - Xbar_i|^2
+    times: np.ndarray               # (n_rec,), the recorded times
+    mean_square_gap: np.ndarray     # (n_rec,), (1/N) sum_i |X_i - Xbar_i|^2 at those times
     terminal_particles: np.ndarray  # (N, d)
     terminal_nonlinear: np.ndarray  # (N, d)
 
@@ -148,8 +151,8 @@ def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float,
     if taming:
         drift = _tame(drift, dt, taming_exponent)
     out = X + diffusion.apply(dW) - drift * dt
-    bad = ~np.all(np.isfinite(out), axis=-1)
-    if np.any(bad):
+    if not np.isfinite(out).all():
+        bad = ~np.all(np.isfinite(out), axis=-1)
         first = np.argwhere(np.atleast_1d(bad))[0]
         row = int(first[-1])
         raise DivergenceError(step=step, particle=int(labels[row]) if labels is not None else row,
@@ -172,9 +175,13 @@ def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, indices: n
     states with euler_step in list order.  on_step(k + 1, states) sees the new
     states; the terminal states are returned.  A DivergenceError is that of
     the first state in list order to diverge at the earliest step, and names
-    the replica id and particle label of its diverged row.
+    the replica id and particle label of its diverged row.  Each initial
+    state is made C-contiguous once, so every drift sees contiguous states
+    and clouds, as the euler_step results of later steps already are: a
+    closed-form mean may round a strided state differently.
     """
     d = model.dim
+    states = [np.ascontiguousarray(X) for X in states]
     tame = config.taming and model.drift.taming_exponent > 0
     rows = [X.shape[-2] for X in states]
     cloud_sizes = [n if c is None else c.shape[1] for n, c in zip(rows, clouds)]
@@ -264,8 +271,12 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemb
     The particle system sees its own empirical measure; the nonlinear
     processes see the frozen reference flow, a run recorded at every step
     (see build_reference_flow).  Both start from the same initial samples,
-    so the per-time mean-square gap is the Theorem's left-hand side.  A batched noise grid couples one system per replica
-    against the one shared flow.  Returns one CoupledEnsemble.
+    so the per-time mean-square gap is the Theorem's left-hand side.  It is
+    recorded only at the snapshot steps of config.snapshot_stride (every
+    step at stride 1), each value the same bits as in the stride-1 trace;
+    the states are stepped alike at any stride.  A batched noise grid
+    couples one system per replica against the one shared flow.  Returns
+    one CoupledEnsemble.
 
     With n_grid, one step loop couples a particle system of every size N in
     n_grid (config.n_particles is not read) and returns a list of one
@@ -293,18 +304,23 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemb
     home = [bars.index(1 if n == 1 else top) for n in sizes]
     indices = np.arange(top)
     bar0 = [model.initial_law.sample(noise, indices[:b]) for b in bars]
-    gaps = np.zeros((len(sizes),) + noise.batch_shape + (n_steps + 1,))
+    recs = _record_steps(n_steps, config.snapshot_stride)
+    rec_pos = {int(k): r for r, k in enumerate(recs)}
+    # both sides start from the same samples, so the step-0 gap is 0
+    gaps = np.zeros((len(sizes),) + noise.batch_shape + (len(recs),))
 
     def record(k, Xs):
+        r = rec_pos.get(k)
+        if r is None:
+            return
         for gap, X, n, h in zip(gaps, Xs, sizes, home):
             diff = X - Xs[len(sizes) + h][..., :n, :]
-            gap[..., k] = np.mean(np.einsum("...id,...id->...i", diff, diff), axis=-1)
+            gap[..., r] = np.mean(np.einsum("...id,...id->...i", diff, diff), axis=-1)
 
     final = _integrate(model, config, noise, indices,
                        [bar0[h][..., :n, :] for n, h in zip(sizes, home)] + bar0,
                        [None] * len(sizes) + [flow.states] * len(bars), record)
-    times = np.arange(n_steps + 1) * config.dt
-    runs = [CoupledEnsemble(times=times, mean_square_gap=gap, terminal_particles=X,
+    runs = [CoupledEnsemble(times=recs * config.dt, mean_square_gap=gap, terminal_particles=X,
                             terminal_nonlinear=final[len(sizes) + h][..., :n, :])
             for gap, X, n, h in zip(gaps, final, sizes, home)]
     return runs[0] if n_grid is None else runs

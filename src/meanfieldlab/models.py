@@ -373,6 +373,24 @@ def _count_at_or_below(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return counts[..., m:]
 
 
+def _count_self_at_or_below(y: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """_count_at_or_below(y, x) for the cloud x itself, from y = x sorted by order.
+
+    The points at or below y[i] run to the end of the run of values equal to
+    y[i], so row i of y counts that end's index plus 1, and the counts go back
+    to x's order through order.  Equal means == or both nan, as in the sort,
+    which puts every nan last.
+    """
+    same = (y[..., 1:] == y[..., :-1]) | (np.isnan(y[..., 1:]) & np.isnan(y[..., :-1]))
+    m = y.shape[-1]
+    ends = np.full(y.shape, m, dtype=order.dtype)
+    ends[..., :-1] = np.where(same, m, np.arange(1, m))
+    sorted_counts = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+    counts = np.empty_like(order)
+    np.put_along_axis(counts, order, sorted_counts, axis=-1)
+    return counts
+
+
 def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
     """Exact weighted average of grad W(x - y_j) over j for W(z) = c |z|^p in 1-D.
@@ -410,7 +428,7 @@ def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
         np.cumsum(terms, axis=-2, out=moments[..., 1:, :])
         a = moments[..., -1:, :]
         if p % 2:
-            at = _count_at_or_below(y, x)
+            at = _count_self_at_or_below(y, order) if points is X else _count_at_or_below(y, x)
             if y.ndim > 1:  # row i of cloud r sits at r (m + 1) + i of the stacked rows
                 rows = np.arange(math.prod(y.shape[:-1])).reshape(y.shape[:-1] + (1,))
                 at += rows * moments.shape[-2]

@@ -453,7 +453,7 @@ def test_batched_simulations_equal_per_replica_runs(case):
 
     coupled = simulate_coupled(m, cfg, flow, noise=batch_noise)
     traj = simulate_particle_system(m, cfg, noise=batch_noise, particle_indices=labels)
-    assert coupled.mean_square_gap.shape == (len(ids), cfg.n_steps + 1)
+    assert coupled.mean_square_gap.shape == (len(ids), len(engine._record_steps(cfg.n_steps, 3)))
     assert traj.states.shape == (len(ids), 5, 12, m.dim)
     for r, rid in enumerate(ids):
         noise = NoiseGrid(cfg.seed, int(rid), cfg.dt)
@@ -496,6 +496,56 @@ def test_grid_call_equals_per_size_runs(case, batched):
         assert np.array_equal(res.mean_square_gap, one.mean_square_gap)
         assert np.array_equal(res.terminal_particles, one.terminal_particles)
         assert np.array_equal(res.terminal_nonlinear, one.terminal_nonlinear)
+
+
+@pytest.mark.parametrize("stride", [1, 3, "n_steps"])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_strided_gap_is_the_full_trace_at_the_recorded_steps(case, batched, stride):
+    # a run recorded at a stride steps the same states and records the bits of
+    # the stride-1 trace at its snapshot steps, for one size and for a grid
+    m, taming = GRID_CASES[case]
+    cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=5, seed=83, taming=taming)
+    stride = cfg.n_steps if stride == "n_steps" else stride
+    flow = build_reference_flow(m, 64, cfg)
+    noise = NoiseGrid(cfg.seed, np.array([6, 2, 11]) if batched else 4, cfg.dt)
+    steps = engine._record_steps(cfg.n_steps, stride)
+    for n_grid in (None, [12, 1, 5]):
+        full = simulate_coupled(m, cfg, flow, noise=noise, n_grid=n_grid)
+        part = simulate_coupled(m, replace(cfg, snapshot_stride=stride), flow, noise=noise,
+                                n_grid=n_grid)
+        pairs = [(full, part)] if n_grid is None else zip(full, part)
+        for one, strided in pairs:
+            assert np.array_equal(strided.times, one.times[steps])
+            assert np.array_equal(strided.mean_square_gap, one.mean_square_gap[..., steps])
+            assert np.array_equal(strided.terminal_particles, one.terminal_particles)
+            assert np.array_equal(strided.terminal_nonlinear, one.terminal_nonlinear)
+            assert np.any(one.mean_square_gap[..., -1] > 0)
+
+
+def test_every_drift_call_sees_contiguous_states():
+    # the sizes of a grid start as the first rows of the max-N draw, and a
+    # relabeled system as a permutation of its draw; each reaches the drift
+    # as a C-contiguous state against a C-contiguous cloud
+    calls = []
+
+    def mean_field(X, points, weights):
+        calls.append((X.shape, X.flags.c_contiguous and points.flags.c_contiguous))
+        return X - (weights @ points)[..., None, :]
+
+    m = ModelSpec(drift=DriftKernel(dim=1, eval=lambda x, y: x - y, mean_field=mean_field),
+                  diffusion=DiffusionSpec.isotropic(1),
+                  initial_law=InitialLaw.gaussian(np.zeros(1), np.eye(1)), name="spy")
+    cfg = SimConfig(dt=0.05, t_final=0.2, n_particles=6, seed=97)
+    flow = build_reference_flow(m, 64, cfg)
+    noise = NoiseGrid(cfg.seed, np.array([3, 1, 8]), cfg.dt)
+    calls.clear()
+    simulate_coupled(m, cfg, flow, noise=noise, n_grid=[4, 8, 16])
+    simulate_particle_system(m, cfg, noise=noise, particle_indices=[5, 0, 9, 2, 7, 1])
+    shapes = {shape for shape, _ in calls}
+    assert {(3, 4, 1), (3, 8, 1), (3, 16, 1), (3, 6, 1)} <= shapes
+    assert len(calls) == cfg.n_steps * (3 + 1 + 1)
+    assert all(contiguous for _, contiguous in calls)
 
 
 def _threshold_model(levels):

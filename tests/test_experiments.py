@@ -294,6 +294,57 @@ def test_chaos_rate_draws_replica_noise_once_per_chunk_and_step(monkeypatch):
         assert len(replica_calls) == chunks * (cfg.n_steps + 1)
 
 
+def test_chaos_rate_chunks_count_only_the_terminal_gap(monkeypatch, tmp_path):
+    # the chaos_quadratic benchmark's shape: a replica holds the grid's states
+    # (240 + 128 values) and the gaps at steps 0 and 5 for each N (8), so 200
+    # replicas take 3 chunks of 2^15 // 376 = 87 (83 with a gap per step)
+    grids = []
+    init = NoiseGrid.__init__
+
+    def counting(self, seed, replica_id=0, dt=1.0):
+        init(self, seed, replica_id, dt)
+        if np.all(np.asarray(self.replica_id) < REFERENCE_NAMESPACE):
+            grids.append(np.size(self.replica_id))
+
+    monkeypatch.setattr(NoiseGrid, "__init__", counting)
+    run(parse_config("[model]\nfamily = granular_quadratic\ndim = 1\n"
+                     "[sim]\ndt = 0.1\nt_final = 0.5\nn_grid = 16, 32, 64, 128\n"
+                     "replicas = 200\nseed = 7\n[reference]\nm = 2048\n"
+                     "[experiment]\nkind = chaos_rate\n[output]\nplots = false\n"),
+        output_dir=str(tmp_path))
+    assert grids == [87, 87, 26]
+
+
+def test_equilibrium_gap_chunks_count_recorded_gaps_not_steps(monkeypatch):
+    # gaps read at steps 10 and 20 of 20 are recorded at stride 10, steps 0, 10
+    # and 20: 8 + 8 + 3 values a replica, so a 57-value budget holds 3
+    # replicas (a gap per step, 8 + 8 + 21, would hold 1)
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+    cfg = _cfg(dt=0.05, replica_id=2, snapshot_stride=4)
+    flow = build_reference_flow(m, 128, replace(cfg, t_final=1.0, n_particles=8))
+    widths = []
+    coupled = experiments.simulate_coupled
+
+    def counting(model, config, flow, noise=None, n_grid=None):
+        widths.append(len(noise.replica_id))
+        return coupled(model, config, flow, noise=noise, n_grid=n_grid)
+
+    monkeypatch.setattr(experiments, "simulate_coupled", counting)
+    monkeypatch.setattr(experiments, "_BATCH_VALUES", 57)
+    replicas = 6
+    curve = equilibrium_convergence(
+        m, 8, 1.0, cfg, replicas=replicas, gap_times=[0.5, 1.0], m_reference=128,
+        target_sampler=lambda n, salt: np.random.default_rng(salt).normal(size=(n, 1)))
+    assert widths == [3, 3]
+    # the bits of full traces, run replica by replica, at the gap steps
+    full = np.array([simulate_coupled(m, replace(cfg, t_final=1.0, n_particles=8,
+                                                 snapshot_stride=1, replica_id=2 + r),
+                                      flow).mean_square_gap[[10, 20]]
+                     for r in range(replicas)])
+    assert curve.gap_means == list(full.mean(axis=0))
+    assert curve.gap_stderrs == list(full.std(axis=0, ddof=1) / np.sqrt(replicas))
+
+
 def test_chaos_rate_gap_stderr_is_nan_for_one_replica():
     # one replica leaves no degree of freedom: nan, not an exact-looking 0.0
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)

@@ -305,6 +305,36 @@ def test_prefix_moment_drift_matches_the_pairwise_oracle_on_random_clouds(
         assert np.array_equal(ranks[r], np.searchsorted(ys[r], xs[r], side="right"))
 
 
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_self_interaction_counts_come_from_the_one_sort(p, monkeypatch):
+    # a state against itself counts its points at or below each row from the
+    # runs of equal values of its own sort: the merge's counts, and the
+    # average's bits against a copy of the state, with ties, +-inf and nan
+    rng = np.random.default_rng(29)
+    specials = np.array([-np.inf, np.inf, np.nan, 0.0, -0.0])
+    cases = []
+    for shape in [(1,), (9,), (4, 9), (2, 3, 17)]:
+        for with_specials in (False, True):
+            x = rng.normal(size=shape).round(1)  # ties
+            if with_specials:
+                hit = rng.random(shape) < 0.4
+                x[hit] = rng.choice(specials, size=int(hit.sum()))
+            cases.append(x)
+    merge = models._count_at_or_below
+    for x in cases:
+        order = np.argsort(x, axis=-1, kind="stable")
+        y = np.take_along_axis(x, order, axis=-1)
+        assert np.array_equal(models._count_self_at_or_below(y, order), merge(y, x))
+        X = x[..., None]
+        w = rng.uniform(0.1, 2.0, size=x.shape[-1])
+        w /= w.sum()
+        want = models._power_law_average(p, 0.7, X, X.copy(), w)
+        monkeypatch.setattr(models, "_count_at_or_below", None)  # the merge is not made
+        got = models._power_law_average(p, 0.7, X, X, w)
+        monkeypatch.setattr(models, "_count_at_or_below", merge)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 @pytest.mark.parametrize("dim, pairwise", [(1, False), (2, True)])
 def test_cubic_chaos_run_takes_the_prefix_moment_path_in_1d(dim, pairwise, monkeypatch,
                                                              tmp_path):
