@@ -13,8 +13,9 @@ import re
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Optional
 
-from .engine import equilibrium_time_errors, time_grid_errors
+from .engine import equilibrium_time_errors, reference_size_errors, time_grid_errors
 from .errors import ValidationError
+from .rng import seed_errors
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "observable_errors",
            "EXPERIMENT_KINDS", "MODEL_FAMILIES"]
@@ -176,8 +177,7 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
                 for e in time_grid_errors(cfg.sim.dt, cfg.sim.t_final, cfg.sim.allow_large_dt))
     if cfg.sim.replicas < 1:
         errs.append("[sim] replicas must be >= 1")
-    if cfg.sim.seed < 0 or cfg.sim.seed >= 2 ** 64:
-        errs.append("[sim] seed must be a 64-bit unsigned integer")
+    errs.extend(f"[sim] {e}" for e in seed_errors(cfg.sim.seed))
     if cfg.experiment.kind == "chaos_rate":
         if not cfg.sim.n_grid:
             errs.append("[sim] n_grid is required for the chaos_rate experiment")
@@ -189,6 +189,8 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
     if cfg.experiment.kind in ("observable_deviation", "empirical_deviation") \
             and not cfg.experiment.r_grid:
         errs.append("[experiment] r_grid is required for deviation experiments")
+    chaos_grid = cfg.sim.n_grid if cfg.experiment.kind == "chaos_rate" else ()
+    errs.extend(f"[reference] {e}" for e in reference_size_errors(cfg.reference.m, chaos_grid))
     if cfg.reference.picard_iters < 1:
         errs.append("[reference] picard_iters must be >= 1")
     if cfg.output.snapshot_stride < 1:

@@ -51,6 +51,21 @@ def time_grid_errors(dt: float, t_final: float, allow_large_dt: bool) -> list[st
     return errs
 
 
+def reference_size_errors(m: int, n_grid) -> list[str]:
+    """Every rule that a reference flow of m particles breaks, one message each.
+
+    m = 0 stands for the default size.  A chaos-rate reference is shared by
+    its whole grid of sizes N, so with a grid n_grid it needs M >= 16 max N;
+    the other experiments pass an empty grid.
+    """
+    if m < 0:
+        return [f"m must be >= 0, 0 for the default size (m={m})"]
+    if m and n_grid and m < 16 * max(n_grid):
+        return [f"reference ensemble must satisfy M >= 16 max(n_grid) "
+                f"(M={m}, max(n_grid)={max(n_grid)})"]
+    return []
+
+
 def equilibrium_time_errors(dt: float, t_equilibrium: float, gap_times) -> list[str]:
     """Every rule that an equilibrium run breaks in its times, one message each.
 

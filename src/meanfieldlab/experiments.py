@@ -8,7 +8,8 @@ Replicas run batched, in chunks along the engine's replica axis; replica r
 always runs on replica id config.replica_id + r and results are reduced in
 replica order, so every output is independent of the chunking.  Coupled runs
 record their gap only at the steps an experiment reads, and a chunk's width
-counts those gaps, not one per step.
+counts those gaps, not one per step.  Each transport is one sample_w1 or
+sample_w2 call on a stack of clouds; wasserstein picks the solver.
 Constants in the underlying bounds are existential, so everything asserted
 downstream is a rate, a sign or an inequality, never a constant's value.
 """
@@ -22,11 +23,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .engine import (SimConfig, TrajectoryEnsemble, _record_steps, build_reference_flow,
-                     equilibrium_time_errors, simulate_coupled, simulate_particle_system)
+                     equilibrium_time_errors, reference_size_errors, simulate_coupled,
+                     simulate_particle_system)
 from .errors import ValidationError
 from .models import ModelSpec, Observable
 from .rng import BURN_IN_NAMESPACE, NoiseGrid
-from .wasserstein import _even_subsample, sample_w1, sample_w2, wasserstein_1d_rows
+from .wasserstein import _even_subsample, sample_w1, sample_w2
 
 __all__ = [
     "RateFit",
@@ -155,10 +157,12 @@ def _replica_grids(config: SimConfig, replicas: int, values_per_replica: int):
     Replica r runs on replica id config.replica_id + r whatever the chunk
     width, which is _BATCH_VALUES // values_per_replica (at least 1).
     """
+    if replicas < 1:
+        raise ValidationError("replicas must be >= 1")
     width = max(1, _BATCH_VALUES // values_per_replica)
     ids = config.replica_id + np.arange(replicas)
-    for start in range(0, replicas, width):
-        yield NoiseGrid(config.seed, ids[start:start + width], config.dt)
+    return (NoiseGrid(config.seed, ids[start:start + width], config.dt)
+            for start in range(0, replicas, width))
 
 
 def _coupled_grids(config: SimConfig, replicas: int, n_grid: Sequence[int]):
@@ -172,21 +176,6 @@ def _particle_grids(config: SimConfig, replicas: int):
     """Chunks for simulate_particle_system: every recorded (N, d) snapshot per replica."""
     records = len(_record_steps(config.n_steps, config.snapshot_stride))
     return _replica_grids(config, replicas, config.n_particles * records)
-
-
-def _sample_w(p: int, clouds_a, clouds_b) -> np.ndarray:
-    """Sample W_p between matching clouds of two stacks of equal-size (n, d) clouds.
-
-    The stacks broadcast against each other over their leading axes, which
-    the result keeps.  In one dimension every pair goes into one batched
-    quantile solve; in more, each pair is one exact assignment.
-    """
-    A, B = np.broadcast_arrays(clouds_a, clouds_b)
-    if A.shape[-1] == 1:
-        return wasserstein_1d_rows(p, A[..., 0], B[..., 0])
-    sample = sample_w1 if p == 1 else sample_w2
-    pairs = zip(A.reshape((-1,) + A.shape[-2:]), B.reshape((-1,) + B.shape[-2:]))
-    return np.array([sample(a, b) for a, b in pairs]).reshape(A.shape[:-2])
 
 
 def _w2sq_debiased(clouds: np.ndarray, reference: np.ndarray) -> list:
@@ -216,7 +205,7 @@ def _w2sq_debiased(clouds: np.ndarray, reference: np.ndarray) -> list:
     n_chunks = min(len(reference) // n, 16)
     if n_chunks < 3:
         sub = _even_subsample(reference, min(n, len(reference)))
-        return [(float(sample_w2(cloud, sub) ** 2), float("nan")) for cloud in clouds]
+        return [(float(w) ** 2, float("nan")) for w in sample_w2(clouds, sub)]
     chunks = np.stack([reference[k::n_chunks][:n] for k in range(n_chunks)])
     n_raw = max(2, n_chunks // 2)
     n_floor = (n_chunks - n_raw) // 2
@@ -226,7 +215,7 @@ def _w2sq_debiased(clouds: np.ndarray, reference: np.ndarray) -> list:
                             chunks[n_raw:n_raw + 2 * n_floor:2]])
     rights = np.concatenate([np.tile(chunks[:n_raw], (n_clouds, 1, 1)),
                              chunks[n_raw + 1:n_raw + 2 * n_floor:2]])
-    squares = np.array([float(w) ** 2 for w in _sample_w(2, lefts, rights)])
+    squares = np.array([float(w) ** 2 for w in sample_w2(lefts, rights)])
     floors = squares[n_clouds * n_raw:]
     floor_se = (float(floors.std(ddof=1) / np.sqrt(len(floors))) if len(floors) > 1
                 else float("nan"))
@@ -288,9 +277,9 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     """
     n_grid = sorted(int(n) for n in n_grid)
     M = flow.states.shape[1] if flow is not None else m_reference or 16 * max(n_grid)
-    if M < 16 * max(n_grid):
-        raise ValidationError(f"reference ensemble must satisfy M >= 16 max(n_grid) "
-                              f"(M={M}, max(n_grid)={max(n_grid)})")
+    errs = reference_size_errors(M, n_grid)
+    if errs:
+        raise ValidationError("; ".join(errs))
     if flow is None:
         flow = build_reference_flow(model, M, config)
 
@@ -369,7 +358,7 @@ def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequ
 
     cfg = replace(config, n_particles=n_particles, snapshot_stride=stride)
     stats = np.concatenate([  # (replicas, snapshots) W1, maximized over the snapshots
-        _sample_w(1, simulate_particle_system(model, cfg, noise=noise).states[:, -len(steps):],
+        sample_w1(simulate_particle_system(model, cfg, noise=noise).states[:, -len(steps):],
                   refs).max(axis=1)
         for noise in _particle_grids(cfg, replicas)])
     return _deviation_table(stats, 0.0, r_grid, n_particles,
@@ -408,12 +397,12 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
     target = target_sampler(n_particles, 0)
     # three same-law pairs, drawn at salts (1, 2), (3, 4) and (5, 6)
     draws = np.stack([target_sampler(n_particles, salt) for salt in range(1, 7)])
-    floor = float(np.mean(_sample_w(2, draws[0::2], draws[1::2])))
+    floor = float(np.mean(sample_w2(draws[0::2], draws[1::2])))
 
     curves = []
     for noise in _particle_grids(cfg, replicas):
         traj = simulate_particle_system(model, cfg, noise=noise)
-        curves.append(_sample_w(2, traj.states, target))  # (replicas, snapshots)
+        curves.append(sample_w2(traj.states, target))  # (replicas, snapshots)
     times = traj.times
     curve = np.mean(np.concatenate(curves), axis=0)
 

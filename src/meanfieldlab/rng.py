@@ -106,6 +106,11 @@ def _box_muller(words):
     return z
 
 
+def seed_errors(seed: int) -> list[str]:
+    """Why `seed` keys no noise stream: [] if it does."""
+    return [] if 0 <= seed < 2 ** 64 else ["seed must be a 64-bit unsigned integer"]
+
+
 class NoiseGrid:
     """Deterministic N(0, dt) increments keyed by (seed, replica, particle, step, coordinate).
 
@@ -120,8 +125,9 @@ class NoiseGrid:
     """
 
     def __init__(self, seed: int, replica_id=0, dt: float = 1.0):
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        errs = seed_errors(seed)
+        if errs:
+            raise ValueError(errs[0])
         ids = np.asarray(replica_id)
         if ids.ndim > 1 or (ids.ndim == 1 and len(ids) == 0) \
                 or not np.issubdtype(ids.dtype, np.integer):

@@ -29,7 +29,7 @@ from .models import (InitialLaw, ModelSpec, Observable, granular_media_model,
                      linear_test_model, power_potential, quadratic_potential,
                      vlasov_fokker_planck_model, zero_potential)
 from .plots import emit_plot
-from .rng import STREAM, TARGET_NAMESPACE, NoiseGrid
+from .rng import STREAM, TARGET_NAMESPACE, NoiseGrid, seed_errors
 
 __all__ = ["RunManifest", "build_model", "run", "replot"]
 
@@ -152,9 +152,13 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None,
 
     If the run raises, the manifest is still written, with `complete` false,
     the artifacts written so far and an error record; then the exception
-    propagates.
+    propagates.  A `seed` override that the config's seed rule refuses
+    raises ValidationError before anything is written.
     """
     if seed is not None:
+        errors = seed_errors(int(seed))
+        if errors:
+            raise ValidationError(f"seed override {seed}: {'; '.join(errors)}")
         cfg = replace(cfg, sim=replace(cfg.sim, seed=int(seed)))
     out = output_dir or cfg.output.directory
     os.makedirs(out, exist_ok=True)

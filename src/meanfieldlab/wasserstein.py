@@ -4,7 +4,8 @@ Two exact solvers: the monotone quantile coupling in one dimension (any
 weights; batched over stacks of equal-size uniform clouds), and optimal
 assignment for equal-size uniform clouds in any dimension.  No entropic
 regularization anywhere; downstream tests assert inequalities at 1e-9 and
-regularization would blur them.
+regularization would blur them.  sample_wasserstein alone picks the solver
+for uniform sample clouds: one pair or broadcasting stacks of pairs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class TransportResult:
 
     cost: float
     plan: np.ndarray  # (k, 3) rows (source index, target index, mass)
-    order: int
 
     def plan_to_csv(self) -> str:
         buf = io.StringIO()
@@ -80,7 +80,7 @@ def wasserstein_1d(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> Transp
     gaps = np.abs(xs[ii] - ys[jj])
     cost = float(np.sum(mass * gaps ** p) ** (1.0 / p))
     plan = np.column_stack([ix[ii].astype(float), jx[jj].astype(float), mass])
-    return TransportResult(cost=cost, plan=plan, order=p)
+    return TransportResult(cost=cost, plan=plan)
 
 
 def wasserstein_1d_rows(p: int, A, B) -> np.ndarray:
@@ -137,7 +137,7 @@ def wasserstein_assignment(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -
     total = float(costs[rows, cols].sum()) / mu.n
     cost = total if p == 1 else total ** 0.5
     plan = np.column_stack([rows.astype(float), cols.astype(float), np.full(mu.n, uniform)])
-    return TransportResult(cost=cost, plan=plan, order=p)
+    return TransportResult(cost=cost, plan=plan)
 
 
 def _certify_lipschitz(func: Observable, pts: np.ndarray, tol: float = 1e-9):
@@ -206,24 +206,37 @@ def _even_subsample(points: np.ndarray, size: int) -> np.ndarray:
     return points[idx]
 
 
-def sample_wasserstein(p: int, cloud_a: np.ndarray, cloud_b: np.ndarray) -> float:
-    """W_p between two uniform sample clouds (exact after an even-strided size match).
+def sample_wasserstein(p: int, cloud_a, cloud_b):
+    """W_p between uniform sample clouds, exact after an even-strided size match.
 
-    1D clouds go through the quantile coupling (any sizes); higher dimensions
-    go through the assignment solver after subsampling the larger cloud.
+    The arguments are (n, d) clouds or stacks of them whose leading axes
+    broadcast; the result has the broadcast leading shape, or is a float for
+    one pair.  Equal-size 1D stacks go through one batched quantile solve
+    (wasserstein_1d_rows), a 1D pair of unequal sizes through wasserstein_1d,
+    and each pair in higher dimensions through the assignment solver after
+    subsampling the larger cloud.
     """
     A = np.atleast_2d(np.asarray(cloud_a, dtype=np.float64))
     B = np.atleast_2d(np.asarray(cloud_b, dtype=np.float64))
-    if A.shape[1] == 1:
-        return wasserstein_1d(p, EmpiricalMeasure.uniform(A), EmpiricalMeasure.uniform(B)).cost
-    n = min(len(A), len(B), _MAX_ASSIGNMENT)
-    A, B = _even_subsample(A, n), _even_subsample(B, n)
-    return wasserstein_assignment(p, EmpiricalMeasure.uniform(A), EmpiricalMeasure.uniform(B)).cost
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    A, B = np.broadcast_to(A, lead + A.shape[-2:]), np.broadcast_to(B, lead + B.shape[-2:])
+    if A.shape == B.shape and A.shape[-1] == 1:
+        costs = wasserstein_1d_rows(p, A[..., 0], B[..., 0])
+    else:
+        costs = []
+        for a, b in zip(A.reshape((-1,) + A.shape[-2:]), B.reshape((-1,) + B.shape[-2:])):
+            if a.shape[1] > 1:
+                n = min(len(a), len(b), _MAX_ASSIGNMENT)
+                a, b = _even_subsample(a, n), _even_subsample(b, n)
+            solve = wasserstein_1d if a.shape[1] == 1 else wasserstein_assignment
+            costs.append(solve(p, EmpiricalMeasure.uniform(a), EmpiricalMeasure.uniform(b)).cost)
+        costs = np.array(costs).reshape(lead)
+    return costs if lead else float(costs)
 
 
-def sample_w1(cloud_a, cloud_b) -> float:
+def sample_w1(cloud_a, cloud_b):
     return sample_wasserstein(1, cloud_a, cloud_b)
 
 
-def sample_w2(cloud_a, cloud_b) -> float:
+def sample_w2(cloud_a, cloud_b):
     return sample_wasserstein(2, cloud_a, cloud_b)

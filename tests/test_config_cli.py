@@ -433,6 +433,43 @@ def test_cli_validate_accepts_gap_times_on_the_grid(tmp_path, capsys):
     assert main(["validate", str(p)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("m, valid", [
+    (100, False),  # below 16 max(n_grid): validate passed it, and only the run refused it
+    (-5, False),
+    (0, True),     # the default size, 16 max(n_grid)
+    (512, True),   # exactly 16 max(n_grid)
+])
+def test_chaos_reference_size_is_checked_before_the_run(m, valid, tmp_path, capsys):
+    p = tmp_path / "chaos.cfg"
+    out = tmp_path / "out"
+    p.write_text(CHAOS_CFG.format(out=str(out)).replace("n_grid = 8, 16", "n_grid = 16, 32")
+                 .replace("m = 256", f"m = {m}"))
+    code = EXIT_OK if valid else EXIT_VALIDATION
+    assert main(["validate", str(p)]) == code
+    assert main(["run", str(p)]) == code
+    assert ("[reference]" in capsys.readouterr().err) is not valid
+    assert out.exists() is valid
+
+
+def test_negative_reference_size_is_named_on_every_kind(tmp_path, capsys):
+    p = tmp_path / "dev.cfg"
+    p.write_text(DEVIATION_CFG.format(out=str(tmp_path / "out")).replace("m = 512", "m = -5"))
+    assert main(["validate", str(p)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "[reference] m must be >= 0" in err and "n_particles" not in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_cli_seed_override_is_checked_before_any_output(seed, tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    p.write_text(DEVIATION_CFG.format(out=str(out)))
+    assert main(["run", str(p), "--seed", seed]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, valid", [
     ("x-1", False),  # ran on the last coordinate
     ("xa", False),   # an unlabelled ValueError at run time

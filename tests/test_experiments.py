@@ -113,18 +113,18 @@ def test_w2sq_debiased_stack_equals_one_cloud_at_a_time(n_chunks, dim, monkeypat
     reference = rng.normal(0.0, 1.0, (n * n_chunks + 1, dim))
     alone = [experiments._w2sq_debiased(c[None], reference)[0] for c in clouds]
     pairs = []
-    original = experiments._sample_w
+    original = experiments.sample_w2
 
-    def counted(p, a, b):
+    def counted(a, b):
         pairs.append(len(a))
-        return original(p, a, b)
+        return original(a, b)
 
-    monkeypatch.setattr(experiments, "_sample_w", counted)
+    monkeypatch.setattr(experiments, "sample_w2", counted)
     stacked = experiments._w2sq_debiased(clouds, reference)
     # compared as hex so that nan stderrs compare equal
     assert [(e.hex(), s.hex()) for e, s in stacked] == [(e.hex(), s.hex()) for e, s in alone]
     n_raw = max(2, n_chunks // 2)
-    assert pairs == ([] if n_chunks < 3 else [len(clouds) * n_raw + (n_chunks - n_raw) // 2])
+    assert pairs == [len(clouds) if n_chunks < 3 else len(clouds) * n_raw + (n_chunks - n_raw) // 2]
 
 
 def test_linear_fit_slope_error_scales():
@@ -394,7 +394,7 @@ def test_transport_calls_per_site(case, monkeypatch, tmp_path):
 
     counted(wasserstein, "wasserstein_1d")
     counted(wasserstein, "wasserstein_assignment")
-    counted(experiments, "wasserstein_1d_rows")
+    counted(wasserstein, "wasserstein_1d_rows")
     monkeypatch.setattr(experiments, "_BATCH_VALUES", 128)
     run(parse_config(f"[model]\nfamily = granular_quadratic\ndim = {dim}\n"
                      f"[sim]\ndt = 0.1\nt_final = 0.5\nseed = 3\n{sim}\n"
@@ -403,6 +403,22 @@ def test_transport_calls_per_site(case, monkeypatch, tmp_path):
         output_dir=str(tmp_path))
     assert calls == {"wasserstein_1d": 0, "wasserstein_assignment": assignments,
                      "wasserstein_1d_rows": batched}
+
+
+@pytest.mark.parametrize("kind", ["chaos_rate", "observable_deviation", "empirical_deviation",
+                                  "equilibrium"])
+def test_zero_replicas_is_a_labelled_error(kind):
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+    cfg = _cfg(dt=0.1, t_final=0.2, n_particles=8)
+    x0 = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
+    calls = {
+        "chaos_rate": lambda: chaos_rate_experiment(m, [4, 8], cfg, replicas=0),
+        "observable_deviation": lambda: observable_deviation_experiment(m, x0, 8, [0.1], 0, cfg),
+        "empirical_deviation": lambda: empirical_measure_deviation(m, 8, [0.1], 0, cfg),
+        "equilibrium": lambda: equilibrium_convergence(m, 8, 0.2, cfg, replicas=0),
+    }
+    with pytest.raises(ValidationError, match="replicas must be >= 1"):
+        calls[kind]()
 
 
 def test_chaos_rate_rejects_small_reference():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from meanfieldlab import (EmpiricalMeasure, Observable, ValidationError,
                           kr_dual_lower_bound, quantile_dual_family, sample_w1,
                           sample_w2, wasserstein_1d, wasserstein_assignment)
-from meanfieldlab.wasserstein import wasserstein_1d_rows
+from meanfieldlab.wasserstein import sample_wasserstein, wasserstein_1d_rows
 
 
 def _brute_force_permutation(p, xs, ys):
@@ -294,6 +294,52 @@ def test_sample_w2_consistency_under_refinement():
     assert d_large < d_small / 2
 
 
+def _strided(points, size):
+    return points[np.floor(np.linspace(0, len(points), size, endpoint=False)).astype(int)]
+
+
+def _pair_oracle(p, a, b):
+    """One pair by the per-pair solvers: 1D quantile coupling at any sizes, else
+    assignment after an even-strided match to the smaller size."""
+    if a.shape[1] == 1:
+        return wasserstein_1d(p, EmpiricalMeasure.uniform(a), EmpiricalMeasure.uniform(b)).cost
+    n = min(len(a), len(b))
+    return wasserstein_assignment(p, EmpiricalMeasure.uniform(_strided(a, n)),
+                                  EmpiricalMeasure.uniform(_strided(b, n))).cost
+
+
+# (shape of A, shape of B): leading axes that broadcast, then (n, d); no leading
+# axes is one pair, which gives a float
+STACK_CASES = [
+    ((3, 4, 9, 1), (3, 4, 9, 1)),   # stack against stack, one batched 1D solve
+    ((2, 3, 9, 1), (3, 9, 1)),      # leading axes broadcast
+    ((5, 9, 1), (9, 1)),            # stack against one broadcast cloud
+    ((9, 1), (4, 9, 1)),
+    ((3, 7, 1), (5, 1)),            # 1D, unequal sizes: a quantile solve per pair
+    ((2, 2, 6, 2), (2, 6, 2)),      # d = 2, equal sizes
+    ((3, 8, 2), (5, 2)),            # d = 2, unequal sizes: subsampled per pair
+    ((9, 1), (9, 1)), ((7, 1), (5, 1)), ((6, 2), (6, 2)), ((9, 2), (6, 2)),
+]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("shapes", STACK_CASES)
+def test_sample_wasserstein_on_stacks_equals_per_pair_solves(shapes, p):
+    rng = np.random.default_rng(sum(map(len, shapes)) + p)
+    A, B = rng.normal(size=shapes[0]), rng.normal(0.5, 1.0, size=shapes[1])
+    got = (sample_w1 if p == 1 else sample_w2)(A, B)
+    assert np.array_equal(got, sample_wasserstein(p, A, B))
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    pairs = zip(np.broadcast_to(A, lead + A.shape[-2:]).reshape((-1,) + A.shape[-2:]),
+                np.broadcast_to(B, lead + B.shape[-2:]).reshape((-1,) + B.shape[-2:]))
+    want = np.array([_pair_oracle(p, a, b) for a, b in pairs]).reshape(lead)
+    if lead:
+        assert isinstance(got, np.ndarray) and got.shape == lead
+    else:
+        assert type(got) is float
+    assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+
+
 def _cloud_rows(rng, kind, shape, center):
     if kind == "normal":
         return center + rng.normal(size=shape)
@@ -313,8 +359,7 @@ def test_batched_rows_equal_per_pair_quantile_solves(n, rows, p, kinds, centers,
     if kinds == ("zeros", "zeros"):
         B[:, : n // 2] = A[:, : n // 2]  # exact ties across the clouds too
     got = wasserstein_1d_rows(p, A, B)
-    sample = sample_w1 if p == 1 else sample_w2
-    want = np.array([sample(a[:, None], b[:, None]) for a, b in zip(A, B)])
+    want = np.array([wasserstein_1d(p, _measure(a), _measure(b)).cost for a, b in zip(A, B)])
     assert got.shape == (rows,)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -324,7 +369,7 @@ def test_batched_rows_keep_leading_shape_and_validate():
     A, B = rng.normal(size=(2, 3, 7)), rng.normal(size=(2, 3, 7))
     got = wasserstein_1d_rows(2, A, B)
     assert got.shape == (2, 3)
-    assert got[1, 2] == sample_w2(A[1, 2][:, None], B[1, 2][:, None])
+    assert got[1, 2] == wasserstein_1d(2, _measure(A[1, 2]), _measure(B[1, 2])).cost
     for p, a, b in ((3, A, B), (1, A, B[..., :6]), (1, A[..., :0], B[..., :0])):
         with pytest.raises(ValidationError):
             wasserstein_1d_rows(p, a, b)
@@ -336,7 +381,7 @@ def test_batched_rows_take_the_root_as_scalar_pow():
     rng = np.random.default_rng(8)
     A, B = rng.normal(size=(4000, 2)), rng.normal(size=(4000, 2))
     got = wasserstein_1d_rows(2, A, B)
-    want = np.array([sample_w2(a[:, None], b[:, None]) for a, b in zip(A, B)])
+    want = np.array([wasserstein_1d(2, _measure(a), _measure(b)).cost for a, b in zip(A, B)])
     assert np.array_equal(got, want)
     costs = np.sum(0.5 * (np.sort(A) - np.sort(B)) ** 2, axis=1)
     assert np.any(np.sqrt(costs) != got)  # the rows tell the two roots apart
