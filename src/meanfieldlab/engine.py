@@ -271,8 +271,12 @@ def build_reference_flow(model: ModelSpec, M: int, config: SimConfig) -> Traject
     REFERENCE_NAMESPACE + config.replica_id, disjoint from every replica.  It
     is its own Picard fixed point: a pass driven by its frozen snapshots on
     the same keys rebuilds it bit for bit, step by step, so one pass is all
-    there is.  Coupled runs read its state at step k from states[k].
+    there is.  Coupled runs read its state at step k from states[k].  An M
+    that reference_size_errors refuses raises a ValidationError naming it.
     """
+    errs = reference_size_errors(M, ())
+    if errs:
+        raise ValidationError(f"reference flow: {'; '.join(errs)}")
     noise = NoiseGrid(config.seed, REFERENCE_NAMESPACE + config.replica_id, config.dt)
     return simulate_particle_system(model, replace(config, n_particles=M, snapshot_stride=1),
                                     noise=noise)

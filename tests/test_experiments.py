@@ -421,6 +421,25 @@ def test_zero_replicas_is_a_labelled_error(kind):
         calls[kind]()
 
 
+@pytest.mark.parametrize("kind", ["observable_deviation", "empirical_deviation", "equilibrium"])
+def test_negative_reference_size_is_named_by_the_flow(kind):
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+    cfg = _cfg(dt=0.1, t_final=0.2, n_particles=8)
+    x0 = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
+    calls = {
+        "observable_deviation": lambda: observable_deviation_experiment(
+            m, x0, 8, [0.1], 2, cfg, m_reference=-5),
+        "empirical_deviation": lambda: empirical_measure_deviation(m, 8, [0.1], 2, cfg,
+                                                                   m_reference=-5),
+        "equilibrium": lambda: equilibrium_convergence(m, 8, 0.2, cfg, replicas=2,
+                                                       gap_times=[0.2], m_reference=-5),
+    }
+    with pytest.raises(ValidationError, match=r"^reference flow: m must be >= 0.*\(m=-5\)"):
+        calls[kind]()
+    with pytest.raises(ValidationError, match=r"^reference flow: m must be >= 0"):
+        build_reference_flow(m, -5, cfg)
+
+
 def test_chaos_rate_rejects_small_reference():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
     with pytest.raises(Exception):
