@@ -1,37 +1,31 @@
 """Counter-based Gaussian noise, addressable by (seed, replica, particle, step, coordinate).
 
-Every Brownian increment consumed anywhere in the lab is read from a keyed
-Philox4x64-10 stream (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC'11), evaluated by numpy's compiled `np.random.Philox`, whose
-output for a given key and counter NumPy keeps stable (NEP 19).  A value
-depends only on its own address, so the same address always yields the same
-value regardless of evaluation order, vectorization width or batch width.
-This is what makes synchronous coupling and batched replicas
-bit-reproducible: the particle system and the nonlinear processes simply read
-the *same* values, and a grid over a vector of replica ids draws, in one call,
-exactly what one grid per replica would draw.
+Every random number in the lab is read from a keyed Philox4x64-10 stream
+(Salmon et al., SC'11) run by numpy's compiled `np.random.Philox`.  A value
+depends only on its address, never on evaluation order or batch width, so
+coupled systems read the *same* increments, and a grid over R replica ids
+draws in one call exactly what R one-replica grids would.
 
-Layout (stream name `philox4x64-v2`).  The (seed, replica) pair gives the
-Philox key `[k, 0]`, k by splitmix64; each (key, step, channel) is one flat
-stream of 64-bit words, and stream word w is word w mod 4 of the Philox
-block at counter `(w div 4 + 1, step, channel, 0)`.  The `+ 1` is numpy's:
-a generator set to counter c steps it before it generates, so it yields
-block c + 1 first, and a draw sets c = w div 4 (never a block - 1, which at
-0 would borrow from the step word).  A d-dimensional draw gives particle i
-the values `[d*i, d*(i+1))` of its stream:
+Layout (stream `philox4x64-v3`).  (seed, replica) gives the key `[k, 0]`, k
+by splitmix64, and particle i of a d-dimensional draw owns the values
+`[d*i, d*(i+1))` of its (key, step, channel) stream.  numpy steps a counter
+before it generates, so a generator set to counter c yields block c + 1 first.
 
-- uniforms (channel 1) take one word per value, `((w >> 11) + 0.5) * 2^-53`;
-- normals (channel 0) take one word pair per two values: words 2p and 2p+1
-  become uniforms u, v and Box-Muller gives value 2p = r cos(theta) and value
-  2p+1 = r sin(theta), with r = sqrt(-2 log u) and theta = 2 pi v.  No draw is
-  thrown away, whatever d is.
+- normals (channel 0): value v is value v mod B of block v div B, and block b
+  is numpy's ziggurat (`Generator.standard_normal`; Marsaglia & Tsang 2000)
+  run from counter `(0, step, 0, b)`.  The ziggurat takes a varying number
+  of words per value, so a draw reads the prefix of each block it touches;
+  B = 4096 keeps a draw of 2048 particles in d <= 2 to one block.
+- uniforms (channel 1): value w is `((x >> 11) + 0.5) * 2^-53`, x word
+  w mod 4 of the Philox block at counter `(w div 4 + 1, step, 1, 0)`.
 
-A contiguous run of particles costs, per replica, one counter set and one
-`random_raw` call; a particle set that is not contiguous splits into runs.
+A draw costs one counter set and one compiled call per replica and block.
+NEP 19 keeps bit generators stable, not samplers: see `stream_errors`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -41,8 +35,9 @@ __all__ = ["NoiseGrid", "STREAM", "REFERENCE_NAMESPACE", "BURN_IN_NAMESPACE",
 
 # Name of the stream layout above.  A run records it, and a manifest written
 # under another layout is refused, since its config would rerun to other bytes.
-STREAM = "philox4x64-v2"
+STREAM = "philox4x64-v3"
 
+_BLOCK = 4096  # B, normal values per block
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _NORMALS, _UNIFORMS = 0, 1  # channels
 
@@ -70,8 +65,7 @@ TARGET_NAMESPACE = 3 << 48
 
 
 def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
+    z = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -79,31 +73,7 @@ def _splitmix64(x: int) -> int:
 
 def _to_unit(words):
     """One 53-bit uniform in (0, 1) per 64-bit word, as a new contiguous array."""
-    u = np.add(words >> np.uint64(11), 0.5)  # exact: the 53-bit integers convert exactly
-    u *= 2.0 ** -53
-    return u
-
-
-def _box_muller(words):
-    """Word pair p -> values 2p (r cos theta) and 2p+1 (r sin theta); words has even length.
-
-    Every transcendental runs on a contiguous array, so a value's bits do not
-    depend on the shape or the strides of the call it came from.
-    """
-    radius = _to_unit(words[..., 0::2])
-    angle = _to_unit(words[..., 1::2])
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle *= 2.0 * np.pi
-    cos = np.cos(angle)
-    cos *= radius
-    np.sin(angle, out=angle)
-    angle *= radius
-    z = np.empty(words.shape)
-    z[..., 0::2] = cos
-    z[..., 1::2] = angle
-    return z
+    return np.add(words >> np.uint64(11), 0.5) * 2.0 ** -53  # exact: 53-bit integers
 
 
 def seed_errors(seed: int) -> list[str]:
@@ -115,9 +85,9 @@ class NoiseGrid:
     """Deterministic N(0, dt) increments keyed by (seed, replica, particle, step, coordinate).
 
     The (seed, replica) pair selects the Philox key; (step, channel) select
-    the stream, and (particle, coordinate) the value in it (see the module
-    docstring).  Channel 0 carries Gaussian draws, channel 1 uniform draws, so
-    initial-condition sampling never reuses increment values.
+    the stream, and (particle, coordinate) the value in it.  Channel 0 holds
+    ziggurat normals in blocks of B values and channel 1 uniforms (see the
+    module docstring), so uniform initial draws never reuse increment values.
 
     `replica_id` is an integer or a 1-D integer array.  With an array of R
     ids every draw gains a leading replica axis, shape (R, n, dim), and row r
@@ -140,10 +110,11 @@ class NoiseGrid:
         base = _splitmix64(self.seed)
         keys = [_splitmix64(base ^ ((int(r) * 0xA24BAED4963EE407) & _MASK64))
                 for r in ids.ravel()]
-        # One bit generator, and one state per replica key that a draw points
-        # at a counter and assigns: building a Philox costs ~40 state sets,
-        # and a state of plain lists sets twice as fast as one of arrays.
+        # One bit generator (read raw or by one Generator) and one state per
+        # key, set to a counter per draw: building a Philox costs ~40 state
+        # sets, and a state of plain lists sets twice as fast as one of arrays.
         self._bitgen = np.random.Philox(key=[keys[0], 0])
+        self._gen = np.random.Generator(self._bitgen)
         self._states = [{"bit_generator": "Philox", "state": {"counter": None, "key": [k, 0]},
                          "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
                          "uinteger": 0} for k in keys]
@@ -153,12 +124,11 @@ class NoiseGrid:
         """() for a single replica, (R,) for a vector of R replica ids."""
         return np.shape(self.replica_id)
 
-    def _draw(self, particles, step: int, dim: int, channel: int, transform):
+    def _draw(self, particles, step: int, dim: int, channel: int):
         """Values [dim*i, dim*(i+1)) of the (step, channel) stream for each particle i.
 
-        `transform` maps a replica-by-word array to values at the same
-        positions.  Word ranges start and end on even words, so a normal
-        draw reads whole word pairs.
+        From block b it reads values [b*B + lo, last]: lo is 0 for normals (a
+        block is read by its prefix) and the first value needed for uniforms.
         """
         if np.isscalar(particles):
             particles = np.arange(int(particles))
@@ -170,52 +140,82 @@ class NoiseGrid:
             return np.empty(self.batch_shape + (0, dim))
         if particles.min() < 0 or particles.max() >= 2 ** 32:
             raise ValueError("particle indices must fit in uint32")
+        B = _BLOCK
         ascending = bool((particles[1:] - particles[:-1] == 1).all())
-        if ascending:
-            firsts, ends = [int(particles[0])], [int(particles[-1]) + 1]
-        else:  # split the sorted, distinct particles into contiguous runs
-            uniq, inverse = np.unique(particles, return_inverse=True)
-            cut = np.flatnonzero(np.diff(uniq) != 1) + 1
-            firsts = uniq[np.r_[0, cut]].tolist()
-            ends = (uniq[np.r_[cut, len(uniq)] - 1] + 1).tolist()
-        starts = [dim * a // 2 * 2 for a in firsts]
-        stops = [-(-dim * b // 2) * 2 for b in ends]
-        offsets = list(itertools.accumulate((w1 - w0 for w0, w1 in zip(starts, stops)),
+        if ascending:  # the values [v0, v1)
+            v0, v1 = dim * int(particles[0]), dim * (int(particles[-1]) + 1)
+            blocks = list(range(v0 // B, (v1 - 1) // B + 1))
+            firsts = [max(v0, b * B) for b in blocks]
+            lasts = [min(v1, b * B + B) - 1 for b in blocks]
+        else:  # the sorted, distinct values, cut at block ends
+            values, inverse = np.unique(dim * particles[:, None] + np.arange(dim),
+                                        return_inverse=True)
+            cut = np.flatnonzero(np.diff(values // B)) + 1
+            firsts = values[np.r_[0, cut]].tolist()
+            lasts = values[np.r_[cut, len(values)] - 1].tolist()
+            blocks = [v // B for v in firsts]
+        los = [v % B if channel == _UNIFORMS else 0 for v in firsts]
+        offsets = list(itertools.accumulate((v % B + 1 - lo for v, lo in zip(lasts, los)),
                                             initial=0))
-        # numpy steps the counter before it generates, so counter (w0 div 4,
-        # step, channel, 0) yields the block that holds stream word w0 first
-        runs = [([w0 // 4, step, channel, 0], w0 % 4, w1 - w0) for w0, w1 in zip(starts, stops)]
-        gen = self._bitgen
-        chunks = []
-        for state in self._states:
-            for counter, skip, count in runs:
+        reads = list(zip(blocks, los, offsets, offsets[1:]))
+
+        gen, bitgen, raw = self._gen, self._bitgen, channel == _UNIFORMS
+        buf = np.empty((len(self._states), offsets[-1]), dtype=np.uint64 if raw else float)
+        for b, lo, a, z in reads:
+            w0 = b * B + lo
+            counter = [w0 // 4, step, channel, 0] if raw else [0, step, channel, b]
+            for row, state in zip(buf[:, a:z], self._states):
                 state["state"]["counter"] = counter
-                gen.state = state
-                chunk = gen.random_raw(skip + count)
-                chunks.append(chunk[skip:] if skip else chunk)
-        values = transform(np.concatenate(chunks).reshape(len(self._states), -1))
+                bitgen.state = state
+                if raw:
+                    row[:] = bitgen.random_raw(w0 % 4 + z - a)[w0 % 4:]
+                else:
+                    gen.standard_normal(out=row)
+        buf = _to_unit(buf) if raw else buf
 
         # a C-contiguous result: numpy may round a reduction over another
         # layout differently, and a replica's bits must not depend on the batch
         if ascending:
-            head = dim * firsts[0] - starts[0]
-            out = np.ascontiguousarray(values[:, head:head + n * dim]).reshape(-1, n, dim)
+            head = v0 - blocks[0] * B - los[0]
+            out = np.ascontiguousarray(buf[:, head:head + n * dim]).reshape(-1, n, dim)
         else:
-            base = np.repeat(np.subtract(offsets[:-1], starts), np.subtract(ends, firsts))
-            first_value = base + dim * uniq
-            out = np.take(values, first_value[inverse][:, None] + np.arange(dim), axis=1)
+            base = np.subtract(offsets[:-1], np.add(np.multiply(blocks, B), los))
+            at = base[np.searchsorted(firsts, values, side="right") - 1] + values
+            out = np.take(buf, at[inverse].reshape(n, dim), axis=1)
         return out if self.batch_shape else out[0]
 
     def normals(self, particles, step: int, dim: int) -> np.ndarray:
-        """Standard normal draws, shape batch + (len(particles), dim), via Box-Muller."""
-        return self._draw(particles, step, dim, _NORMALS, _box_muller)
+        """Standard normal draws, shape batch + (len(particles), dim), by the ziggurat."""
+        return self._draw(particles, step, dim, _NORMALS)
 
     def uniforms(self, particles, step: int, dim: int) -> np.ndarray:
         """Uniform(0,1) draws, shape batch + (len(particles), dim)."""
-        return self._draw(particles, step, dim, _UNIFORMS, _to_unit)
+        return self._draw(particles, step, dim, _UNIFORMS)
 
     def increments(self, particles, step: int, dim: int) -> np.ndarray:
         """Brownian increments N(0, dt), shape batch + (len(particles), dim)."""
         dw = self.normals(particles, step, dim)
-        dw *= np.sqrt(self.dt)  # after Box-Muller: scaling the radius would round differently
+        dw *= np.sqrt(self.dt)
         return dw
+
+
+# sha256 of the bytes of stream_sample() under this stream
+SAMPLE_SHA256 = "7ecd057d9581337afa51806da1223520983b012cb3cfcf1c0d4fb36d2d9b7b7a"
+
+
+def stream_sample() -> np.ndarray:
+    """444 normals across keys, steps, blocks, dims 1-3 and batch widths, flattened."""
+    ids = np.array([0, 9, REFERENCE_NAMESPACE + 3])
+    draws = [NoiseGrid(2026, ids).normals(np.arange(96), 0, 1),
+             NoiseGrid(2026, 9).normals(np.arange(1330, 1366)[::-1], 3, 3),
+             NoiseGrid(7, ids[:2]).normals([4094, 2 ** 32 - 1, 2047, 2048, 5, 11], INIT_STEP, 2),
+             NoiseGrid(5, 2 ** 40).normals(np.arange(4080, 4104), 12, 1)]
+    return np.concatenate([d.ravel() for d in draws])
+
+
+def stream_errors() -> list[str]:
+    """Why this numpy does not draw the stream: [] if its sampler gives the pinned sample."""
+    if hashlib.sha256(stream_sample().tobytes()).hexdigest() == SAMPLE_SHA256:
+        return []
+    return [f"numpy {np.__version__}'s standard_normal no longer draws the "
+            f"{STREAM} normals (rng.stream_sample moved), so no run would rerun to its bytes"]

@@ -3,8 +3,9 @@
 Every run leaves a JSONL manifest alongside its CSV tables and SVG plots;
 re-running from the manifest's embedded config reproduces the numeric
 outputs byte for byte.  The manifest names the noise stream the run drew
-from, and a manifest of any other stream is refused, since its config would
-rerun to other bytes.
+from and numpy's version, and a manifest of any other stream is refused,
+since its config would rerun to other bytes; so is any manifest when this
+numpy's sampler no longer draws the stream.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .models import (InitialLaw, ModelSpec, Observable, granular_media_model,
                      linear_test_model, power_potential, quadratic_potential,
                      vlasov_fokker_planck_model, zero_potential)
 from .plots import emit_plot
-from .rng import STREAM, TARGET_NAMESPACE, NoiseGrid, seed_errors
+from .rng import STREAM, TARGET_NAMESPACE, NoiseGrid, seed_errors, stream_errors
 
 __all__ = ["RunManifest", "build_model", "run", "replot"]
 
@@ -45,12 +46,13 @@ class RunManifest:
     files: dict  # path -> sha256 (or None for the manifest itself)
     error: Optional[dict] = None  # why an incomplete run stopped
     noise: Optional[str] = STREAM  # the noise stream's name; None if the manifest has none
+    numpy: Optional[str] = np.__version__  # the numpy that drew it; None if not recorded
 
     def to_jsonl(self) -> str:
         buf = io.StringIO()
         head = {"kind": "run", "version": self.version, "seed": self.seed,
                 "started": self.started, "finished": self.finished,
-                "complete": self.complete, "noise": self.noise,
+                "complete": self.complete, "noise": self.noise, "numpy": self.numpy,
                 "config_text": self.config_text}
         buf.write(json.dumps(head, sort_keys=True) + "\n")
         for path in sorted(self.files):
@@ -70,7 +72,7 @@ class RunManifest:
         return cls(config_text=head["config_text"], seed=head["seed"],
                    version=head["version"], started=head["started"],
                    finished=head["finished"], complete=head["complete"], files=files,
-                   error=error, noise=head.get("noise"))
+                   error=error, noise=head.get("noise"), numpy=head.get("numpy"))
 
 
 def build_model(cfg: RunConfig) -> ModelSpec:
@@ -293,7 +295,8 @@ def replot(table_path: str, kind: str) -> str:
 def load_config_or_manifest(path: str) -> RunConfig:
     """Accept either a config file or a manifest.jsonl with an embedded config.
 
-    A manifest must name the noise stream this version draws from.
+    A manifest must name the noise stream this version draws from, and this
+    numpy's sampler must still draw that stream (`rng.stream_errors`).
     """
     with open(path) as fh:
         text = fh.read()
@@ -305,5 +308,8 @@ def load_config_or_manifest(path: str) -> RunConfig:
                 else f"was drawn from noise stream {manifest.noise!r}"
             raise ValidationError(f"{path}: the run {found}, and this version draws from "
                                   f"{STREAM!r}, so its config would not rerun to the same bytes")
+        errors = stream_errors()
+        if errors:
+            raise ValidationError(f"{path}: {errors[0]}")
         return parse_config(manifest.config_text)
     return parse_config(text)

@@ -10,6 +10,7 @@ from meanfieldlab import (DivergenceError, SimConfig, ValidationError, equilibri
                           serialize_config)
 from meanfieldlab.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from meanfieldlab.plots import emit_plot
+from meanfieldlab import rng
 from meanfieldlab.rng import REFERENCE_NAMESPACE
 from meanfieldlab.runner import RunManifest, load_config_or_manifest, run
 
@@ -263,13 +264,45 @@ def test_cli_reruns_a_manifest_byte_for_byte(tmp_path, capsys):
     assert main(["run", str(p)]) == EXIT_OK
     manifest = tmp_path / "one" / "manifest.jsonl"
     head = json.loads(manifest.read_text().splitlines()[0])
-    assert head["kind"] == "run" and head["noise"] == "philox4x64-v2"
+    assert head["kind"] == "run" and head["noise"] == "philox4x64-v3"
+    assert head["numpy"] == np.__version__
     assert main(["run", str(manifest), "--output-dir", str(tmp_path / "two")]) == EXIT_OK
     names = ["deviation_table.csv", "deviation_summary.csv"]
     assert _sha_files(str(tmp_path / "one"), names) == _sha_files(str(tmp_path / "two"), names)
 
 
-@pytest.mark.parametrize("noise", ["philox4x32-v1", None], ids=["other-stream", "no-stream"])
+class _MovedSampler(np.random.Generator):
+    """A Generator whose normals are one ulp off numpy's: a sampler that moved."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        z = super().standard_normal(size, dtype, out)
+        z *= 1.0 + 2.0 ** -52
+        return z
+
+
+def test_cli_refuses_a_manifest_when_numpys_sampler_moved(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "run.cfg"
+    p.write_text(DEVIATION_CFG.format(out=str(tmp_path / "one")))
+    assert main(["run", str(p)]) == EXIT_OK
+    manifest = str(tmp_path / "one" / "manifest.jsonl")
+    capsys.readouterr()
+    monkeypatch.setattr(np.random, "Generator", _MovedSampler)
+    assert rng.stream_errors() != []
+    for argv in (["run", manifest, "--output-dir", str(tmp_path / "two")],
+                 ["validate", manifest]):
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"numpy {np.__version__}" in err and "philox4x64-v3" in err
+    assert not (tmp_path / "two").exists()
+    # a config file is not a manifest, so it runs, and a plain run checks nothing
+    assert main(["run", str(p), "--output-dir", str(tmp_path / "three")]) == EXIT_OK
+    monkeypatch.undo()
+    assert rng.stream_errors() == []
+    assert main(["run", manifest, "--output-dir", str(tmp_path / "two")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("noise", ["philox4x64-v2", "philox4x32-v1", None],
+                         ids=["v2-stream", "other-stream", "no-stream"])
 def test_cli_refuses_a_manifest_of_another_noise_stream(noise, tmp_path, capsys):
     run(parse_config(DEVIATION_CFG.format(out=str(tmp_path / "one"))))
     lines = (tmp_path / "one" / "manifest.jsonl").read_text().splitlines()
@@ -284,7 +317,7 @@ def test_cli_refuses_a_manifest_of_another_noise_stream(noise, tmp_path, capsys)
                  ["validate", str(old)]):
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "philox4x64-v2" in err and "would not rerun to the same bytes" in err
+        assert "philox4x64-v3" in err and "would not rerun to the same bytes" in err
         assert ("names no noise stream" in err) is (noise is None)
     assert not (tmp_path / "two").exists()
 

@@ -155,33 +155,33 @@ plots = false
 
 DIGESTS = {
     "chaos_quadratic": {
-        "rate_fit.csv": "6583e55c3b4d67061b4be1a89c953440c8975efb23e2ae9496be2f1b52fb7f6b",
-        "rate_fit_summary.csv": "059b45763a872def118eaf2b3c703258f40519e4dc762a2bbe80273fe0f387e0",
+        "rate_fit.csv": "a454683f831b4dbb75946b4c2ee6edd5b5f0d17344f6a55a04a216baa1f4fa04",
+        "rate_fit_summary.csv": "0d6a91a35ccd8fd360aeb9a1ff9c8efd82ef7692a054aadf5219c5f7aa097b41",
     },
     "chaos_cubic_tamed": {
-        "rate_fit.csv": "c6c7fd66bae37619e43369a43a6ec3e1caa8a3143cd74f32a71227e4b88d9479",
-        "rate_fit_summary.csv": "0d30f0f2818d74956517962f569535d45976f211dfd928207efca2871e1029cc",
+        "rate_fit.csv": "3a1fab5db2bf734fda3e001c1c7fd00157c2d1ab15a569e6eac4871763f1b047",
+        "rate_fit_summary.csv": "22f1d425dd85ee2f7d8c55356294b8de3743aeed57257010d4b6dae09fb54bd2",
     },
     "chaos_cubic_2d_tamed": {
-        "rate_fit.csv": "4077b0672628db593f18a8d7cc1bbb7d490497233d2d7a1cd737febb61efb819",
-        "rate_fit_summary.csv": "cc151165b36cb92da937c78b874944e54d04c35f809f44fea02c589550f56147",
+        "rate_fit.csv": "121cdd14b28fb60644e5ada778cb5a2563b8c1a4124d0c946fa8af6825f3824c",
+        "rate_fit_summary.csv": "1dd82714aa5d2e41fb4a91455c5e407ef088726cfc6d95a843c5133c3e150392",
     },
     "chaos_kinetic_grid": {
-        "rate_fit.csv": "3d46743a85b9b3abd9bffe43ced7c21cef0fa1366d73c6533c4a8bf9675d3af2",
-        "rate_fit_summary.csv": "06cb902d03cc07156f34a6849a1995623d3e1d03066b1cbafd7df8094409934b",
+        "rate_fit.csv": "c2ca1b2549c1bbf325bec16d7ad2017a23a7264706928966a8e9fe55fdad471d",
+        "rate_fit_summary.csv": "3eb51f08b4bbe28220d3953e4de3cca8968ad3b7ea66018fd9db9a2f309a9eb6",
     },
     "observable_kinetic_norm": {
-        "deviation_summary.csv": "35c751451c117f9a2c0a0941633697769dc256b0bcef10505dce9573d6377add",
-        "deviation_table.csv": "4802e060506ff258f76bc8d0855aa605bce6924f9eff50fa024ad4af8fbd6f21",
+        "deviation_summary.csv": "1ee21ef2a5d4f554c6375418ed8556a62cc66a1ae55090cc58f3920897e5788d",
+        "deviation_table.csv": "97d8bc68d59933c8c5beaa143c48a009fa88893b901f320a85682d8543f11294",
     },
     "empirical_sup_stride2": {
-        "deviation_summary.csv": "5ddfa2617f745501f9e5fd0ecf0968bb11ffcff4de2dc3ea8fd5b5feab8f861f",
-        "deviation_table.csv": "8e05b61bfe3332936a944839f4ba1b1ea15bde21441c490405c9abeed29326ad",
+        "deviation_summary.csv": "93ae6a05eeac0373e953a09a7c0473357d268f5298cde7183c14af8d22dd02d1",
+        "deviation_table.csv": "7cf22c6945f3072804810cf46f3ffa99e5e03bb71cbe0b3e468e37ddf111c8fd",
     },
     "equilibrium_2d_gaps": {
-        "equilibrium_curve.csv": "52f6185ef5888c5cfb05c751ca3b9b9a04eb1cb80b24f5087fbb9dad4f1a6c89",
-        "equilibrium_summary.csv": "0f98dbcabf1b627356f8435ec697213815a71d6b2f84ae9fe287169194972b23",
-        "gap_uniformity.csv": "f57b292bbbc80ac33ec4930e6d7de8b589bc43756976b2c72d1730f8748d11cb",
+        "equilibrium_curve.csv": "efe42ac5ad5507c748170af66884cb62c4e0c975fd4994ec90306945d2089312",
+        "equilibrium_summary.csv": "ed0100812e6e84861015af369156e5e3211ad7625e43edbaf68bc9db521efb58",
+        "gap_uniformity.csv": "6e3eb59c6a81f3b01e2529c9b04bca22cee167a925b3aab4f7fbcf7b51ec4943",
     },
 }
 

@@ -203,18 +203,17 @@ def test_batched_divergence_names_the_replica_of_the_per_replica_run():
     # The scenario is read off the draws: below the threshold the drift is 0,
     # so each replica follows its calm path until the step at which one of
     # its particles first reaches the threshold.  Take the highest threshold
-    # that every replica reaches and that a replica other than the batch's
-    # first reaches first.
+    # that every replica reaches and that some replicas reach later than
+    # others, and put one of the late ones first in the batch (a replica's
+    # path does not depend on its place in the batch).
     calm = simulate_particle_system(_blows_up_above(np.inf), cfg,
                                     noise=NoiseGrid(cfg.seed, ids, cfg.dt),
                                     particle_indices=labels)
     highs = calm.states[:, :-1, :, 0].max(axis=-1)  # (replica, step): drift is read there
-
-    def first_to_cross(t):
-        return min((int(np.argmax(h >= t)), pos) for pos, h in enumerate(highs))
-
     reached = np.unique(highs[highs <= highs.max(axis=1).min()])
-    threshold = max(t for t in reached if first_to_cross(t)[1] > 0)
+    crossing = {t: [int(np.argmax(h >= t)) for h in highs] for t in reached}
+    threshold = max(t for t, steps in crossing.items() if len(set(steps)) > 1)
+    ids = np.roll(ids, -int(np.argmax(crossing[threshold])))
     m = _blows_up_above(threshold)
     alone = []
     for pos, rid in enumerate(ids):

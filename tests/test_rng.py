@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from meanfieldlab import rng
 from meanfieldlab.rng import (BURN_IN_NAMESPACE, INIT_STEP, REFERENCE_NAMESPACE,
                               TARGET_NAMESPACE, NoiseGrid, _splitmix64)
 
@@ -145,11 +147,12 @@ def test_noise_namespaces_are_disjoint():
 
 
 # ---------------------------------------------------------------------------
-# oracle: a pure-Python Philox4x64-10 read in the flat stream layout, with
-# uniforms and Box-Muller on top
+# oracles: the normal channel's block layout read off a fresh numpy generator
+# per block, and a pure-Python Philox4x64-10 for the uniform channel
 
 
 _MASK = 2 ** 64 - 1
+B = rng._BLOCK
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,24 +165,28 @@ def _philox4x64(counter, key):
     return c0, c1, c2, c3
 
 
-def _stream_unit(key, step, channel, w):
-    """Word w of the (key, step, channel) stream as a uniform: block w div 4 + 1."""
-    word = _philox4x64((w // 4 + 1, step, channel, 0), (key, 0))[w % 4]
+def _stream_unit(key, step, w):
+    """Uniform w of the (key, step) stream: word w mod 4 of block (w div 4 + 1, step, 1, 0)."""
+    word = _philox4x64((w // 4 + 1, step, 1, 0), (key, 0))[w % 4]
     return ((word >> 11) + 0.5) * 2.0 ** -53
+
+
+@functools.lru_cache(maxsize=64)
+def _normal_block(key, step, b):
+    """Block b of the (key, step) normal stream: the ziggurat from counter (0, step, 0, b)."""
+    # a uint64 key: numpy reads a list of Python ints above 2^63 through float64
+    bitgen = np.random.Philox(key=np.array([key, 0], dtype=np.uint64), counter=[0, step, 0, b])
+    return np.random.Generator(bitgen).standard_normal(B)
 
 
 def _oracle_draw(seed, replica, dt, draw, particles, step, dim):
     key = _splitmix64(_splitmix64(seed) ^ ((replica * 0xA24BAED4963EE407) & _MASK))
-    values = np.array([v for i in particles for v in range(dim * i, dim * (i + 1))])
+    values = [v for i in particles for v in range(dim * i, dim * (i + 1))]
     if draw == "uniforms":
-        u = np.array([_stream_unit(key, step, 1, v) for v in values.tolist()])
-        return u.reshape(len(particles), dim)
-    u = np.array([_stream_unit(key, step, 0, v - v % 2) for v in values.tolist()])
-    a = np.array([_stream_unit(key, step, 0, v - v % 2 + 1) for v in values.tolist()])
-    radius = np.sqrt(-2.0 * np.log(u))
-    angle = 2.0 * np.pi * a
-    z = np.where(values % 2 == 0, radius * np.cos(angle), radius * np.sin(angle))
-    z = z.reshape(len(particles), dim)
+        z = [_stream_unit(key, step, v) for v in values]
+    else:
+        z = [_normal_block(key, step, v // B)[v % B] for v in values]
+    z = np.array(z).reshape(len(particles), dim)
     return z * np.sqrt(dt) if draw == "increments" else z
 
 
@@ -192,27 +199,74 @@ PARTICLE_SETS = [
     [3, 4, 5, 6, 7],                     # a run from an odd particle
     [7],
     [6, 5, 4, 3],                        # one contiguous run, in descending order
-    [21, 0, 1, 2, 9, 8, 2 ** 32 - 1, 5],  # unsorted, in four runs
+    [21, 0, 1, 2, 9, 8, 2 ** 32 - 1, 5],  # unsorted, in four runs, one at the last label
 ]
+
+
+def _block_end_sets(dim):
+    """Sets about the end of block 0, particle B div dim: it straddles it unless dim | B."""
+    edge = B // dim
+    return [list(range(edge - 2, edge + 3)),      # an ascending run across it
+            list(range(edge + 2, edge - 3, -1)),  # a descending one
+            [edge + 1, 0, edge, 9, 3, edge - 5]]  # gapped, unsorted, in both blocks
 
 
 @pytest.mark.parametrize("draw", ["normals", "uniforms", "increments"])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
-def test_draws_equal_the_two_half_box_muller_oracle(draw, dim, batched):
+def test_draws_equal_the_layout_oracle(draw, dim, batched):
     rand = random.Random(f"{draw}-{dim}-{batched}")
     seed = rand.getrandbits(64)
     ids = [rand.getrandbits(48) for _ in range(3)] + [REFERENCE_NAMESPACE + 3] if batched \
         else rand.getrandbits(48)
     grid = NoiseGrid(seed, np.array(ids) if batched else ids, dt=0.03)
     for step in (0, rand.randrange(INIT_STEP), INIT_STEP):
-        for particles in PARTICLE_SETS:
+        for particles in PARTICLE_SETS + _block_end_sets(dim):
             got = getattr(grid, draw)(np.array(particles), step, dim)
             want = np.array([_oracle_draw(seed, int(rid), 0.03, draw, particles, step, dim)
                              for rid in np.atleast_1d(ids)])
             want = want if batched else want[0]
             assert got.shape == want.shape == grid.batch_shape + (len(particles), dim)
             assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_draw_is_the_prefix_of_a_longer_draw(dim):
+    # the ziggurat reads a varying number of words per value, so a value is
+    # addressed only as a prefix of its block: n values must not depend on
+    # how many more a draw asks for, across block ends
+    grid = NoiseGrid(8, np.array([1, 4, REFERENCE_NAMESPACE]))
+    longest = grid.normals(2 * B // dim + 7, 5, dim)
+    for n in (1, 2, 5, B // dim, B // dim + 1, 2 * B // dim + 6):
+        assert np.array_equal(_bits(grid.normals(n, 5, dim)), _bits(longest[:, :n]))
+    part = np.arange(B // dim - 3, 2 * B // dim + 2)
+    assert np.array_equal(_bits(grid.normals(part, 5, dim)), _bits(longest[:, part]))
+
+
+def test_the_stream_sample_is_pinned():
+    # numpy promises stable bit generators, not a stable standard_normal: the
+    # sample that `mflab run <manifest>` checks, pinned bit for bit
+    sample = rng.stream_sample()
+    assert sample.shape == (444,)
+    assert hashlib.sha256(sample.tobytes()).hexdigest() == rng.SAMPLE_SHA256 \
+        == "7ecd057d9581337afa51806da1223520983b012cb3cfcf1c0d4fb36d2d9b7b7a"
+    assert [float(v).hex() for v in sample[[0, 1, 288, 443]]] == [
+        "0x1.9616a0099695dp+0", "-0x1.40ce2845799cep-1", "-0x1.3ea084306e392p-1",
+        "-0x1.40bcac43b3a0fp-1"]
+    assert rng.stream_errors() == []
+
+
+def test_uniform_bytes_are_those_of_the_previous_stream():
+    # the uniform channel kept its layout: sha256 of the same draws under
+    # philox4x64-v2, across keys, steps, dims, block ends and batch widths
+    ids = np.array([0, 9, REFERENCE_NAMESPACE + 3])
+    parts = [NoiseGrid(2026, ids).uniforms(np.arange(50), 0, 1),
+             NoiseGrid(2026, 9).uniforms(np.array([2730, 2731, 0, 7]), 3, 3),
+             NoiseGrid(7, ids[:2]).uniforms(np.array([4095, 4096, 2 ** 32 - 1, 11]), INIT_STEP, 2),
+             NoiseGrid(5, 2 ** 40).uniforms(np.array([6, 5, 4, 3, 8192, 8191, 20000]), 12, 1),
+             NoiseGrid(5, 3).uniforms(np.arange(8000, 8400), 1, 5)]
+    assert hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest() \
+        == "871dda01e7057d71fd6525b93f092351e9b62e55e875a86495e53f01c1750740"
 
 
 @settings(max_examples=40, deadline=None)
