@@ -2,14 +2,13 @@
 
 Each acceptance criterion in tests/test_acceptance.py runs at pinned seeds
 (offset 0).  This script runs every criterion at the seed offsets 1..K,
-which key noise disjoint from the pinned run and from each other, and
-writes one JSON: per criterion, the pass count, its Wilson 95% interval and
-the deciding statistics at each offset.  A criterion that raises counts as
-a fail and records the exception.  It is run by hand, not by the test
-suite; K = 20 takes several minutes on two CPUs.
+K = 20, which key noise disjoint from the pinned run and from each other,
+and writes one JSON: per criterion, the pass count, its Wilson 95% interval
+and the deciding statistics at each offset.  A criterion that raises counts
+as a fail and records the exception.  It is run by hand, not by the test
+suite; it takes several minutes on two CPUs.
 
-    PYTHONPATH=src python scripts/gate_rates.py --offsets 20 \
-        --out scripts/gate_rates/<stream>.json
+    PYTHONPATH=src python scripts/gate_rates.py --out scripts/gate_rates/<stream>.json
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -28,6 +26,9 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from meanfieldlab.experiments import wilson_interval  # noqa: E402
 from meanfieldlab.rng import STREAM  # noqa: E402
 from test_acceptance import CRITERIA  # noqa: E402
+
+K = 20
+OFFSETS = list(range(1, K + 1))
 
 
 def _plain(value):
@@ -45,13 +46,11 @@ def _plain(value):
     return value
 
 
-def sweep(offsets, numbers=None) -> dict:
+def sweep() -> dict:
     results = {}
     for num, (name, body) in CRITERIA.items():
-        if numbers and num not in numbers:
-            continue
-        runs, passes, started = [], 0, time.perf_counter()
-        for offset in offsets:
+        runs, passes = [], 0
+        for offset in OFFSETS:
             try:
                 verdict = body(offset)
                 run = {"offset": offset, "ok": bool(verdict.ok), "stats": _plain(verdict.stats)}
@@ -61,24 +60,18 @@ def sweep(offsets, numbers=None) -> dict:
             runs.append(run)
             print(f"criterion {num:02d} offset {offset}: {'PASS' if run['ok'] else 'FAIL'}",
                   flush=True)
-        low, high = wilson_interval(passes, len(offsets))
-        results[f"{num:02d}"] = {"name": name, "passes": passes, "runs": len(offsets),
-                                 "wilson_95": [low, high],
-                                 "seconds": round(time.perf_counter() - started, 1),
-                                 "offsets": runs}
+        low, high = wilson_interval(passes, K)
+        results[f"{num:02d}"] = {"name": name, "passes": passes, "runs": K,
+                                 "wilson_95": [low, high], "offsets": runs}
     return results
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--offsets", type=int, default=20, help="K: run seed offsets 1..K")
-    parser.add_argument("--criteria", type=int, nargs="*", help="criterion numbers (default all)")
     parser.add_argument("--out", required=True, help="JSON path to write")
     args = parser.parse_args(argv)
-    offsets = list(range(1, args.offsets + 1))
-    report = {"stream": STREAM, "numpy": np.__version__, "offsets": offsets,
-              "seed_rule": "pinned seed + offset * 2**32",
-              "criteria": sweep(offsets, args.criteria)}
+    report = {"stream": STREAM, "numpy": np.__version__, "offsets": OFFSETS,
+              "seed_rule": "pinned seed + offset * 2**32", "criteria": sweep()}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -55,7 +55,7 @@ def _quadratic_model():
     return granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def _chaos_fit(offset: int):
     """Shared by criteria 1 and 4: the full-scale rate experiment."""
     cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=512, seed=_seed(2026, offset))
