@@ -11,9 +11,9 @@ import configparser
 import difflib
 import re
 from dataclasses import dataclass, field, fields as dc_fields
-from typing import Optional
 
-from .engine import equilibrium_time_errors, reference_size_errors, time_grid_errors
+from .engine import (equilibrium_time_errors, n_grid_errors, reference_size_errors,
+                     time_grid_errors)
 from .errors import ValidationError
 from .rng import seed_errors
 
@@ -179,13 +179,9 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
         errs.append("[sim] replicas must be >= 1")
     errs.extend(f"[sim] {e}" for e in seed_errors(cfg.sim.seed))
     if cfg.experiment.kind == "chaos_rate":
-        if not cfg.sim.n_grid:
-            errs.append("[sim] n_grid is required for the chaos_rate experiment")
-        elif any(n < 1 for n in cfg.sim.n_grid):
-            errs.append("[sim] n_grid entries must be >= 1")
-    else:
-        if cfg.sim.n_particles < 1:
-            errs.append("[sim] n_particles must be >= 1 for this experiment")
+        errs.extend(f"[sim] {e}" for e in n_grid_errors(cfg.sim.n_grid))
+    elif cfg.sim.n_particles < 1:
+        errs.append("[sim] n_particles must be >= 1 for this experiment")
     if cfg.experiment.kind in ("observable_deviation", "empirical_deviation") \
             and not cfg.experiment.r_grid:
         errs.append("[experiment] r_grid is required for deviation experiments")

@@ -51,6 +51,20 @@ def time_grid_errors(dt: float, t_final: float, allow_large_dt: bool) -> list[st
     return errs
 
 
+def n_grid_errors(n_grid) -> list[str]:
+    """Every rule that a chaos-rate grid of sizes N breaks, one message each.
+
+    The grid's gaps are fitted against log N, so it needs a size, and its
+    sizes must be >= 1 and distinct: a repeated N would count twice in the
+    fit, and a grid of one N repeated leaves no abscissa to fit.
+    """
+    if not len(n_grid):
+        return ["n_grid is required for the chaos_rate experiment"]
+    if min(n_grid) < 1 or len(set(n_grid)) < len(n_grid):
+        return [f"n_grid entries must be >= 1 and distinct (n_grid={list(n_grid)})"]
+    return []
+
+
 def reference_size_errors(m: int, n_grid) -> list[str]:
     """Every rule that a reference flow of m particles breaks, one message each.
 

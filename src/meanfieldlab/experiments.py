@@ -23,8 +23,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .engine import (SimConfig, TrajectoryEnsemble, _record_steps, build_reference_flow,
-                     equilibrium_time_errors, reference_size_errors, simulate_coupled,
-                     simulate_particle_system)
+                     equilibrium_time_errors, n_grid_errors, reference_size_errors,
+                     simulate_coupled, simulate_particle_system)
 from .errors import ValidationError
 from .models import ModelSpec, Observable
 from .rng import BURN_IN_NAMESPACE, NoiseGrid
@@ -276,8 +276,10 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     stderr is nan with one replica, which leaves no degree of freedom.
     """
     n_grid = sorted(int(n) for n in n_grid)
-    M = flow.states.shape[1] if flow is not None else m_reference or 16 * max(n_grid)
-    errs = reference_size_errors(M, n_grid)
+    errs = n_grid_errors(n_grid)
+    if not errs:
+        M = flow.states.shape[1] if flow is not None else m_reference or 16 * max(n_grid)
+        errs = reference_size_errors(M, n_grid)
     if errs:
         raise ValidationError("; ".join(errs))
     if flow is None:

@@ -195,7 +195,6 @@ class DiffusionSpec:
         if np.min(np.linalg.eigvalsh(a)) < -1e-12:
             raise ValidationError("a = sigma sigma^T / 2 must be positive semidefinite")
         object.__setattr__(self, "a", a)
-        d = sig.shape[0]
         diag = np.diag(np.diag(sig))
         object.__setattr__(self, "_diag", np.diag(sig).copy() if np.array_equal(sig, diag) else None)
 
@@ -373,24 +372,6 @@ def _count_at_or_below(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return counts[..., m:]
 
 
-def _count_self_at_or_below(y: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """_count_at_or_below(y, x) for the cloud x itself, from y = x sorted by order.
-
-    The points at or below y[i] run to the end of the run of values equal to
-    y[i], so row i of y counts that end's index plus 1, and the counts go back
-    to x's order through order.  Equal means == or both nan, as in the sort,
-    which puts every nan last.
-    """
-    same = (y[..., 1:] == y[..., :-1]) | (np.isnan(y[..., 1:]) & np.isnan(y[..., :-1]))
-    m = y.shape[-1]
-    ends = np.full(y.shape, m, dtype=order.dtype)
-    ends[..., :-1] = np.where(same, m, np.arange(1, m))
-    sorted_counts = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
-    counts = np.empty_like(order)
-    np.put_along_axis(counts, order, sorted_counts, axis=-1)
-    return counts
-
-
 def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
     """Exact weighted average of grad W(x - y_j) over j for W(z) = c |z|^p in 1-D.
@@ -401,42 +382,62 @@ def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
     c p sum_k (-1)^k binom(p-1, k) u^(p-1-k) a_k in u, where a_k is the moment
     sum_j w_j v_j^k over the points y_j <= x minus the one over the points
     above x for odd p, and over all points for even p.  The cloud is sorted
-    once and its moments summed in prefix, so X (..., n, 1) against points
-    (m, 1) or (..., m, 1) costs O((n + m) log m), not the O(n m) of the
-    pairwise average.
+    once and its moments summed in prefix: X (..., n, 1) against points
+    (m, 1) or (..., m, 1) costs O((n + m) log m), not O(n m) pairwise.
 
-    Every step is elementwise, or a sort, cumsum or sum along a row of one
-    cloud, so each row's result depends on the values of its own x and cloud
-    only: not on the other rows, on the replica axis, or on whether the
-    cloud is the state itself or a copy of it.  Overflow of a diverging run
-    carries through as inf or nan without a warning.
+    The sort is numpy's default, the stable order when no row has two equal
+    values; a tie or a nan in any row sorts the batch again, stably.  Against
+    another cloud each x is ranked by searchsorted.  Against itself (points
+    is X) a state is evaluated in its sort order, where u is v and sorted row
+    i counts i + 1 points (or those to the end of its run of equal values),
+    and the results are scattered back to X's order.  Each step is
+    elementwise, a permutation, or a sort, cumsum or sum along a row of one
+    cloud, so a row's result depends on the values of its own x and cloud
+    only: not on the other rows, the replica axis, or whether the cloud is
+    the state itself or a copy (but for the sign of a nan).  Overflow of a
+    diverging run carries through as inf or nan without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = X[..., 0], points[..., 0]
-        order = np.argsort(y, axis=-1, kind="stable")
-        y = np.take_along_axis(y, order, axis=-1)
+        x, y, own, m = X[..., 0], points[..., 0], points is X, points.shape[-2]
+        starts = np.arange(0, y.size, m).reshape(y.shape[:-1] + (1,))  # flat index of each row
+        order = np.argsort(y, axis=-1)
+        ys = y.reshape(-1)[order + starts]
+        same = ys[..., 1:] == ys[..., :-1]  # a stable re-sort only reorders equal values
+        tied = same.any() or np.isnan(ys[..., -1]).any()
+        if tied:
+            order = np.argsort(y, axis=-1, kind="stable")
+            ys = y.reshape(-1)[order + starts]
         w = weights[order]
-        shift = np.sum(y * w, axis=-1, keepdims=True)
-        v = y - shift
-        # moments[..., i, k] = coeff_k * sum_{j < i} w_j v_j^k
-        terms = np.empty(y.shape + (p,))
-        terms[..., 0] = w
+        shift = np.sum(ys * w, axis=-1, keepdims=True)
+        v = ys - shift
+        # moments[k, ..., i] = coeff_k * sum_{j < i} w_j v_j^k
+        terms = np.empty((p,) + ys.shape)
+        terms[0] = w
         for k in range(1, p):
-            np.multiply(terms[..., k - 1], v, out=terms[..., k])
-        terms *= [c * p * (-1) ** k * math.comb(p - 1, k) for k in range(p)]
-        moments = np.zeros(y.shape[:-1] + (y.shape[-1] + 1, p))
-        np.cumsum(terms, axis=-2, out=moments[..., 1:, :])
-        a = moments[..., -1:, :]
-        if p % 2:
-            at = _count_self_at_or_below(y, order) if points is X else _count_at_or_below(y, x)
-            if y.ndim > 1:  # row i of cloud r sits at r (m + 1) + i of the stacked rows
-                rows = np.arange(math.prod(y.shape[:-1])).reshape(y.shape[:-1] + (1,))
-                at += rows * moments.shape[-2]
-            a = 2.0 * np.take(moments.reshape(-1, p), at, axis=0) - a
-        u = x - shift
-        out = a[..., 0]
+            np.multiply(terms[k - 1], v, out=terms[k])
+        terms *= np.reshape([c * p * (-1) ** k * math.comb(p - 1, k) for k in range(p)],
+                            (p,) + (1,) * ys.ndim)
+        moments = np.zeros((p,) + ys.shape[:-1] + (m + 1,))
+        np.cumsum(terms, axis=-1, out=moments[..., 1:])
+        a = moments[..., -1:]
+        if p % 2 and own and not tied:
+            a = 2.0 * moments[..., 1:] - a
+        elif p % 2:
+            if own:  # equal means == or both nan, as in the sort, which puts every nan last
+                same |= np.isnan(ys[..., 1:]) & np.isnan(ys[..., :-1])
+                ends = np.full(ys.shape, m)
+                ends[..., :-1] = np.where(same, m, np.arange(1, m))
+                at = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+            else:
+                at = _count_at_or_below(ys, x)
+            a = np.take((2.0 * moments - a).reshape(p, -1), at + starts // m * (m + 1), axis=1)
+        u = v if own else x - shift
+        out = a[0]
         for k in range(1, p):
-            out = out * u + a[..., k]
+            out = out * u + a[k]
+        if own:  # from sort order back to X's
+            out, sorted_out = np.empty(out.shape), out
+            out.reshape(-1)[order + starts] = sorted_out
         return out[..., None]
 
 
@@ -444,11 +445,10 @@ def mean_field_batch(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
                      weights: np.ndarray) -> np.ndarray:
     """Mean-field drift for a batch of states X against a weighted cloud.
 
-    X is (n, d) or, for R batched replicas, (R, n, d).  points is one cloud
-    (m, d) shared by every replica, or one cloud per replica (R, m, d).  The
-    kernel's closed form (the linear-gradient mean, the 1-D prefix moments
-    of an integer power) broadcasts over the replica axis; the pairwise
-    average, left for d > 1 and non-integer powers, runs replica by replica.
+    X is (n, d) or (R, n, d) for R replicas; points is one cloud (m, d), one
+    per replica (R, m, d), or X itself, which the 1-D prefix moments of an
+    integer power evaluate in X's sort order.  Closed forms broadcast over
+    replicas; the pairwise average (d > 1, non-integer powers) runs per replica.
     """
     if kernel.mean_field is not None:
         return kernel.mean_field(X, points, weights)

@@ -484,6 +484,20 @@ def test_chaos_reference_size_is_checked_before_the_run(m, valid, tmp_path, caps
     assert out.exists() is valid
 
 
+@pytest.mark.parametrize("n_grid", ["16, 16", "16, 16, 32", "0, 16"])
+def test_chaos_grid_sizes_must_be_distinct_and_positive(n_grid, tmp_path, capsys):
+    # a repeated N passed validate, then the run failed its fit ("16, 16") or
+    # wrote the N twice and fitted it twice ("16, 16, 32")
+    p = tmp_path / "chaos.cfg"
+    out = tmp_path / "out"
+    p.write_text(CHAOS_CFG.format(out=str(out)).replace("n_grid = 8, 16", f"n_grid = {n_grid}")
+                 .replace("m = 256", "m = 512"))
+    assert main(["validate", str(p)]) == EXIT_VALIDATION
+    assert main(["run", str(p)]) == EXIT_VALIDATION
+    assert "[sim] n_grid entries must be >= 1 and distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_reference_size_is_named_on_every_kind(tmp_path, capsys):
     p = tmp_path / "dev.cfg"
     p.write_text(DEVIATION_CFG.format(out=str(tmp_path / "out")).replace("m = 512", "m = -5"))

@@ -421,6 +421,13 @@ def test_zero_replicas_is_a_labelled_error(kind):
         calls[kind]()
 
 
+@pytest.mark.parametrize("n_grid", [[16, 16], [16, 32, 16], [0, 16], []])
+def test_chaos_rate_grid_sizes_must_be_distinct_and_positive(n_grid):
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+    with pytest.raises(ValidationError, match="n_grid"):
+        chaos_rate_experiment(m, n_grid, _cfg(dt=0.1, t_final=0.2), replicas=2, m_reference=512)
+
+
 @pytest.mark.parametrize("kind", ["observable_deviation", "empirical_deviation", "equilibrium"])
 def test_negative_reference_size_is_named_by_the_flow(kind):
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -122,6 +123,17 @@ def test_interaction_gradient_antisymmetry():
 def _same_bits(a, b):
     """Equal element for element down to the sign of zero."""
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _same_bits_or_nan(a, b):
+    """_same_bits, except that a nan matches any nan.
+
+    Of two nan operands, numpy's add and multiply pass on the one that the
+    vector loop puts first, and that order can depend on where the element
+    sits in the row, so a nan's sign is not part of a result.
+    """
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and _same_bits(a[~nan], b[~nan])
 
 
 def _old_power_grad(p, c):
@@ -305,15 +317,162 @@ def test_prefix_moment_drift_matches_the_pairwise_oracle_on_random_clouds(
         assert np.array_equal(ranks[r], np.searchsorted(ys[r], xs[r], side="right"))
 
 
+# The prefix-moment drift as written before a state against itself was
+# evaluated in its sort order: the oracle of the bit-for-bit test below.
+
+
+def _old_count_at_or_below(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(y, x, side="right") for each row of sorted y and x.
+
+    Rows of more than one dimension merge y and x in one stable sort, which
+    ranks each point of y ahead of an equal x, and count the points of y up
+    to each x.  The counts are integers, so both ways give the same ones.
+    """
+    if y.ndim == 1:
+        return np.searchsorted(y, x, side="right")
+    m = y.shape[-1]
+    order = np.argsort(np.concatenate([y, x], axis=-1), axis=-1, kind="stable")
+    counts = np.empty_like(order)
+    np.put_along_axis(counts, order, np.cumsum(order < m, axis=-1), axis=-1)
+    return counts[..., m:]
+
+
+def _old_count_self_at_or_below(y: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """_old_count_at_or_below(y, x) for the cloud x itself, from y = x sorted by order.
+
+    The points at or below y[i] run to the end of the run of values equal to
+    y[i], so row i of y counts that end's index plus 1, and the counts go back
+    to x's order through order.  Equal means == or both nan, as in the sort,
+    which puts every nan last.
+    """
+    same = (y[..., 1:] == y[..., :-1]) | (np.isnan(y[..., 1:]) & np.isnan(y[..., :-1]))
+    m = y.shape[-1]
+    ends = np.full(y.shape, m, dtype=order.dtype)
+    ends[..., :-1] = np.where(same, m, np.arange(1, m))
+    sorted_counts = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+    counts = np.empty_like(order)
+    np.put_along_axis(counts, order, sorted_counts, axis=-1)
+    return counts
+
+
+def _old_power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
+                           weights: np.ndarray) -> np.ndarray:
+    """Exact weighted average of grad W(x - y_j) over j for W(z) = c |z|^p in 1-D.
+
+    For an integer p, grad W(z) = c p |z|^(p-2) z is c p z^(p-1) above 0 and
+    (-1)^p c p z^(p-1) below it.  With the shift s the weighted cloud mean,
+    u = x - s and v_j = y_j - s, the average is the polynomial
+    c p sum_k (-1)^k binom(p-1, k) u^(p-1-k) a_k in u, where a_k is the moment
+    sum_j w_j v_j^k over the points y_j <= x minus the one over the points
+    above x for odd p, and over all points for even p.  The cloud is sorted
+    once and its moments summed in prefix, so X (..., n, 1) against points
+    (m, 1) or (..., m, 1) costs O((n + m) log m), not the O(n m) of the
+    pairwise average.
+
+    Every step is elementwise, or a sort, cumsum or sum along a row of one
+    cloud, so each row's result depends on the values of its own x and cloud
+    only: not on the other rows, on the replica axis, or on whether the
+    cloud is the state itself or a copy of it.  Overflow of a diverging run
+    carries through as inf or nan without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = X[..., 0], points[..., 0]
+        order = np.argsort(y, axis=-1, kind="stable")
+        y = np.take_along_axis(y, order, axis=-1)
+        w = weights[order]
+        shift = np.sum(y * w, axis=-1, keepdims=True)
+        v = y - shift
+        # moments[..., i, k] = coeff_k * sum_{j < i} w_j v_j^k
+        terms = np.empty(y.shape + (p,))
+        terms[..., 0] = w
+        for k in range(1, p):
+            np.multiply(terms[..., k - 1], v, out=terms[..., k])
+        terms *= [c * p * (-1) ** k * math.comb(p - 1, k) for k in range(p)]
+        moments = np.zeros(y.shape[:-1] + (y.shape[-1] + 1, p))
+        np.cumsum(terms, axis=-2, out=moments[..., 1:, :])
+        a = moments[..., -1:, :]
+        if p % 2:
+            at = _old_count_self_at_or_below(y, order) if points is X else _old_count_at_or_below(y, x)
+            if y.ndim > 1:  # row i of cloud r sits at r (m + 1) + i of the stacked rows
+                rows = np.arange(math.prod(y.shape[:-1])).reshape(y.shape[:-1] + (1,))
+                at += rows * moments.shape[-2]
+            a = 2.0 * np.take(moments.reshape(-1, p), at, axis=0) - a
+        u = x - shift
+        out = a[..., 0]
+        for k in range(1, p):
+            out = out * u + a[..., k]
+        return out[..., None]
+
+
+CLOUD_KINDS = ["distinct", "ties", "specials"]
+
+
+def _cloud_values(rng, shape, kind):
+    """Normal values: distinct, rounded into ties, or ties with +-0.0, +-inf and nan."""
+    x = 2.0 + rng.normal(size=shape)
+    if kind == "distinct":
+        return x
+    x = x.round(1)
+    if kind == "specials":
+        hit = rng.random(shape) < 0.3
+        x[hit] = rng.choice([-np.inf, np.inf, np.nan, 0.0, -0.0], size=int(hit.sum()))
+    return x
+
+
+@pytest.mark.parametrize("kind", CLOUD_KINDS)
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_prefix_moment_drift_has_the_bits_of_the_rank_gather(p, uniform, kind):
+    # against itself, a shared cloud and one cloud per replica, for one
+    # state, n states and R replicas of n states
+    rng = np.random.default_rng([p, uniform, CLOUD_KINDS.index(kind)])
+    n, m, R = 23, 37, 4
+
+    def weights(size):
+        w = np.full(size, 1.0 / size) if uniform else rng.uniform(0.1, 2.0, size=size)
+        return w / w.sum()
+
+    shared = _cloud_values(rng, (m, 1), kind)
+    per_replica = _cloud_values(rng, (R, m, 1), kind)
+    w = weights(m)
+    for shape in [(1, 1), (n, 1), (R, n, 1)]:
+        X = _cloud_values(rng, shape, kind)
+        clouds = [(X, weights(shape[-2])), (shared, w)]
+        if len(shape) == 3:
+            clouds.append((per_replica, w))
+        for points, wp in clouds:
+            got = models._power_law_average(p, 0.7, X, points, wp)
+            want = _old_power_law_average(p, 0.7, X, points, wp)
+            assert _same_bits_or_nan(got, want), (shape, kind, points is X)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_a_tie_in_one_replica_changes_no_other_replicas_bits(p):
+    # the tie re-sorts the whole batch stably; the tie-free rows keep the
+    # bits of their own default sort
+    rng = np.random.default_rng(70 + p)
+    R, n = 5, 41
+    X = rng.normal(size=(R, n, 1))
+    X[2, 7:11] = X[2, 3]
+    w = rng.uniform(0.1, 2.0, size=n)
+    w /= w.sum()
+    batch = models._power_law_average(p, 0.7, X, X, w)
+    assert _same_bits(batch, _old_power_law_average(p, 0.7, X, X, w))
+    for r in range(R):
+        x = X[r].copy()
+        assert _same_bits(batch[r], models._power_law_average(p, 0.7, x, x, w)), r
+
+
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_self_interaction_counts_come_from_the_one_sort(p, monkeypatch):
-    # a state against itself counts its points at or below each row from the
-    # runs of equal values of its own sort: the merge's counts, and the
-    # average's bits against a copy of the state, with ties, +-inf and nan
+    # a state against itself counts its points at or below each row from its
+    # own sort, with no merge: the average's bits against a copy of the
+    # state, without ties and with ties, +-inf and nan
     rng = np.random.default_rng(29)
     specials = np.array([-np.inf, np.inf, np.nan, 0.0, -0.0])
     cases = []
     for shape in [(1,), (9,), (4, 9), (2, 3, 17)]:
+        cases.append(rng.normal(size=shape))
         for with_specials in (False, True):
             x = rng.normal(size=shape).round(1)  # ties
             if with_specials:
@@ -322,9 +481,6 @@ def test_self_interaction_counts_come_from_the_one_sort(p, monkeypatch):
             cases.append(x)
     merge = models._count_at_or_below
     for x in cases:
-        order = np.argsort(x, axis=-1, kind="stable")
-        y = np.take_along_axis(x, order, axis=-1)
-        assert np.array_equal(models._count_self_at_or_below(y, order), merge(y, x))
         X = x[..., None]
         w = rng.uniform(0.1, 2.0, size=x.shape[-1])
         w /= w.sum()
@@ -332,7 +488,7 @@ def test_self_interaction_counts_come_from_the_one_sort(p, monkeypatch):
         monkeypatch.setattr(models, "_count_at_or_below", None)  # the merge is not made
         got = models._power_law_average(p, 0.7, X, X, w)
         monkeypatch.setattr(models, "_count_at_or_below", merge)
-        assert np.array_equal(got, want, equal_nan=True)
+        assert _same_bits_or_nan(got, want)
 
 
 @pytest.mark.parametrize("dim, pairwise", [(1, False), (2, True)])
