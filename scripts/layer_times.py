@@ -10,12 +10,12 @@ Each layer is timed on its own, at the shapes the engine calls it with:
 - the noise generator, `NoiseGrid.increments` in d = 1, at replicas x
   particles 200 x 16, 88 x 128, 20 x 64 and 1 x 2048.
 
-A round times a loop of calls at one shape; the script prints one JSON line
-with the best and the median over the rounds of the time per call, in
+A round times a loop of CALLS calls at one shape; the script prints one JSON
+line with the best and the median over the rounds of the time per call, in
 microseconds.  The inputs are fixed normal samples, so two checkouts time the
 same work.  It is run by hand, not by the test suite:
 
-    PYTHONPATH=src python scripts/layer_times.py [--rounds K] [--calls C]
+    PYTHONPATH=src python scripts/layer_times.py [--rounds K] [--smallest]
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ QUADRATIC_SHAPES = {"quadratic 88x128 vs 2048": (88, 128, 2048)}
 # (replicas, particles) of a draw
 NOISE_SHAPES = {"200x16": (200, 16), "88x128": (88, 128), "20x64": (20, 64),
                 "1x2048": (1, 2048)}
+CALLS = 200  # calls per round
 
 
 def _drift_call(kernel, replicas, n, cloud_size, rng):
@@ -68,21 +69,20 @@ def _smallest(shapes: dict) -> dict:
     return {name: shapes[name]}
 
 
-def _time(call, rounds: int, calls: int) -> dict:
+def _time(call, rounds: int) -> dict:
     call()  # warm up
     per_call = []
     for _ in range(rounds):
         start = time.perf_counter()
-        for _ in range(calls):
+        for _ in range(CALLS):
             call()
-        per_call.append((time.perf_counter() - start) / calls * 1e6)
+        per_call.append((time.perf_counter() - start) / CALLS * 1e6)
     return {"best": round(min(per_call), 1), "median": round(statistics.median(per_call), 1)}
 
 
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=9, help="rounds per shape (default 9)")
-    parser.add_argument("--calls", type=int, default=200, help="calls per round (default 200)")
     parser.add_argument("--smallest", action="store_true",
                         help="time only the smallest shape of each layer")
     args = parser.parse_args(argv)
@@ -96,9 +96,9 @@ def main(argv=None) -> dict:
                   for name, spec in pick(QUADRATIC_SHAPES).items()})
     noise = {name: _noise_call(*shape) for name, shape in pick(NOISE_SHAPES).items()}
 
-    result = {"unit": "us per call", "rounds": args.rounds, "calls": args.calls,
-              "mean_field_batch": {k: _time(f, args.rounds, args.calls) for k, f in drift.items()},
-              "increments": {k: _time(f, args.rounds, args.calls) for k, f in noise.items()}}
+    result = {"unit": "us per call", "rounds": args.rounds, "calls": CALLS,
+              "mean_field_batch": {k: _time(f, args.rounds) for k, f in drift.items()},
+              "increments": {k: _time(f, args.rounds) for k, f in noise.items()}}
     print(json.dumps(result))
     return result
 

@@ -1,7 +1,7 @@
 """`scripts/layer_times.py` runs and reports every layer it times.
 
-The script is run by hand for before/after timings; here one round of one
-call at the smallest shape of each layer checks that it still runs against
+The script is run by hand for before/after timings; here one round at the
+smallest shape of each layer checks that it still runs against
 the package and prints the JSON line it documents.
 """
 
@@ -17,7 +17,7 @@ def test_layer_times_prints_best_and_median_per_layer(capsys):
     spec = importlib.util.spec_from_file_location("layer_times", SCRIPT)
     layer_times = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layer_times)
-    result = layer_times.main(["--rounds", "1", "--calls", "1", "--smallest"])
+    result = layer_times.main(["--rounds", "1", "--smallest"])
     assert json.loads(capsys.readouterr().out) == result
     assert set(result["mean_field_batch"]) == {"cubic 20x16 vs itself", "quadratic 88x128 vs 2048"}
     assert set(result["increments"]) == {"20x64"}

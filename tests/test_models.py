@@ -443,7 +443,9 @@ def test_prefix_moment_drift_has_the_bits_of_the_rank_gather(p, uniform, kind):
         for points, wp in clouds:
             got = models._power_law_average(p, 0.7, X, points, wp)
             want = _old_power_law_average(p, 0.7, X, points, wp)
-            assert _same_bits_or_nan(got, want), (shape, kind, points is X)
+            # only the specials hold a nan, whose sign may differ
+            same = _same_bits_or_nan if kind == "specials" else _same_bits
+            assert same(got, want), (shape, kind, points is X)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -488,7 +490,7 @@ def test_self_interaction_counts_come_from_the_one_sort(p, monkeypatch):
         monkeypatch.setattr(models, "_count_at_or_below", None)  # the merge is not made
         got = models._power_law_average(p, 0.7, X, X, w)
         monkeypatch.setattr(models, "_count_at_or_below", merge)
-        assert _same_bits_or_nan(got, want)
+        assert (_same_bits_or_nan if np.isnan(x).any() else _same_bits)(got, want)
 
 
 @pytest.mark.parametrize("dim, pairwise", [(1, False), (2, True)])
