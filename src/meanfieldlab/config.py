@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 import re
 from dataclasses import dataclass, field, fields as dc_fields
 
@@ -112,21 +113,22 @@ def _parse_bool(raw: str, where: str, errors: list) -> bool:
 
 
 def _parse_value(section: str, key: str, raw: str, target_type, errors: list):
+    """The value of `raw` as `target_type`; every number in it must be finite."""
     where = f"[{section}] {key}"
-    if (section, key) in _LIST_KEYS:
-        elem = _LIST_KEYS[(section, key)]
-        try:
-            return [elem(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError:
-            errors.append(f"{where}: cannot parse {raw!r} as a list of {elem.__name__}")
-            return []
     if target_type is bool:
         return _parse_bool(raw, where, errors)
+    if target_type is str:
+        return raw
+    elem = _LIST_KEYS.get((section, key))
     try:
-        return target_type(raw)
+        value = [elem(tok) for tok in raw.replace(",", " ").split()] if elem else target_type(raw)
+        if all(map(math.isfinite, value if elem else [value])):
+            return value
     except ValueError:
-        errors.append(f"{where}: cannot parse {raw!r} as {target_type.__name__}")
-        return target_type()
+        pass
+    kind = f"{elem.__name__} list" if elem else target_type.__name__
+    errors.append(f"{where}: cannot parse {raw!r} as finite {kind}")
+    return target_type()
 
 
 def _suggest(name: str, options) -> str:

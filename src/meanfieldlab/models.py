@@ -1,22 +1,23 @@
 """Mean-field model definitions.
 
 A model is a pairwise drift kernel b(X, Y), a constant diffusion factor
-sigma, and an initial law.  The drift actually used by the dynamics is the
-average of b(X, .) against a measure.  A kernel may carry that average in
-closed form, exploiting linear or polynomial structure (exact algebra, no
-subsampling); otherwise it is the pairwise average over the cloud.
+sigma, and a Gaussian initial law.  The drift actually used by the dynamics
+is the average of b(X, .) against a measure.  A kernel may carry that
+average in closed form, exploiting linear or polynomial structure (exact
+algebra, no subsampling); otherwise it is the pairwise average over the
+cloud.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .rng import INIT_STEP, SELECT_STEP, NoiseGrid
+from .rng import INIT_STEP, NoiseGrid
 
 __all__ = [
     "Potential",
@@ -55,13 +56,12 @@ class Potential:
     when the potential is c |z|^p with an integer p > 2: in 1-D its gradient
     is a polynomial of degree p - 1 on either side of 0, which lets
     mean-field averages collapse to prefix moments of the sorted cloud.
-    `grad_lipschitz` is the Lipschitz constant of the gradient, or None when
-    only locally Lipschitz.
+    The granular media model tames its drift unless both of its potentials
+    set `linear_grad_coeff`.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
-    grad_lipschitz: Optional[float]
     name: str = "potential"
     linear_grad_coeff: Optional[float] = None
     integer_power: Optional[tuple[int, float]] = None
@@ -71,7 +71,6 @@ def zero_potential() -> Potential:
     return Potential(
         value=lambda z: np.zeros(np.asarray(z).shape[:-1]),
         grad=np.zeros_like,
-        grad_lipschitz=0.0,
         name="zero",
         linear_grad_coeff=0.0,
     )
@@ -83,7 +82,6 @@ def quadratic_potential(coeff: float = 1.0) -> Potential:
     return Potential(
         value=lambda z: 0.5 * c * np.sum(np.asarray(z) ** 2, axis=-1),
         grad=lambda z: c * np.asarray(z),
-        grad_lipschitz=abs(c),
         name=f"quadratic({c})",
         linear_grad_coeff=c,
     )
@@ -118,7 +116,6 @@ def power_potential(exponent: float, coeff: float = 1.0) -> Potential:
     return Potential(
         value=value,
         grad=grad,
-        grad_lipschitz=abs(c) * p if p == 2 else None,
         name=f"|z|^{p}*{c}",
         linear_grad_coeff=c * p if p == 2 else None,
         integer_power=(int(p), c) if p > 2 and p.is_integer() else None,
@@ -179,22 +176,17 @@ class DriftKernel:
             raise ValidationError("taming_exponent must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionSpec:
-    """Constant diffusion factor sigma with a = sigma sigma^T / 2."""
+    """Constant square diffusion factor sigma, noise sigma dW; equal only to itself."""
 
     sigma: np.ndarray
-    a: np.ndarray = field(init=False)
 
     def __post_init__(self):
         sig = np.atleast_2d(np.asarray(self.sigma, dtype=np.float64))
         if sig.shape[0] != sig.shape[1]:
             raise ValidationError("sigma must be square")
         object.__setattr__(self, "sigma", sig)
-        a = sig @ sig.T / 2.0
-        if np.min(np.linalg.eigvalsh(a)) < -1e-12:
-            raise ValidationError("a = sigma sigma^T / 2 must be positive semidefinite")
-        object.__setattr__(self, "a", a)
         diag = np.diag(np.diag(sig))
         object.__setattr__(self, "_diag", np.diag(sig).copy() if np.array_equal(sig, diag) else None)
 
@@ -209,41 +201,33 @@ class DiffusionSpec:
         return dW @ self.sigma.T
 
     @classmethod
-    def isotropic(cls, dim: int, factor: float = np.sqrt(2.0)) -> "DiffusionSpec":
-        return cls(np.eye(dim) * factor)
+    def isotropic(cls, dim: int) -> "DiffusionSpec":
+        """sigma = sqrt(2) I, the noise of the overdamped Langevin dynamics."""
+        return cls(np.eye(dim) * np.sqrt(2.0))
 
 
+@dataclass(frozen=True, eq=False)
 class InitialLaw:
-    """Initial distribution from a family with closed-form second moment."""
+    """Gaussian initial law N(mean, chol chol^T), sampled at INIT_STEP.
 
-    def __init__(self, kind: str, dim: int, second_moment: float, sampler):
-        self.kind = kind
-        self.dim = dim
-        self.second_moment = float(second_moment)
-        self._sampler = sampler
-        if not np.isfinite(self.second_moment):
-            raise ValidationError("initial law must have a finite second moment")
+    Build it with `gaussian(mean, cov)`; a zero covariance gives the point
+    law at `mean`.  A law is equal only to itself: arrays have no truth value.
+    """
 
-    def sample(self, grid: NoiseGrid, particles) -> np.ndarray:
-        """Draw i.i.d. initial states at the grid's reserved init-step keys.
+    mean: np.ndarray
+    chol: np.ndarray
 
-        The result has shape grid.batch_shape + (len(particles), dim).
-        """
-        if np.isscalar(particles):
-            particles = np.arange(int(particles))
-        return self._sampler(grid, np.asarray(particles))
+    @property
+    def dim(self) -> int:
+        return len(self.mean)
 
-    @classmethod
-    def point(cls, x) -> "InitialLaw":
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-
-        def sampler(grid, particles):
-            return np.tile(x, grid.batch_shape + (len(particles), 1))
-
-        return cls("point", len(x), float(np.sum(x ** 2)), sampler)
+    def sample(self, grid: NoiseGrid, particles: np.ndarray) -> np.ndarray:
+        """I.i.d. initial states, shape grid.batch_shape + (len(particles), dim)."""
+        return self.mean + grid.normals(particles, INIT_STEP, self.dim) @ self.chol.T
 
     @classmethod
     def gaussian(cls, mean, cov) -> "InitialLaw":
+        """N(mean, cov); a scalar or 1-D cov is that multiple of I or that diagonal."""
         mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
         d = len(mean)
         cov = np.asarray(cov, dtype=np.float64)
@@ -253,50 +237,7 @@ class InitialLaw:
             cov = np.diag(cov)
         if cov.shape != (d, d):
             raise ValidationError("covariance shape does not match mean")
-        chol = np.linalg.cholesky(cov + 0.0) if np.any(cov) else np.zeros((d, d))
-
-        def sampler(grid, particles):
-            z = grid.normals(particles, INIT_STEP, d)
-            return mean + z @ chol.T
-
-        m2 = float(mean @ mean + np.trace(cov))
-        return cls("gaussian", d, m2, sampler)
-
-    @classmethod
-    def uniform_box(cls, lo, hi) -> "InitialLaw":
-        lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-        if lo.shape != hi.shape or np.any(hi <= lo):
-            raise ValidationError("uniform box needs lo < hi componentwise")
-        d = len(lo)
-
-        def sampler(grid, particles):
-            u = grid.uniforms(particles, INIT_STEP, d)
-            return lo + u * (hi - lo)
-
-        m2 = float(np.sum((lo ** 2 + lo * hi + hi ** 2) / 3.0))
-        return cls("uniform", d, m2, sampler)
-
-    @classmethod
-    def mixture(cls, components: Sequence["InitialLaw"], weights) -> "InitialLaw":
-        weights = np.asarray(weights, dtype=np.float64)
-        if len(components) != len(weights) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValidationError("mixture weights must match components and sum to 1")
-        d = components[0].dim
-        if any(c.dim != d for c in components):
-            raise ValidationError("mixture components must share a dimension")
-        cumw = np.cumsum(weights)
-
-        def sampler(grid, particles):
-            # the selector reads a step of its own, so it never reuses the
-            # draws the components consume
-            sel = grid.uniforms(particles, SELECT_STEP, 1)[..., 0]
-            idx = np.searchsorted(cumw, sel, side="right").clip(0, len(components) - 1)
-            draws = np.stack([c.sample(grid, particles) for c in components], axis=0)
-            return np.take_along_axis(draws, idx[None, ..., None], axis=0)[0]
-
-        m2 = float(weights @ [c.second_moment for c in components])
-        return cls("mixture", d, m2, sampler)
+        return cls(mean, np.linalg.cholesky(cov + 0.0) if np.any(cov) else np.zeros((d, d)))
 
 
 @dataclass(frozen=True)
@@ -497,7 +438,7 @@ def granular_media_model(V: Potential, W: Potential, d: int,
         def mean_field(X, points, weights):
             return _power_law_average(pw, cw, X, points, weights) + V.grad(X)
 
-    taming = 1.0 if W.grad_lipschitz is None or (V.grad_lipschitz is None) else 0.0
+    taming = 1.0 if W.linear_grad_coeff is None or V.linear_grad_coeff is None else 0.0
 
     return ModelSpec(
         drift=DriftKernel(dim=d, eval=kernel_eval, taming_exponent=taming, mean_field=mean_field),

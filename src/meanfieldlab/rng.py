@@ -31,7 +31,7 @@ import itertools
 import numpy as np
 
 __all__ = ["NoiseGrid", "STREAM", "REFERENCE_NAMESPACE", "BURN_IN_NAMESPACE",
-           "TARGET_NAMESPACE", "INIT_STEP", "SELECT_STEP"]
+           "TARGET_NAMESPACE", "INIT_STEP"]
 
 # Name of the stream layout above.  A run records it, and a manifest written
 # under another layout is refused, since its config would rerun to other bytes.
@@ -44,11 +44,6 @@ _NORMALS, _UNIFORMS = 0, 1  # channels
 # Step index reserved for initial-condition draws; simulations are validated
 # to use strictly fewer steps than this.
 INIT_STEP = 0xFFFFFFFE
-
-# Step index of a mixture's component selector, one uniform per particle.  A
-# (d+1)-dimensional draw at INIT_STEP would share words with other particles'
-# d-dimensional component draws, so the selector reads a stream of its own.
-SELECT_STEP = 0xFFFFFFFF
 
 # Replica ids at or above this value are reserved for reference-flow
 # ensembles so their keys never collide with coupled runs.
@@ -87,7 +82,7 @@ class NoiseGrid:
     The (seed, replica) pair selects the Philox key; (step, channel) select
     the stream, and (particle, coordinate) the value in it.  Channel 0 holds
     ziggurat normals in blocks of B values and channel 1 uniforms (see the
-    module docstring), so uniform initial draws never reuse increment values.
+    module docstring), so a uniform draw never reuses an increment's values.
 
     `replica_id` is an integer or a 1-D integer array.  With an array of R
     ids every draw gains a leading replica axis, shape (R, n, dim), and row r

@@ -281,14 +281,23 @@ def _run_experiment(cfg: RunConfig, write) -> None:
 def replot(table_path: str, kind: str) -> str:
     """Re-render an SVG from a result CSV (first column x, second y, optional third yerr)."""
     with open(table_path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = [[float(v) for v in ln.split(",")[:3]] for ln in lines[1:]]
-    if not rows:
+        lines = [(n, ln.strip().split(",")) for n, ln in enumerate(fh, 1) if ln.strip()]
+    if len(lines) < 2:
         raise ValidationError(f"{table_path}: empty table")
+    header = lines[0][1]
+    width = max(2, min(len(header), 3))
+    rows = []
+    for n, cells in lines[1:]:
+        try:
+            rows.append([float(v) for v in cells[:width]])
+        except ValueError:
+            rows.append([])
+        if len(rows[-1]) < width or len(header) < 2:
+            raise ValidationError(f"{table_path}, line {n}: expected {width} numbers under "
+                                  f"the header {','.join(header)!r}")
     x = [r[0] for r in rows]
     y = [r[1] for r in rows]
-    yerr = [r[2] for r in rows] if len(rows[0]) > 2 and len(header) > 2 else None
+    yerr = [r[2] for r in rows] if width > 2 else None
     return emit_plot(x, y, yerr=yerr, kind=kind, xlabel=header[0], ylabel=header[1])
 
 

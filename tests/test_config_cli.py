@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -424,6 +425,31 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     assert "n_particles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "init_mean", "inf"),     # validate passed it, and the run failed
+    ("model", "init_var", "nan"),
+    ("model", "v_coeff", "nan"),       # the run diverged at step 0
+    ("sim", "t_final", "inf"),         # validate crashed on round(inf)
+    ("sim", "dt", "nan"),
+    ("experiment", "r_grid", "0.1, nan"),
+])
+def test_non_finite_numbers_are_refused_before_any_output(section, key, value, tmp_path,
+                                                          capsys):
+    p = tmp_path / "bad.cfg"
+    out = tmp_path / "out"
+    text = DEVIATION_CFG.format(out=str(out)).replace("linear", "granular_quadratic")
+    if re.search(rf"^{key} = ", text, flags=re.M):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    else:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    p.write_text(text)
+    for command in ("validate", "run"):
+        assert main([command, str(p)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"[{section}] {key}: cannot parse" in err
+    assert not out.exists()
+
+
 EQUILIBRIUM_CFG = """
 [model]
 family = granular_quadratic
@@ -573,6 +599,20 @@ def test_cli_run_and_replot(tmp_path, capsys):
     assert main(["replot", table, "loglog", "--output", dest]) == EXIT_OK
     with open(dest) as fh:
         assert fh.read() == svg1
+
+
+@pytest.mark.parametrize("table, line", [
+    ("x\n1\n2\n", 2),               # one column: an IndexError
+    ("n,y\n8,0.5\n16\n", 3),         # a short row
+    ("n,y\n8,0.5\n16,big\n", 3),     # a text cell: a ValueError
+], ids=["one-column", "short-row", "text-cell"])
+def test_cli_replot_names_the_line_of_a_malformed_table(table, line, tmp_path, capsys):
+    p = tmp_path / "table.csv"
+    p.write_text(table)
+    assert main(["replot", str(p), "loglog"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{p}, line {line}" in err
+    assert list(tmp_path.iterdir()) == [p]
 
 
 def test_cli_usage_error_is_validation_exit(tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""Every name a demo imports from meanfieldlab still exists.
+"""Every name a demo or a script imports from meanfieldlab still exists.
 
-The demos are narrative scripts that no other test runs, so a removed or
-renamed public name would otherwise surface only when someone runs one.
-Each `demos/*.py` is parsed with `ast`, not executed: the check resolves the
+The demos are narrative scripts, and `scripts/*.py` are tools run by hand;
+no other test runs them, so a removed or renamed public name would
+otherwise surface only when someone runs one.  Each `demos/*.py` and
+`scripts/*.py` is parsed with `ast`, not executed: the check resolves the
 `from meanfieldlab... import ...` names and the `import meanfieldlab...`
 modules, and takes well under a second.
 """
@@ -14,8 +15,9 @@ import os
 
 import pytest
 
-DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "demos", "*.py")))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+SCRIPTS = sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
 
 
 def _imports(path):
@@ -35,9 +37,10 @@ def _imports(path):
 
 def test_there_are_demos():
     assert len(DEMOS) >= 4
+    assert len(SCRIPTS) >= 2
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+@pytest.mark.parametrize("path", DEMOS + SCRIPTS, ids=os.path.basename)
 def test_demo_imports_resolve(path):
     imports = list(_imports(path))
     assert imports, f"{path} imports nothing from meanfieldlab"

@@ -233,7 +233,7 @@ def test_batched_divergence_names_the_replica_of_the_per_replica_run():
     # every particle of every replica starts above the threshold, so all
     # diverge at step 0: the batch names the first replica and, like the
     # per-replica run, the first particle in key order
-    m = replace(m, initial_law=InitialLaw.point([threshold + 1.0]))
+    m = replace(m, initial_law=InitialLaw.gaussian([threshold + 1.0], 0.0))
     errs = []
     for noise in (NoiseGrid(cfg.seed, ids, cfg.dt), NoiseGrid(cfg.seed, int(ids[0]), cfg.dt)):
         with pytest.raises(DivergenceError) as exc:
@@ -415,25 +415,16 @@ def _kinetic_non_diagonal():
     vfp = vlasov_fokker_planck_model(quadratic_potential(1.0), A=lambda v: 0.5 * v,
                                      B=lambda x: x, d_prime=1)
     return ModelSpec(drift=vfp.drift, diffusion=DiffusionSpec([[0.3, 0.0], [0.8, 1.2]]),
-                     initial_law=InitialLaw.uniform_box([-1.0, 0.0], [1.0, 2.0]),
+                     initial_law=InitialLaw.gaussian([0.0, 1.0], [0.3, 1.3]),
                      name="kinetic, non-diagonal sigma")
 
 
-_MIXTURE = InitialLaw.mixture([InitialLaw.point([-2.0]), InitialLaw.gaussian([1.0], [[0.5]])],
-                              [0.3, 0.7])
 BATCH_CASES = {
     "quadratic-gaussian": (granular_media_model(quadratic_potential(1.0),
                                                 quadratic_potential(1.0), 1), False),
     "quadratic-point": (granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0),
-                                             1, initial_law=InitialLaw.point([0.5])), False),
-    "quadratic-uniform": (granular_media_model(quadratic_potential(1.0),
-                                               quadratic_potential(1.0), 1,
-                                               initial_law=InitialLaw.uniform_box([-1.0],
-                                                                                  [2.0])),
-                          False),
-    "quadratic-mixture": (granular_media_model(quadratic_potential(1.0),
-                                               quadratic_potential(1.0), 1,
-                                               initial_law=_MIXTURE), False),
+                                             1, initial_law=InitialLaw.gaussian([0.5], 0.0)),
+                        False),
     "tamed-cubic-pairwise": (granular_media_model(quadratic_potential(1.0),
                                                   power_potential(3.0, 1.0), 1), True),
     "kinetic-non-diagonal": (_kinetic_non_diagonal(), False),

@@ -177,10 +177,9 @@ def _kinetic_model():
 
 
 WIDTH_CASES = {
-    "quadratic-mixture": (granular_media_model(
+    "quadratic-shifted-gaussian": (granular_media_model(
         quadratic_potential(1.0), quadratic_potential(1.0), 1,
-        initial_law=InitialLaw.mixture([InitialLaw.point([-1.0]),
-                                        InitialLaw.gaussian([1.0], 0.5)], [0.4, 0.6])), False),
+        initial_law=InitialLaw.gaussian([1.0], 0.5)), False),
     "tamed-cubic-pairwise": (granular_media_model(quadratic_potential(1.0),
                                                   power_potential(3.0, 1.0), 1), True),
     "kinetic-non-diagonal": (_kinetic_model(), False),
@@ -233,10 +232,7 @@ def test_results_do_not_depend_on_batch_width(case, monkeypatch):
 
 INITIAL_LAWS = {
     "gaussian": InitialLaw.gaussian([0.5], [[1.0]]),
-    "point": InitialLaw.point([0.5]),
-    "uniform": InitialLaw.uniform_box([-1.0], [2.0]),
-    "mixture": InitialLaw.mixture([InitialLaw.point([-1.0]), InitialLaw.gaussian([1.0], 0.5)],
-                                  [0.4, 0.6]),
+    "point": InitialLaw.gaussian([0.5], 0.0),
 }
 
 
