@@ -425,6 +425,12 @@ BATCH_CASES = {
     "quadratic-point": (granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0),
                                              1, initial_law=InitialLaw.gaussian([0.5], 0.0)),
                         False),
+    "quadratic-shifted-gaussian": (granular_media_model(
+        quadratic_potential(1.0), quadratic_potential(1.0), 1,
+        initial_law=InitialLaw.gaussian([1.0], 0.5)), False),
+    "quadratic-2d-gaussian": (granular_media_model(
+        quadratic_potential(1.0), quadratic_potential(1.0), 2,
+        initial_law=InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]])), False),
     "tamed-cubic-pairwise": (granular_media_model(quadratic_potential(1.0),
                                                   power_potential(3.0, 1.0), 1), True),
     "kinetic-non-diagonal": (_kinetic_non_diagonal(), False),
@@ -460,19 +466,13 @@ def test_batched_simulations_equal_per_replica_runs(case):
 # ---------------------------------------------------------------------------
 # one step loop over an n_grid: each size gets the bits of its own run
 
-GRID_CASES = dict(BATCH_CASES, **{
-    "quadratic-2d-gaussian": (granular_media_model(
-        quadratic_potential(1.0), quadratic_potential(1.0), 2,
-        initial_law=InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]])), False),
-})
-
 
 @pytest.mark.parametrize("batched", [False, True])
-@pytest.mark.parametrize("case", sorted(GRID_CASES))
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_grid_call_equals_per_size_runs(case, batched):
     # sizes out of order, not nested in powers of 2, and a one-row size (whose
     # matrix products numpy may round differently from a row of a larger one)
-    m, taming = GRID_CASES[case]
+    m, taming = BATCH_CASES[case]
     cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=3, seed=83, taming=taming)
     flow = build_reference_flow(m, 64, cfg)
     noise = NoiseGrid(cfg.seed, np.array([6, 2, 11]) if batched else 4, cfg.dt)
@@ -490,11 +490,11 @@ def test_grid_call_equals_per_size_runs(case, batched):
 
 @pytest.mark.parametrize("stride", [1, 3, "n_steps"])
 @pytest.mark.parametrize("batched", [False, True])
-@pytest.mark.parametrize("case", sorted(GRID_CASES))
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_strided_gap_is_the_full_trace_at_the_recorded_steps(case, batched, stride):
     # a run recorded at a stride steps the same states and records the bits of
     # the stride-1 trace at its snapshot steps, for one size and for a grid
-    m, taming = GRID_CASES[case]
+    m, taming = BATCH_CASES[case]
     cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=5, seed=83, taming=taming)
     stride = cfg.n_steps if stride == "n_steps" else stride
     flow = build_reference_flow(m, 64, cfg)

@@ -233,6 +233,7 @@ def test_results_do_not_depend_on_batch_width(case, monkeypatch):
 INITIAL_LAWS = {
     "gaussian": InitialLaw.gaussian([0.5], [[1.0]]),
     "point": InitialLaw.gaussian([0.5], 0.0),
+    "shifted": InitialLaw.gaussian([-1.0], 0.25),
 }
 
 
