@@ -4,12 +4,13 @@ Each experiment averages independent replicas (disjoint noise namespaces)
 against one shared reference flow, an M-particle run recorded at every step
 (engine.build_reference_flow), and reports fitted exponents with
 uncertainty.
-Replicas run batched, in chunks along the engine's replica axis; replica r
-always runs on replica id config.replica_id + r and results are reduced in
-replica order, so every output is independent of the chunking.  Coupled runs
-record their gap only at the steps an experiment reads, and a chunk's width
-counts those gaps, not one per step.  Each transport is one sample_w1 or
-sample_w2 call on a stack of clouds; wasserstein picks the solver.
+Replicas run batched, in chunks along the engine's replica axis (_chunked);
+replica r always runs on replica id config.replica_id + r and results are
+reduced in replica order, so every output is independent of the chunking.
+Coupled runs (_coupled_runs) record their gap only at the steps an experiment
+reads, and a chunk's width counts those gaps, not one per step.  Each
+transport is one sample_w1 or sample_w2 call on a stack of clouds;
+wasserstein picks the solver.
 Constants in the underlying bounds are existential, so everything asserted
 downstream is a rate, a sign or an inequality, never a constant's value.
 """
@@ -151,31 +152,55 @@ class EquilibriumCurve:
 # shared plumbing
 
 
-def _replica_grids(config: SimConfig, replicas: int, values_per_replica: int):
-    """Batched noise grids over consecutive chunks of range(replicas), in order.
-
-    Replica r runs on replica id config.replica_id + r whatever the chunk
-    width, which is _BATCH_VALUES // values_per_replica (at least 1).
-    """
+def _chunked(config: SimConfig, replicas: int, values_per_replica: int, run) -> list:
+    """run(noise) on chunks of _BATCH_VALUES // values_per_replica (at least 1) replicas,
+    replica r on replica id config.replica_id + r; each array that run returns,
+    replicas along axis 0, is joined over the chunks in order."""
     if replicas < 1:
         raise ValidationError("replicas must be >= 1")
     width = max(1, _BATCH_VALUES // values_per_replica)
     ids = config.replica_id + np.arange(replicas)
-    return (NoiseGrid(config.seed, ids[start:start + width], config.dt)
-            for start in range(0, replicas, width))
+    chunks = [run(NoiseGrid(config.seed, ids[start:start + width], config.dt))
+              for start in range(0, replicas, width)]
+    return [np.concatenate(arrays) for arrays in zip(*chunks)]
 
 
-def _coupled_grids(config: SimConfig, replicas: int, n_grid: Sequence[int]):
-    """Chunks for simulate_coupled over n_grid: per replica, an (N, d) system for each
-    N, the nonlinear copies at max N, and a gap for each N at each recorded step."""
+def _particle_runs(model: ModelSpec, config: SimConfig, replicas: int,
+                   statistic: Callable[[TrajectoryEnsemble], np.ndarray]) -> np.ndarray:
+    """statistic(run) of each chunk's particle-system run; a replica holds its snapshots."""
     records = len(_record_steps(config.n_steps, config.snapshot_stride))
-    return _replica_grids(config, replicas, sum(n_grid) + max(n_grid) + len(n_grid) * records)
+    [stats] = _chunked(config, replicas, config.n_particles * records, lambda noise: [
+        statistic(simulate_particle_system(model, config, noise=noise))])
+    return stats
 
 
-def _particle_grids(config: SimConfig, replicas: int):
-    """Chunks for simulate_particle_system: every recorded (N, d) snapshot per replica."""
-    records = len(_record_steps(config.n_steps, config.snapshot_stride))
-    return _replica_grids(config, replicas, config.n_particles * records)
+def _coupled_runs(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemble,
+                  replicas: int, n_grid: Sequence[int], steps: Sequence[int]):
+    """The gaps at steps, (len(n_grid), replicas, len(steps)), and the terminal first
+    particles, (len(n_grid), replicas, d), of every N of n_grid coupled to flow.
+
+    Each chunk runs the whole grid in one simulate_coupled step loop, recording
+    the gap at stride gcd(n_steps, *steps).  A replica holds an (N, d) system
+    per N, the copies at max N and each N's recorded gaps."""
+    stride = math.gcd(config.n_steps, *steps)
+    cfg = replace(config, snapshot_stride=stride)
+
+    def run(noise):  # each N's gaps, then each N's first particles as views, which
+        # keep the chunk's terminal states alive to the join: freeing them measured slower
+        runs = simulate_coupled(model, cfg, flow, noise=noise, n_grid=n_grid)
+        return ([res.mean_square_gap[:, [s // stride for s in steps]] for res in runs]
+                + [res.terminal_particles[:, 0] for res in runs])
+
+    records = cfg.n_steps // stride + 1
+    joined = _chunked(cfg, replicas, sum(n_grid) + max(n_grid) + len(n_grid) * records, run)
+    return np.stack(joined[:len(n_grid)]), np.stack(joined[len(n_grid):])
+
+
+def _stderr(values: np.ndarray, axis: int) -> np.ndarray:
+    """Stderr of the mean along axis; nan below two values, which leave no degree of freedom."""
+    n = values.shape[axis]
+    return (values.std(axis=axis, ddof=1) / np.sqrt(n) if n > 1
+            else np.full_like(values.sum(axis=axis), np.nan))
 
 
 def _w2sq_debiased(clouds: np.ndarray, reference: np.ndarray) -> list:
@@ -217,11 +242,10 @@ def _w2sq_debiased(clouds: np.ndarray, reference: np.ndarray) -> list:
                              chunks[n_raw + 1:n_raw + 2 * n_floor:2]])
     squares = np.array([float(w) ** 2 for w in sample_w2(lefts, rights)])
     floors = squares[n_clouds * n_raw:]
-    floor_se = (float(floors.std(ddof=1) / np.sqrt(len(floors))) if len(floors) > 1
-                else float("nan"))
+    floor_se = float(_stderr(floors, axis=0))
     out = []
     for raws in squares[:n_clouds * n_raw].reshape(n_clouds, n_raw):
-        raw_se = float(raws.std(ddof=1) / np.sqrt(len(raws)))
+        raw_se = float(_stderr(raws, axis=0))
         est = float(raws.mean() - floors.mean()) if len(floors) else float(raws.mean())
         out.append((est, float(np.hypot(raw_se, floor_se))))
     return out
@@ -285,21 +309,10 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     if flow is None:
         flow = build_reference_flow(model, M, config)
 
-    # only the terminal gap is read
-    cfg = replace(config, snapshot_stride=config.n_steps)
-    gaps, first_particle = [], []
-    for noise in _coupled_grids(cfg, replicas, n_grid):
-        runs = simulate_coupled(model, cfg, flow, noise=noise, n_grid=n_grid)
-        gaps.append([res.mean_square_gap[:, -1] for res in runs])
-        first_particle.append([res.terminal_particles[:, 0] for res in runs])
-    # one row per N, the replicas in order along it
-    gaps = np.concatenate(gaps, axis=1)
-    first_particle = np.concatenate(first_particle, axis=1)
-
-    mean_gaps = [float(g.mean()) for g in gaps]
-    stderrs = [float(g.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else float("nan")
-               for g in gaps]
-    w2_sqs, w2_ses = (list(v) for v in zip(*_w2sq_debiased(first_particle, flow.terminal)))
+    gaps, first = _coupled_runs(model, config, flow, replicas, n_grid, [config.n_steps])
+    gaps = gaps[..., 0]  # one contiguous row per N, the replicas in order along it
+    mean_gaps, stderrs = gaps.mean(axis=1).tolist(), _stderr(gaps, axis=1).tolist()
+    w2_sqs, w2_ses = (list(v) for v in zip(*_w2sq_debiased(first, flow.terminal)))
 
     degenerate = any(g <= _DEGENERATE_GAP for g in mean_gaps)
     if degenerate or len(n_grid) < 2:
@@ -328,9 +341,8 @@ def observable_deviation_experiment(model: ModelSpec, observable: Observable, n_
     ref_value = float(np.mean(phi(flow.terminal)))
 
     cfg = replace(config, n_particles=n_particles, snapshot_stride=config.n_steps)
-    errors = np.concatenate([
-        np.mean(phi(simulate_particle_system(model, cfg, noise=noise).terminal), axis=-1)
-        - ref_value for noise in _particle_grids(cfg, replicas)])
+    errors = _particle_runs(model, cfg, replicas,
+                            lambda run: np.mean(phi(run.terminal), axis=-1) - ref_value)
     mse = float(np.mean(errors ** 2))
     threshold = float(np.sqrt(mse))
     return _deviation_table(np.abs(errors), threshold, r_grid, n_particles,
@@ -359,10 +371,9 @@ def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequ
     refs = np.stack([_even_subsample(flow.states[s], n_particles) for s in steps])
 
     cfg = replace(config, n_particles=n_particles, snapshot_stride=stride)
-    stats = np.concatenate([  # (replicas, snapshots) W1, maximized over the snapshots
-        sample_w1(simulate_particle_system(model, cfg, noise=noise).states[:, -len(steps):],
-                  refs).max(axis=1)
-        for noise in _particle_grids(cfg, replicas)])
+    # W1 per replica and snapshot, maximized over the snapshots
+    stats = _particle_runs(model, cfg, replicas, lambda run: sample_w1(
+        run.states[:, -len(steps):], refs).max(axis=1))
     return _deviation_table(stats, 0.0, r_grid, n_particles,
                             metadata={"statistic": "sup_t W1" if sup_over_time else "terminal W1",
                                       "time_grid": "snapshot steps only"})
@@ -401,12 +412,10 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
     draws = np.stack([target_sampler(n_particles, salt) for salt in range(1, 7)])
     floor = float(np.mean(sample_w2(draws[0::2], draws[1::2])))
 
-    curves = []
-    for noise in _particle_grids(cfg, replicas):
-        traj = simulate_particle_system(model, cfg, noise=noise)
-        curves.append(sample_w2(traj.states, target))  # (replicas, snapshots)
-    times = traj.times
-    curve = np.mean(np.concatenate(curves), axis=0)
+    # W2 per replica and snapshot, averaged over the replicas
+    curve = np.mean(_particle_runs(model, cfg, replicas,
+                                   lambda run: sample_w2(run.states, target)), axis=0)
+    times = _record_steps(cfg.n_steps, cfg.snapshot_stride) * cfg.dt
 
     mask = curve > 2.0 * floor
     mask[0] = False  # t = 0 reflects the initial law, not the decay regime
@@ -418,20 +427,13 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
 
     gap_means, gap_ses, gslope, gslope_se = [], [], None, None
     if gap_times:
-        M = m_reference or 16 * n_particles
-        flow = build_reference_flow(model, M, cfg)
+        flow = build_reference_flow(model, m_reference or 16 * n_particles, cfg)
         steps = [int(round(t / cfg.dt)) for t in gap_times]
-        # a stride that divides every gap step and the last step records them all
-        stride = math.gcd(cfg.n_steps, *steps)
-        coupled_cfg = replace(cfg, snapshot_stride=stride)
-        gaps = np.concatenate([  # (replicas, len(gap_times))
-            simulate_coupled(model, coupled_cfg, flow, noise=noise)
-            .mean_square_gap[:, [s // stride for s in steps]]
-            for noise in _coupled_grids(coupled_cfg, replicas, [n_particles])])
+        # (replicas, len(gap_times))
+        gaps = _coupled_runs(model, cfg, flow, replicas, [n_particles], steps)[0][0]
         gap_means = list(gaps.mean(axis=0))
-        gap_ses = list(gaps.std(axis=0, ddof=1) / np.sqrt(replicas))
-        tiled = np.repeat(gap_times, replicas)
-        gslope, _, _, gslope_se = linear_fit(tiled, gaps.T.ravel())
+        gap_ses = list(_stderr(gaps, axis=0))
+        gslope, _, _, gslope_se = linear_fit(np.repeat(gap_times, replicas), gaps.T.ravel())
 
     return EquilibriumCurve(times=list(times), w2_to_target=list(curve), noise_floor=floor,
                             fitted_decay_rate=fitted, fit_window=window,

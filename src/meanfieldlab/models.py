@@ -405,8 +405,7 @@ def mean_field_batch(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
 
 def granular_media_model(V: Potential, W: Potential, d: int,
                          initial_law: Optional[InitialLaw] = None,
-                         name: Optional[str] = None,
-                         validate: bool = True) -> ModelSpec:
+                         name: Optional[str] = None) -> ModelSpec:
     """Space-homogeneous granular media dynamics.
 
     Drift kernel b(v, w) = grad V(v) + grad W(v - w) with sigma = sqrt(2) I;
@@ -415,10 +414,9 @@ def granular_media_model(V: Potential, W: Potential, d: int,
     algebra when W has a linear gradient, or, for d = 1, when W is an
     integer power; otherwise it is the pairwise average.
     """
-    if validate:
-        _check_even(W, d)
-        _check_gradient(V, d)
-        _check_gradient(W, d)
+    _check_even(W, d)
+    _check_gradient(V, d)
+    _check_gradient(W, d)
 
     def kernel_eval(X, Y):
         # grad W(X - Y) + grad V(X), summed into the full-size term in place
@@ -450,8 +448,7 @@ def granular_media_model(V: Potential, W: Potential, d: int,
 
 def vlasov_fokker_planck_model(U: Potential, A: Callable, B: Callable, d_prime: int,
                                initial_law: Optional[InitialLaw] = None,
-                               name: Optional[str] = None,
-                               validate: bool = True) -> ModelSpec:
+                               name: Optional[str] = None) -> ModelSpec:
     """Kinetic phase-space model on states (x, v) in R^{2 d'}.
 
     The drift kernel is b((x,v), (y,w)) = (-v, A(v) + B(x) + grad U(x - y));
@@ -459,9 +456,8 @@ def vlasov_fokker_planck_model(U: Potential, A: Callable, B: Callable, d_prime: 
     the convolution against the space marginal.  Noise enters the velocity
     block only: sigma = diag(0, sqrt(2) I).
     """
-    if validate:
-        _check_gradient(U, d_prime)
-        _check_even(U, d_prime)
+    _check_gradient(U, d_prime)
+    _check_even(U, d_prime)
     d = 2 * d_prime
 
     def kernel_eval(X, Y):

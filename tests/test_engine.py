@@ -155,7 +155,7 @@ def test_ou_ensemble_mean_and_variance():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_divergence_error_reports_step():
     m = granular_media_model(quadratic_potential(1.0), power_potential(3.0, 10.0), 1,
-                             initial_law=InitialLaw.gaussian([30.0], [[1.0]]), validate=False)
+                             initial_law=InitialLaw.gaussian([30.0], [[1.0]]))
     cfg = SimConfig(dt=0.1, t_final=10.0, n_particles=8, seed=1, taming=False,
                     allow_large_dt=True)
     with pytest.raises(DivergenceError) as exc:

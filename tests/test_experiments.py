@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -352,6 +353,34 @@ def test_chaos_rate_gap_stderr_is_nan_for_one_replica():
     assert all(np.isfinite(g) and g > 0 for g in one.mean_sq_gaps)
     two = chaos_rate_experiment(m, [8, 16], cfg, replicas=2, flow=flow)
     assert all(np.isfinite(se) and se > 0 for se in two.stderrs)
+
+
+def test_one_replica_gap_stderrs_are_nan_without_warnings():
+    # both gap sites read one rule for one replica: a nan stderr, and no
+    # degrees-of-freedom or divide warning on the way to it
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+    cfg = _cfg(dt=0.05, t_final=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = chaos_rate_experiment(m, [4, 8], cfg, replicas=1, m_reference=128)
+        curve = equilibrium_convergence(m, 8, 1.0, cfg, replicas=1, gap_times=[0.5, 1.0],
+                                        m_reference=128)
+    assert all(np.isnan(se) for se in fit.stderrs + curve.gap_stderrs)
+    assert all(np.isfinite(g) and g > 0 for g in fit.mean_sq_gaps + curve.gap_means)
+
+
+@pytest.mark.parametrize("replicas", [1, 5])
+def test_equilibrium_last_gap_is_the_chaos_rate_terminal_gap(replicas):
+    # at the same N, seed, dt and M, with t_equilibrium = t_final, the two
+    # experiments couple the same runs: their terminal gaps agree bit for bit
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+    cfg = _cfg(dt=0.05, t_final=1.0, replica_id=3)
+    fit = chaos_rate_experiment(m, [8], cfg, replicas=replicas, m_reference=128)
+    curve = equilibrium_convergence(
+        m, 8, 1.0, cfg, replicas=replicas, gap_times=[0.25, 1.0], m_reference=128,
+        target_sampler=lambda n, salt: np.random.default_rng(salt).normal(size=(n, 1)))
+    assert curve.gap_means[-1] == fit.mean_sq_gaps[0]
+    assert np.array_equal(curve.gap_stderrs[-1], fit.stderrs[0], equal_nan=True)
 
 
 # Each run has 5 steps recorded at steps 0, 2, 4 and 5, a 256-point reference

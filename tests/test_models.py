@@ -162,7 +162,7 @@ def test_power_gradient_and_granular_kernel_equal_the_old_expressions(p, d):
     assert _same_bits(W.grad(z), _old_power_grad(p, c)(z))
 
     V = quadratic_potential(1.3)
-    kernel = granular_media_model(V, W, d, validate=False).drift
+    kernel = granular_media_model(V, W, d).drift
     # x equal to a cloud point, duplicates in the cloud, and both far from 0
     X = np.vstack([z[::3], z[:4]])[:, None, :]
     Y = z[None, :, :]
@@ -227,8 +227,7 @@ def test_only_integer_powers_above_2_carry_the_marker():
 
 
 def _prefix_kernel(p, c=0.7):
-    kernel = granular_media_model(quadratic_potential(1.3), power_potential(p, c), 1,
-                                  validate=False).drift
+    kernel = granular_media_model(quadratic_potential(1.3), power_potential(p, c), 1).drift
     assert kernel.mean_field is not None
     return kernel
 

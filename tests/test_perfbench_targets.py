@@ -46,3 +46,22 @@ def test_a_one_dimensional_chaos_run_calls_every_layer(tmp_path):
                  "engine.coupled", "models.mean_field_batch", "rng.normals",
                  "wasserstein.sample_w2"):
         assert name in names, name
+
+
+def test_an_equilibrium_run_with_gap_times_calls_every_layer(tmp_path):
+    # the W2 curve's particle runs and the gaps' coupled runs are looked up
+    # as module globals at call time, so the tracer sees both
+    tracer = _tracer()
+    tracer.install()
+    try:
+        runner.run(parse_config("[sim]\ndt = 0.1\nn_particles = 8\nreplicas = 3\n"
+                                "[reference]\nm = 128\n"
+                                "[experiment]\nkind = equilibrium\nt_equilibrium = 0.4\n"
+                                "gap_times = 0.2, 0.4\n[output]\nplots = false\n"),
+                   output_dir=str(tmp_path))
+    finally:
+        tracer.restore()
+    names = {span[0] for span in tracer.spans}
+    for name in ("experiments.equilibrium", "engine.reference_flow", "engine.particle_system",
+                 "engine.coupled", "wasserstein.sample_w2"):
+        assert name in names, name
