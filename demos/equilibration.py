@@ -23,8 +23,7 @@ def gaussian_target(n, salt):
     return np.random.default_rng(1000 + salt).normal(size=(n, 1))
 
 
-curve = equilibrium_convergence(ou, 512, 4.0, config, target_sampler=gaussian_target,
-                                replicas=8)
+curve = equilibrium_convergence(ou, config, target_sampler=gaussian_target, replicas=8)
 print("OU model:")
 print(f"  fitted decay rate: {curve.fitted_decay_rate:.3f}  (exact: 1.0)")
 print(f"  sampling noise floor: {curve.noise_floor:.4f}")
@@ -35,7 +34,7 @@ print("  t, W2:", ", ".join(f"({t:.1f}, {w:.3f})"
 model = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1,
                              initial_law=InitialLaw.gaussian([3.0], [[1.0]]))
 gconfig = SimConfig(dt=0.02, t_final=8.0, n_particles=128, seed=22, snapshot_stride=20)
-gcurve = equilibrium_convergence(model, 128, 8.0, gconfig, replicas=16,
+gcurve = equilibrium_convergence(model, gconfig, replicas=16,
                                  gap_times=[1.0, 2.0, 4.0, 8.0], m_reference=2048)
 print("\ngranular media model:")
 print(f"  fitted decay rate: {gcurve.fitted_decay_rate:.3f}")

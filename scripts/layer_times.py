@@ -7,8 +7,10 @@ Each layer is timed on its own, at the shapes the engine calls it with:
   1,024-point reference flow against itself, 20 replicas of 16, 32 and 64
   particles against themselves, and 20 x 64 nonlinear copies against the
   flow), and on the closed-form quadratic at 88 replicas x 128 particles;
-- the noise generator, `NoiseGrid.increments` in d = 1, at replicas x
-  particles 200 x 16, 88 x 128, 20 x 64 and 1 x 2048.
+- the noise generator, a step's Brownian increments in d = 1 as the step
+  loop makes them (`NoiseGrid.normals`, then an in-place scale by
+  sqrt(dt)), at replicas x particles 200 x 16, 88 x 128, 20 x 64 and
+  1 x 2048.
 
 A round times a loop of CALLS calls at one shape; the script prints one JSON
 line with the best and the median over the rounds of the time per call, in
@@ -58,10 +60,17 @@ def _drift_call(kernel, replicas, n, cloud_size, rng):
 
 def _noise_call(replicas, n):
     """Draws of increments at successive steps, as the step loop makes them."""
-    grid = NoiseGrid(7, np.arange(replicas) if replicas > 1 else 0, dt=0.02)
+    grid = NoiseGrid(7, np.arange(replicas) if replicas > 1 else 0)
     particles = np.arange(n)
     steps = itertools.count()
-    return lambda: grid.increments(particles, next(steps), 1)
+    scale = np.sqrt(0.02)
+
+    def call():
+        dW = grid.normals(particles, next(steps), 1)
+        dW *= scale
+        return dW
+
+    return call
 
 
 def _smallest(shapes: dict) -> dict:

@@ -86,7 +86,8 @@ def equilibrium_time_errors(dt: float, t_equilibrium: float, gap_times) -> list[
     The run covers [0, t_equilibrium] at step dt, which must pass
     time_grid_errors (the rules on dt alone are the run's own and are not
     repeated here), and reads its coupling gaps at gap_times, each of which
-    must be a step of that grid: in [0, t_equilibrium] and a multiple of dt.
+    must be a step of that grid: in [0, t_equilibrium] and a multiple of dt,
+    and distinct, since the gaps are fitted against time as n_grid's are against N.
     """
     if dt <= 0:
         return []
@@ -98,6 +99,8 @@ def equilibrium_time_errors(dt: float, t_equilibrium: float, gap_times) -> list[
             errs.append(f"gap_times entry {t} is outside [0, t_equilibrium={t_equilibrium}]")
         elif abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             errs.append(f"gap_times entry {t} is not an integer multiple of dt={dt}")
+    if len(set(gap_times)) < len(gap_times):
+        errs.append(f"gap_times entries must be distinct (gap_times={list(gap_times)})")
     return errs
 
 
@@ -126,7 +129,7 @@ class SimConfig:
         return int(round(self.t_final / self.dt))
 
     def noise(self) -> NoiseGrid:
-        return NoiseGrid(self.seed, self.replica_id, self.dt)
+        return NoiseGrid(self.seed, self.replica_id)
 
 
 @dataclass
@@ -157,15 +160,14 @@ class CoupledEnsemble:
     terminal_nonlinear: np.ndarray  # (N, d)
 
 
-def _tame(drift: np.ndarray, dt: float, exponent: float) -> np.ndarray:
-    """Tamed drift b / (1 + dt^q |b|), applied rowwise."""
+def _tame(drift: np.ndarray, dt: float) -> np.ndarray:
+    """Tamed drift b / (1 + dt |b|), applied rowwise."""
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(drift, axis=-1, keepdims=True)
-        return drift / (1.0 + dt ** exponent * norm)
+        return drift / (1.0 + dt * norm)
 
 
-def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float,
-               taming: bool = False, taming_exponent: float = 1.0,
+def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float, taming: bool = False,
                step: int = -1, labels=None) -> np.ndarray:
     """One explicit step: X + sigma dW - b dt (with b tamed when requested).
 
@@ -178,7 +180,7 @@ def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float,
     drift = np.asarray(drift, dtype=np.float64)
     dW = np.asarray(dW, dtype=np.float64)
     if taming:
-        drift = _tame(drift, dt, taming_exponent)
+        drift = _tame(drift, dt)
     out = X + diffusion.apply(dW) - drift * dt
     if not np.isfinite(out).all():
         bad = ~np.all(np.isfinite(out), axis=-1)
@@ -195,33 +197,35 @@ def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, indices: n
 
     States have shape noise.batch_shape + (n, d) with n <= len(indices); a
     state of n rows carries the particles indices[:n].  Each step k draws
-    noise.increments(indices, k, d) once for every replica and state, and a
-    state of n rows reads the first n rows of it, which is exactly the draw
-    for indices[:n] since every increment is keyed by its own particle.  The
-    step evaluates each state's mean-field drift (against its own empirical
-    measure, replica by replica, when its cloud is None, else against the
-    frozen snapshot cloud[k] shared by all replicas), then advances the
-    states with euler_step in list order.  on_step(k + 1, states) sees the new
-    states; the terminal states are returned.  A DivergenceError is that of
-    the first state in list order to diverge at the earliest step, and names
-    the replica id and particle label of its diverged row.  Each initial
-    state is made C-contiguous once, so every drift sees contiguous states
-    and clouds, as the euler_step results of later steps already are: a
-    closed-form mean may round a strided state differently.
+    noise.normals(indices, k, d) once for every replica and state and scales it
+    in place by sqrt(config.dt), the one place a draw meets dt; a state of n
+    rows reads the first n rows, the draw for indices[:n] since every value is
+    keyed by its own particle.  The step evaluates each state's mean-field
+    drift (against its own empirical measure, replica by replica, when its
+    cloud is None, else against the frozen snapshot cloud[k] shared by all
+    replicas), then advances the states with euler_step in list order.
+    on_step(k + 1, states) sees the new states; the terminal states are
+    returned.  A DivergenceError is that of the first state in list order to
+    diverge at the earliest step, and names the replica id and particle label
+    of its diverged row.  Each initial state is made C-contiguous once, so
+    every drift sees contiguous states and clouds, as the euler_step results of
+    later steps already are: a closed-form mean may round a strided state
+    differently.
     """
     d = model.dim
     states = [np.ascontiguousarray(X) for X in states]
-    tame = config.taming and model.drift.taming_exponent > 0
+    tame = config.taming and model.drift.superlinear
     rows = [X.shape[-2] for X in states]
     cloud_sizes = [n if c is None else c.shape[1] for n, c in zip(rows, clouds)]
     weights = [np.full(m, 1.0 / m) for m in cloud_sizes]
     for k in range(config.n_steps):
         drifts = [mean_field_batch(model.drift, X, X if c is None else c[k], w)
                   for X, c, w in zip(states, clouds, weights)]
-        dW = noise.increments(indices, k, d)
+        dW = noise.normals(indices, k, d)
+        dW *= np.sqrt(config.dt)
         try:
             states = [euler_step(X, b, model.diffusion, dW[..., :n, :], config.dt, tame,
-                                 model.drift.taming_exponent, step=k, labels=indices[:n])
+                                 step=k, labels=indices[:n])
                       for X, b, n in zip(states, drifts, rows)]
         except DivergenceError as err:
             ids = noise.replica_id
@@ -291,9 +295,9 @@ def build_reference_flow(model: ModelSpec, M: int, config: SimConfig) -> Traject
     errs = reference_size_errors(M, ())
     if errs:
         raise ValidationError(f"reference flow: {'; '.join(errs)}")
-    noise = NoiseGrid(config.seed, REFERENCE_NAMESPACE + config.replica_id, config.dt)
-    return simulate_particle_system(model, replace(config, n_particles=M, snapshot_stride=1),
-                                    noise=noise)
+    return simulate_particle_system(model, replace(
+        config, n_particles=M, snapshot_stride=1,
+        replica_id=REFERENCE_NAMESPACE + config.replica_id))
 
 
 def simulate_coupled(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemble,

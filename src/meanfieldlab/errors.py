@@ -12,11 +12,10 @@ class DivergenceError(RuntimeError):
     it ran on, the step, and the particle label.
     """
 
-    def __init__(self, step: int, particle: int | None = None, detail: str = "",
-                 replica: int | None = None):
+    def __init__(self, step: int, particle: int | None = None, replica: int | None = None):
         self.step = step
         self.particle = particle
         self.replica = replica
         where = (f"replica {replica}, " if replica is not None else "") + f"step {step}" \
             + (f", particle {particle}" if particle is not None else "")
-        super().__init__(f"non-finite state at {where}" + (f" ({detail})" if detail else ""))
+        super().__init__(f"non-finite state at {where}")

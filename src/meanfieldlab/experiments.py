@@ -76,7 +76,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 def linear_fit(x, y):
     """Least squares y = slope*x + intercept; returns slope, intercept, r^2, slope stderr.
 
-    The stderr is nan for two points, which leave no degree of freedom.
+    An abscissa of one value is refused exactly, since its sxx may round off 0;
+    the stderr is nan for two points, which leave no degree of freedom.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -84,7 +85,7 @@ def linear_fit(x, y):
         raise ValidationError("need at least two points to fit a line")
     xm, ym = x.mean(), y.mean()
     sxx = np.sum((x - xm) ** 2)
-    if sxx == 0:
+    if sxx == 0 or (x == x[0]).all():
         raise ValidationError("degenerate abscissa in fit")
     slope = np.sum((x - xm) * (y - ym)) / sxx
     intercept = ym - slope * xm
@@ -160,7 +161,7 @@ def _chunked(config: SimConfig, replicas: int, values_per_replica: int, run) -> 
         raise ValidationError("replicas must be >= 1")
     width = max(1, _BATCH_VALUES // values_per_replica)
     ids = config.replica_id + np.arange(replicas)
-    chunks = [run(NoiseGrid(config.seed, ids[start:start + width], config.dt))
+    chunks = [run(NoiseGrid(config.seed, ids[start:start + width]))
               for start in range(0, replicas, width)]
     return [np.concatenate(arrays) for arrays in zip(*chunks)]
 
@@ -325,7 +326,7 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
                    degenerate=degenerate)
 
 
-def observable_deviation_experiment(model: ModelSpec, observable: Observable, n_particles: int,
+def observable_deviation_experiment(model: ModelSpec, observable: Observable,
                                     r_grid: Sequence[float], replicas: int, config: SimConfig,
                                     m_reference: Optional[int] = None) -> DeviationTable:
     """Tail probabilities of the one-observable deviation of the particle average.
@@ -333,28 +334,28 @@ def observable_deviation_experiment(model: ModelSpec, observable: Observable, n_
     The deviation event uses threshold sqrt(mse) + r, where mse is this very
     run's mean-square error (the law-of-large-numbers constant C/N), so the
     tail table and the mean-square fit are internally consistent.  The
-    reference flow has m_reference points, 16 n_particles by default.
+    reference flow has m_reference points, 16 config.n_particles by default.
     """
-    flow = build_reference_flow(model, m_reference or 16 * n_particles, config)
+    flow = build_reference_flow(model, m_reference or 16 * config.n_particles, config)
     L = observable.lipschitz_constant
     phi = observable.eval if L <= 1.0 else (lambda x: np.asarray(observable.eval(x)) / L)
     ref_value = float(np.mean(phi(flow.terminal)))
 
-    cfg = replace(config, n_particles=n_particles, snapshot_stride=config.n_steps)
+    cfg = replace(config, snapshot_stride=config.n_steps)
     errors = _particle_runs(model, cfg, replicas,
                             lambda run: np.mean(phi(run.terminal), axis=-1) - ref_value)
     mse = float(np.mean(errors ** 2))
     threshold = float(np.sqrt(mse))
-    return _deviation_table(np.abs(errors), threshold, r_grid, n_particles,
-                            mean_square_error=mse, lln_constant=n_particles * mse,
+    return _deviation_table(np.abs(errors), threshold, r_grid, config.n_particles,
+                            mean_square_error=mse, lln_constant=config.n_particles * mse,
                             threshold=threshold,
                             metadata={"observable": observable.name,
                                       "reference_value": ref_value,
                                       "rescaled": L > 1.0})
 
 
-def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequence[float],
-                                replicas: int, config: SimConfig, sup_over_time: bool = False,
+def empirical_measure_deviation(model: ModelSpec, r_grid: Sequence[float], replicas: int,
+                                config: SimConfig, sup_over_time: bool = False,
                                 m_reference: Optional[int] = None) -> DeviationTable:
     """Tail probabilities of W1 between the empirical measure and the reference flow.
 
@@ -362,46 +363,44 @@ def empirical_measure_deviation(model: ModelSpec, n_particles: int, r_grid: Sequ
     subsample of the reference snapshot.  With sup_over_time, the statistic
     is the maximum over the recorded snapshot grid (the discretized process
     is all we have; noted in metadata).  The reference flow has m_reference
-    points, 16 n_particles by default.
+    points, 16 config.n_particles by default.
     """
-    flow = build_reference_flow(model, m_reference or 16 * n_particles, config)
+    flow = build_reference_flow(model, m_reference or 16 * config.n_particles, config)
     stride = config.snapshot_stride if sup_over_time else config.n_steps
     # an equal-size reference subsample per snapshot the statistic reads
     steps = _record_steps(config.n_steps, stride) if sup_over_time else [config.n_steps]
-    refs = np.stack([_even_subsample(flow.states[s], n_particles) for s in steps])
+    refs = np.stack([_even_subsample(flow.states[s], config.n_particles) for s in steps])
 
-    cfg = replace(config, n_particles=n_particles, snapshot_stride=stride)
+    cfg = replace(config, snapshot_stride=stride)
     # W1 per replica and snapshot, maximized over the snapshots
     stats = _particle_runs(model, cfg, replicas, lambda run: sample_w1(
         run.states[:, -len(steps):], refs).max(axis=1))
-    return _deviation_table(stats, 0.0, r_grid, n_particles,
+    return _deviation_table(stats, 0.0, r_grid, config.n_particles,
                             metadata={"statistic": "sup_t W1" if sup_over_time else "terminal W1",
                                       "time_grid": "snapshot steps only"})
 
 
-def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
-                            config: SimConfig,
+def equilibrium_convergence(model: ModelSpec, config: SimConfig,
                             target_sampler: Optional[Callable[[int, int], np.ndarray]] = None,
                             replicas: int = 8, gap_times: Optional[Sequence[float]] = None,
                             m_reference: Optional[int] = None) -> EquilibriumCurve:
     """Sample-W2 decay toward the steady state, plus coupling-gap time-uniformity.
 
+    A run has N = config.n_particles particles over [0, config.t_final].
     target_sampler(n, salt) draws n points from the steady state; when absent
-    a burned-in run at 4N particles over [0, t_final] stands in for it.  The
-    decay rate is fitted log-linearly on the window above twice the Monte
-    Carlo noise floor.
+    a burned-in run at 4N particles stands in for it.  The decay rate is
+    fitted log-linearly on the window above twice the Monte Carlo noise
+    floor; the gap slope, linearly, is nan below two gap times.
     """
     gap_times = list(gap_times) if gap_times is not None else []
-    errs = equilibrium_time_errors(config.dt, t_final, gap_times)
+    errs = equilibrium_time_errors(config.dt, config.t_final, gap_times)
     if errs:
         raise ValidationError("; ".join(errs))
-    cfg = replace(config, t_final=t_final, n_particles=n_particles)
+    n_particles = config.n_particles
 
     if target_sampler is None:
-        burn_cfg = replace(cfg, n_particles=4 * n_particles)
-        burn = simulate_particle_system(model, burn_cfg,
-                                        noise=NoiseGrid(cfg.seed, BURN_IN_NAMESPACE, cfg.dt))
-        cloud = burn.terminal
+        cloud = simulate_particle_system(model, replace(
+            config, n_particles=4 * n_particles, replica_id=BURN_IN_NAMESPACE)).terminal
 
         def target_sampler(n, salt):
             idx = np.random.default_rng(salt).permutation(len(cloud))[:n]
@@ -413,9 +412,9 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
     floor = float(np.mean(sample_w2(draws[0::2], draws[1::2])))
 
     # W2 per replica and snapshot, averaged over the replicas
-    curve = np.mean(_particle_runs(model, cfg, replicas,
+    curve = np.mean(_particle_runs(model, config, replicas,
                                    lambda run: sample_w2(run.states, target)), axis=0)
-    times = _record_steps(cfg.n_steps, cfg.snapshot_stride) * cfg.dt
+    times = _record_steps(config.n_steps, config.snapshot_stride) * config.dt
 
     mask = curve > 2.0 * floor
     mask[0] = False  # t = 0 reflects the initial law, not the decay regime
@@ -427,13 +426,14 @@ def equilibrium_convergence(model: ModelSpec, n_particles: int, t_final: float,
 
     gap_means, gap_ses, gslope, gslope_se = [], [], None, None
     if gap_times:
-        flow = build_reference_flow(model, m_reference or 16 * n_particles, cfg)
-        steps = [int(round(t / cfg.dt)) for t in gap_times]
+        flow = build_reference_flow(model, m_reference or 16 * n_particles, config)
+        steps = [int(round(t / config.dt)) for t in gap_times]
         # (replicas, len(gap_times))
-        gaps = _coupled_runs(model, cfg, flow, replicas, [n_particles], steps)[0][0]
+        gaps = _coupled_runs(model, config, flow, replicas, [n_particles], steps)[0][0]
         gap_means = list(gaps.mean(axis=0))
         gap_ses = list(_stderr(gaps, axis=0))
-        gslope, _, _, gslope_se = linear_fit(np.repeat(gap_times, replicas), gaps.T.ravel())
+        gslope, _, _, gslope_se = (linear_fit(np.repeat(gap_times, replicas), gaps.T.ravel())
+                                   if len(gap_times) > 1 else (float("nan"),) * 4)
 
     return EquilibriumCurve(times=list(times), w2_to_target=list(curve), noise_floor=floor,
                             fitted_decay_rate=fitted, fit_window=window,

@@ -157,8 +157,9 @@ def _check_even(pot: Potential, dim: int, n_points: int = 100, seed: int = 11):
 class DriftKernel:
     """Pairwise drift b(X, Y) on R^d x R^d.
 
-    `eval` must broadcast over leading axes.  `taming_exponent` > 0 requests
-    drift taming inside the integrator (tamed drift b/(1 + dt^q |b|)).
+    `eval` must broadcast over leading axes.  `superlinear` marks a kernel
+    that grows faster than linearly, whose drift the integrator tames to
+    b / (1 + dt |b|) when a run asks for taming.
     `mean_field(X, points, weights)`, when set, is the exact weighted average
     of b(X, .) over the cloud in closed form, taking the same batched shapes
     as mean_field_batch; when None, that average is taken pair by pair.
@@ -166,14 +167,12 @@ class DriftKernel:
 
     dim: int
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    taming_exponent: float = 0.0
+    superlinear: bool = False
     mean_field: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim <= 0:
             raise ValidationError("kernel dimension must be positive")
-        if self.taming_exponent < 0:
-            raise ValidationError("taming_exponent must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +236,11 @@ class InitialLaw:
             cov = np.diag(cov)
         if cov.shape != (d, d):
             raise ValidationError("covariance shape does not match mean")
-        return cls(mean, np.linalg.cholesky(cov + 0.0) if np.any(cov) else np.zeros((d, d)))
+        try:
+            return cls(mean, np.linalg.cholesky(cov + 0.0) if np.any(cov) else np.zeros((d, d)))
+        except np.linalg.LinAlgError:
+            raise ValidationError("covariance must be positive definite, or zero for the "
+                                  "point law") from None
 
 
 @dataclass(frozen=True)
@@ -436,10 +439,9 @@ def granular_media_model(V: Potential, W: Potential, d: int,
         def mean_field(X, points, weights):
             return _power_law_average(pw, cw, X, points, weights) + V.grad(X)
 
-    taming = 1.0 if W.linear_grad_coeff is None or V.linear_grad_coeff is None else 0.0
-
     return ModelSpec(
-        drift=DriftKernel(dim=d, eval=kernel_eval, taming_exponent=taming, mean_field=mean_field),
+        drift=DriftKernel(dim=d, eval=kernel_eval, mean_field=mean_field,
+                          superlinear=W.linear_grad_coeff is None or V.linear_grad_coeff is None),
         diffusion=DiffusionSpec.isotropic(d),
         initial_law=initial_law or InitialLaw.gaussian(np.zeros(d), np.eye(d)),
         name=name or f"granular(V={V.name}, W={W.name}, d={d})",

@@ -1,10 +1,12 @@
-"""Counter-based Gaussian noise, addressable by (seed, replica, particle, step, coordinate).
+"""Counter-based noise, addressable by (seed, replica, particle, step, coordinate).
 
 Every random number in the lab is read from a keyed Philox4x64-10 stream
 (Salmon et al., SC'11) run by numpy's compiled `np.random.Philox`.  A value
 depends only on its address, never on evaluation order or batch width, so
-coupled systems read the *same* increments, and a grid over R replica ids
-draws in one call exactly what R one-replica grids would.
+coupled systems read the *same* normals, and a grid over R replica ids
+draws in one call exactly what R one-replica grids would.  A grid draws unit
+normals and uniforms only: it knows no time step, and the engine's step loop
+scales each step's normals by sqrt(dt) into Brownian increments.
 
 Layout (stream `philox4x64-v3`).  (seed, replica) gives the key `[k, 0]`, k
 by splitmix64, and particle i of a d-dimensional draw owns the values
@@ -77,19 +79,19 @@ def seed_errors(seed: int) -> list[str]:
 
 
 class NoiseGrid:
-    """Deterministic N(0, dt) increments keyed by (seed, replica, particle, step, coordinate).
+    """Unit normals and uniforms, keyed by (seed, replica, particle, step, coordinate).
 
     The (seed, replica) pair selects the Philox key; (step, channel) select
     the stream, and (particle, coordinate) the value in it.  Channel 0 holds
     ziggurat normals in blocks of B values and channel 1 uniforms (see the
-    module docstring), so a uniform draw never reuses an increment's values.
+    module docstring), so a uniform draw never reuses a normal's values.
 
     `replica_id` is an integer or a 1-D integer array.  With an array of R
     ids every draw gains a leading replica axis, shape (R, n, dim), and row r
-    equals, bit for bit, the draw of NoiseGrid(seed, replica_id[r], dt).
+    equals, bit for bit, the draw of NoiseGrid(seed, replica_id[r]).
     """
 
-    def __init__(self, seed: int, replica_id=0, dt: float = 1.0):
+    def __init__(self, seed: int, replica_id=0):
         errs = seed_errors(seed)
         if errs:
             raise ValueError(errs[0])
@@ -101,7 +103,6 @@ class NoiseGrid:
             raise ValueError("replica_id must be nonnegative")
         self.seed = int(seed)
         self.replica_id = int(ids) if ids.ndim == 0 else ids.astype(np.int64)
-        self.dt = float(dt)
         base = _splitmix64(self.seed)
         keys = [_splitmix64(base ^ ((int(r) * 0xA24BAED4963EE407) & _MASK64))
                 for r in ids.ravel()]
@@ -186,12 +187,6 @@ class NoiseGrid:
     def uniforms(self, particles, step: int, dim: int) -> np.ndarray:
         """Uniform(0,1) draws, shape batch + (len(particles), dim)."""
         return self._draw(particles, step, dim, _UNIFORMS)
-
-    def increments(self, particles, step: int, dim: int) -> np.ndarray:
-        """Brownian increments N(0, dt), shape batch + (len(particles), dim)."""
-        dw = self.normals(particles, step, dim)
-        dw *= np.sqrt(self.dt)
-        return dw
 
 
 # sha256 of the bytes of stream_sample() under this stream

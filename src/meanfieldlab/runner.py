@@ -215,9 +215,8 @@ def _run_experiment(cfg: RunConfig, write) -> None:
                                             title="mean-square coupling gap vs N",
                                             xlabel="N", ylabel="E|X - Xbar|^2"))
     elif kind in ("observable_deviation", "empirical_deviation"):
-        common = dict(n_particles=cfg.sim.n_particles, r_grid=cfg.experiment.r_grid,
-                      replicas=cfg.sim.replicas, config=_sim_config(cfg, cfg.sim.n_particles),
-                      m_reference=m_ref)
+        common = dict(r_grid=cfg.experiment.r_grid, replicas=cfg.sim.replicas,
+                      config=_sim_config(cfg, cfg.sim.n_particles), m_reference=m_ref)
         if kind == "observable_deviation":
             obs = _observable(cfg.experiment.observable, model.dim)
             table = observable_deviation_experiment(model, obs, **common)
@@ -251,11 +250,11 @@ def _run_experiment(cfg: RunConfig, write) -> None:
                 z = NoiseGrid(seed, TARGET_NAMESPACE + salt).normals(np.arange(n), 0, d)
                 return tm + np.sqrt(tv) * z
 
-        curve = equilibrium_convergence(model, cfg.sim.n_particles, cfg.experiment.t_equilibrium,
-                                        _sim_config(cfg, cfg.sim.n_particles),
-                                        target_sampler=target, replicas=cfg.sim.replicas,
-                                        gap_times=cfg.experiment.gap_times or None,
-                                        m_reference=m_ref)
+        run_cfg = replace(_sim_config(cfg, cfg.sim.n_particles),
+                          t_final=cfg.experiment.t_equilibrium)
+        curve = equilibrium_convergence(model, run_cfg, target_sampler=target,
+                                        replicas=cfg.sim.replicas, m_reference=m_ref,
+                                        gap_times=cfg.experiment.gap_times or None)
         write("equilibrium_curve.csv", _csv(["t", "w2_to_target"],
                                             zip(curve.times, curve.w2_to_target)))
         write("equilibrium_summary.csv", _csv(

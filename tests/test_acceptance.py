@@ -200,7 +200,7 @@ def criterion_06(offset: int = 0) -> Verdict:
     obs = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
     cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=128, seed=_seed(606, offset))
     table = observable_deviation_experiment(
-        model, obs, 128, [0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.12],
+        model, obs, [0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.12],
         replicas=5000, config=cfg, m_reference=8192)
 
     c, se = table.fitted_c, table.fitted_c_se
@@ -224,7 +224,7 @@ def criterion_07(offset: int = 0) -> Verdict:
     tables = {}
     for n in (128, 256, 512):
         cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=n, seed=_seed(707, offset))
-        tables[n] = empirical_measure_deviation(model, n, r_grid, replicas=400,
+        tables[n] = empirical_measure_deviation(model, r_grid, replicas=400,
                                                 config=cfg, m_reference=8192)
     ok, notes, stats = True, [], {}
     for k, r in enumerate(r_grid):
@@ -253,8 +253,7 @@ def criterion_08(offset: int = 0) -> Verdict:
     def gaussian_target(n, salt):
         return np.random.default_rng(_seed(5_000, offset) + salt).normal(size=(n, 1))
 
-    ou_curve = equilibrium_convergence(ou, 512, 4.0, cfg, target_sampler=gaussian_target,
-                                       replicas=8)
+    ou_curve = equilibrium_convergence(ou, cfg, target_sampler=gaussian_target, replicas=8)
     rate_ok = ou_curve.fitted_decay_rate is not None \
         and abs(ou_curve.fitted_decay_rate - 1.0) <= 0.3
 
@@ -263,7 +262,7 @@ def criterion_08(offset: int = 0) -> Verdict:
                                  initial_law=InitialLaw.gaussian([3.0], [[1.0]]))
     gcfg = SimConfig(dt=0.02, t_final=8.0, n_particles=128, seed=_seed(809, offset),
                      snapshot_stride=20)
-    curve = equilibrium_convergence(model, 128, 8.0, gcfg, replicas=30,
+    curve = equilibrium_convergence(model, gcfg, replicas=30,
                                     gap_times=[1.0, 2.0, 4.0, 8.0], m_reference=2048)
     granular_ok = curve.fitted_decay_rate is not None and curve.fitted_decay_rate > 0
     mean_gap = float(np.mean(curve.gap_means))

@@ -471,6 +471,7 @@ gap_times = {gaps}
     (1.0, "-0.5", "gap_times"),       # read the last step
     (1.0, "0.52", "gap_times"),       # rounded to the step at 0.5
     (1.03, "", "t_equilibrium"),      # off the dt grid: failed only at run time
+    (1.0, "0.4, 0.4", "gap_times"),   # one time twice: a gap slope fitted to noise
 ])
 def test_cli_validate_rejects_equilibrium_times_it_cannot_run(t_eq, gaps, key, tmp_path,
                                                               capsys):
@@ -478,11 +479,11 @@ def test_cli_validate_rejects_equilibrium_times_it_cannot_run(t_eq, gaps, key, t
     p.write_text(EQUILIBRIUM_CFG.format(t_eq=t_eq, gaps=gaps))
     assert main(["validate", str(p)]) == EXIT_VALIDATION
     assert f"[experiment] {key}" in capsys.readouterr().err
-    # the run applies the same rule, before it simulates anything
+    # the run applies the same rule, before it simulates anything; it runs
+    # over [0, t_equilibrium], which its SimConfig carries as t_final
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
-    with pytest.raises(ValidationError, match=key):
-        equilibrium_convergence(m, 8, t_eq, SimConfig(dt=0.05, t_final=1.0, n_particles=8,
-                                                      seed=1),
+    with pytest.raises(ValidationError, match="gap_times" if key == "gap_times" else "t_final"):
+        equilibrium_convergence(m, SimConfig(dt=0.05, t_final=t_eq, n_particles=8, seed=1),
                                 gap_times=[float(g) for g in gaps.split(",") if g.strip()])
 
 

@@ -35,7 +35,7 @@ def _pure_diffusion_model(d=1):
 
 
 def _ref_noise(cfg):
-    return NoiseGrid(cfg.seed, REFERENCE_NAMESPACE, cfg.dt)
+    return NoiseGrid(cfg.seed, REFERENCE_NAMESPACE)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,18 @@ def test_euler_step_taming_shrinks_large_drift():
                          dt=0.01, taming=False)
     assert abs(tamed[0]) < abs(untamed[0]) / 1e4
     assert abs(tamed[0]) <= 1.0 + 1e-9  # |b dt / (1 + dt |b|)| < 1
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_euler_step_tames_to_b_over_one_plus_dt_norm_b(dim):
+    # the one taming rule, row by row: b / (1 + dt |b|), bit for bit
+    rng = np.random.default_rng(dim)
+    X, b, dW = (rng.normal(scale=s, size=(2, 5, dim)) for s in (1.0, 1e3, 0.1))
+    diff = DiffusionSpec.isotropic(dim)
+    for dt in (0.01, 0.03, 0.1):
+        tamed = b / (1.0 + dt * np.sqrt(np.sum(b * b, axis=-1, keepdims=True)))
+        want = X + dW * np.sqrt(2.0) - tamed * dt
+        assert np.array_equal(euler_step(X, b, diff, dW, dt, taming=True), want)
 
 
 def test_euler_step_nonfinite_raises():
@@ -115,7 +127,8 @@ def test_single_particle_drift_is_self_interaction():
     x = m.initial_law.sample(noise, np.arange(1))
     for k in range(cfg.n_steps):
         drift = m.drift.eval(x, x)
-        x = x + m.diffusion.apply(noise.increments(np.arange(1), k, 1)) - drift * cfg.dt
+        dW = noise.normals(np.arange(1), k, 1) * np.sqrt(cfg.dt)
+        x = x + m.diffusion.apply(dW) - drift * cfg.dt
     assert np.allclose(traj.terminal, x, atol=1e-14)
 
 
@@ -125,6 +138,48 @@ def test_determinism_bit_exact():
     a = simulate_particle_system(m, cfg)
     b = simulate_particle_system(m, cfg)
     assert np.array_equal(a.states, b.states)
+
+
+SIGMAS = {"diagonal-1d": [[0.7]], "diagonal-3d": np.diag([0.5, 1.5, 2.0]),
+          "full-2d": [[0.3, 0.0], [0.8, 1.2]]}
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+@pytest.mark.parametrize("sigma", sorted(SIGMAS))
+def test_one_step_is_the_point_plus_sigma_sqrt_dt_normals(sigma, batched):
+    # the step loop alone turns a grid's unit normals into Brownian increments:
+    # one zero-drift step from a point law is x0 + sigma (sqrt(dt) z) bit for
+    # bit, z the normals of each particle's own key at step 0
+    sigma = np.asarray(SIGMAS[sigma], dtype=np.float64)
+    d = len(sigma)
+    x0 = np.linspace(-1.0, 2.0, d)
+    m = ModelSpec(drift=_pure_diffusion_model(d).drift, diffusion=DiffusionSpec(sigma),
+                  initial_law=InitialLaw.gaussian(x0, 0.0), name="one-step")
+    cfg = SimConfig(dt=0.03, t_final=0.03, n_particles=5, seed=29)
+    labels = np.array([5, 0, 9, 2, 4097])
+    noise = NoiseGrid(cfg.seed, np.array([3, 0, REFERENCE_NAMESPACE]) if batched else 3)
+    traj = simulate_particle_system(m, cfg, noise=noise, particle_indices=labels)
+    z = noise.normals(labels, 0, d)
+    assert np.array_equal(traj.states[..., 1, :, :], x0 + (z * np.sqrt(cfg.dt)) @ sigma.T)
+
+
+@pytest.mark.parametrize("run", ["particle_system", "coupled"])
+def test_a_grid_of_the_runs_own_key_gives_the_default_run(run):
+    # a grid carries no dt, so passing the run's own grid cannot change its
+    # diffusion: it once silently stepped unit-variance increments at dt = 0.01
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+    cfg = SimConfig(dt=0.01, t_final=0.2, n_particles=16, seed=31, replica_id=3)
+    own = NoiseGrid(cfg.seed, cfg.replica_id)
+    if run == "particle_system":
+        assert np.array_equal(simulate_particle_system(m, cfg, noise=own).states,
+                              simulate_particle_system(m, cfg).states)
+    else:
+        flow = build_reference_flow(m, 64, cfg)
+        given, default = simulate_coupled(m, cfg, flow, noise=own), simulate_coupled(m, cfg, flow)
+        assert np.array_equal(given.mean_square_gap, default.mean_square_gap)
+        assert np.array_equal(given.terminal_particles, default.terminal_particles)
+        assert np.array_equal(given.terminal_nonlinear, default.terminal_nonlinear)
+    assert not hasattr(own, "dt") and not hasattr(NoiseGrid, "increments")
 
 
 def test_exchangeability_under_index_permutation():
@@ -207,7 +262,7 @@ def test_batched_divergence_names_the_replica_of_the_per_replica_run():
     # others, and put one of the late ones first in the batch (a replica's
     # path does not depend on its place in the batch).
     calm = simulate_particle_system(_blows_up_above(np.inf), cfg,
-                                    noise=NoiseGrid(cfg.seed, ids, cfg.dt),
+                                    noise=NoiseGrid(cfg.seed, ids),
                                     particle_indices=labels)
     highs = calm.states[:, :-1, :, 0].max(axis=-1)  # (replica, step): drift is read there
     reached = np.unique(highs[highs <= highs.max(axis=1).min()])
@@ -218,14 +273,14 @@ def test_batched_divergence_names_the_replica_of_the_per_replica_run():
     alone = []
     for pos, rid in enumerate(ids):
         with pytest.raises(DivergenceError) as exc:
-            simulate_particle_system(m, cfg, noise=NoiseGrid(cfg.seed, int(rid), cfg.dt),
+            simulate_particle_system(m, cfg, noise=NoiseGrid(cfg.seed, int(rid)),
                                      particle_indices=labels)
         assert exc.value.replica == rid
         alone.append((exc.value.step, pos, exc.value.particle))
     step, pos, particle = min(alone)
     assert pos > 0  # the first replica to diverge is not the first in the batch
     with pytest.raises(DivergenceError) as exc:
-        simulate_particle_system(m, cfg, noise=NoiseGrid(cfg.seed, ids, cfg.dt),
+        simulate_particle_system(m, cfg, noise=NoiseGrid(cfg.seed, ids),
                                  particle_indices=labels)
     assert (exc.value.replica, exc.value.step, exc.value.particle) == (ids[pos], step, particle)
     assert f"replica {ids[pos]}, step {step}, particle {particle}" in str(exc.value)
@@ -235,7 +290,7 @@ def test_batched_divergence_names_the_replica_of_the_per_replica_run():
     # per-replica run, the first particle in key order
     m = replace(m, initial_law=InitialLaw.gaussian([threshold + 1.0], 0.0))
     errs = []
-    for noise in (NoiseGrid(cfg.seed, ids, cfg.dt), NoiseGrid(cfg.seed, int(ids[0]), cfg.dt)):
+    for noise in (NoiseGrid(cfg.seed, ids), NoiseGrid(cfg.seed, int(ids[0]))):
         with pytest.raises(DivergenceError) as exc:
             simulate_particle_system(m, cfg, noise=noise, particle_indices=labels)
         errs.append((exc.value.replica, exc.value.step, exc.value.particle))
@@ -366,7 +421,8 @@ def test_coupled_consumes_identical_noise():
     x = m.initial_law.sample(noise, np.arange(4))
     for k in range(cfg.n_steps):
         drift = 2.0 * x
-        x = x + m.diffusion.apply(noise.increments(np.arange(4), k, 1)) - drift * cfg.dt
+        dW = noise.normals(np.arange(4), k, 1) * np.sqrt(cfg.dt)
+        x = x + m.diffusion.apply(dW) - drift * cfg.dt
     assert np.array_equal(res.terminal_nonlinear, x)
 
 
@@ -402,7 +458,7 @@ def test_coupled_rejects_mismatched_flow():
         with pytest.raises(ValidationError, match="does not match run dt"):
             simulate_coupled(m, cfg, other)
     batched = simulate_particle_system(m, replace(cfg, n_particles=32),
-                                       noise=NoiseGrid(cfg.seed, np.arange(3), cfg.dt))
+                                       noise=NoiseGrid(cfg.seed, np.arange(3)))
     with pytest.raises(ValidationError, match="without a replica axis"):
         simulate_coupled(m, cfg, batched)
 
@@ -445,14 +501,14 @@ def test_batched_simulations_equal_per_replica_runs(case):
     flow = build_reference_flow(m, 64, cfg)
     ids = np.array([6, 2, 11, REFERENCE_NAMESPACE + 1])
     labels = np.array([7, 3, 30, 1, 12, 9, 0, 4, 5, 2, 8, 6])
-    batch_noise = NoiseGrid(cfg.seed, ids, cfg.dt)
+    batch_noise = NoiseGrid(cfg.seed, ids)
 
     coupled = simulate_coupled(m, cfg, flow, noise=batch_noise)
     traj = simulate_particle_system(m, cfg, noise=batch_noise, particle_indices=labels)
     assert coupled.mean_square_gap.shape == (len(ids), len(engine._record_steps(cfg.n_steps, 3)))
     assert traj.states.shape == (len(ids), 5, 12, m.dim)
     for r, rid in enumerate(ids):
-        noise = NoiseGrid(cfg.seed, int(rid), cfg.dt)
+        noise = NoiseGrid(cfg.seed, int(rid))
         one = simulate_coupled(m, cfg, flow, noise=noise)
         assert np.array_equal(coupled.mean_square_gap[r], one.mean_square_gap)
         assert np.array_equal(coupled.terminal_particles[r], one.terminal_particles)
@@ -475,7 +531,7 @@ def test_grid_call_equals_per_size_runs(case, batched):
     m, taming = BATCH_CASES[case]
     cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=3, seed=83, taming=taming)
     flow = build_reference_flow(m, 64, cfg)
-    noise = NoiseGrid(cfg.seed, np.array([6, 2, 11]) if batched else 4, cfg.dt)
+    noise = NoiseGrid(cfg.seed, np.array([6, 2, 11]) if batched else 4)
     n_grid = [12, 1, 5, 7]
     runs = simulate_coupled(m, cfg, flow, noise=noise, n_grid=n_grid)
     assert len(runs) == len(n_grid)
@@ -498,7 +554,7 @@ def test_strided_gap_is_the_full_trace_at_the_recorded_steps(case, batched, stri
     cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=5, seed=83, taming=taming)
     stride = cfg.n_steps if stride == "n_steps" else stride
     flow = build_reference_flow(m, 64, cfg)
-    noise = NoiseGrid(cfg.seed, np.array([6, 2, 11]) if batched else 4, cfg.dt)
+    noise = NoiseGrid(cfg.seed, np.array([6, 2, 11]) if batched else 4)
     steps = engine._record_steps(cfg.n_steps, stride)
     for n_grid in (None, [12, 1, 5]):
         full = simulate_coupled(m, cfg, flow, noise=noise, n_grid=n_grid)
@@ -528,7 +584,7 @@ def test_every_drift_call_sees_contiguous_states():
                   initial_law=InitialLaw.gaussian(np.zeros(1), np.eye(1)), name="spy")
     cfg = SimConfig(dt=0.05, t_final=0.2, n_particles=6, seed=97)
     flow = build_reference_flow(m, 64, cfg)
-    noise = NoiseGrid(cfg.seed, np.array([3, 1, 8]), cfg.dt)
+    noise = NoiseGrid(cfg.seed, np.array([3, 1, 8]))
     calls.clear()
     simulate_coupled(m, cfg, flow, noise=noise, n_grid=[4, 8, 16])
     simulate_particle_system(m, cfg, noise=noise, particle_indices=[5, 0, 9, 2, 7, 1])
@@ -557,7 +613,7 @@ def test_grid_divergence_is_earliest_step_then_grid_order_then_nonlinear_side():
     flow = TrajectoryEnsemble(times=np.arange(cfg.n_steps + 1) * cfg.dt,
                               states=np.zeros((cfg.n_steps + 1, M, 1)))
     ids = np.array([105, 101, 108])
-    noise = NoiseGrid(cfg.seed, ids, cfg.dt)
+    noise = NoiseGrid(cfg.seed, ids)
     start = InitialLaw.gaussian(np.zeros(1), np.eye(1)).sample(noise, np.arange(20))
 
     def level(rows, step):  # the highest of the first `rows` rows reaches it at `step`

@@ -75,6 +75,15 @@ def test_linear_fit_stderr_needs_a_degree_of_freedom():
     assert se == np.sqrt(ss_res / (len(x) - 2) / sxx)
 
 
+def test_linear_fit_refuses_an_abscissa_of_one_value():
+    # the mean of three 0.4s rounds off 0.4, so sxx is about 1e-33, not 0:
+    # the fit returned slope 0 with a stderr of 1.5e16
+    assert np.mean([0.4, 0.4, 0.4]) != 0.4
+    for x in ([0.4, 0.4, 0.4], [2.0, 2.0]):
+        with pytest.raises(ValidationError, match="degenerate abscissa"):
+            linear_fit(x, np.arange(len(x), dtype=float))
+
+
 @pytest.mark.parametrize("n_chunks", range(2, 9))
 def test_w2sq_debiased_stderr_needs_two_floor_pairs(n_chunks):
     # the first half of the chunks (at least two) give raw estimates and the
@@ -199,13 +208,14 @@ def test_results_do_not_depend_on_batch_width(case, monkeypatch):
 
     def run_all():
         fit = chaos_rate_experiment(m, [8, 16], cfg, replicas=replicas, flow=flow)
-        table = observable_deviation_experiment(m, obs, 16, [0.05, 0.2], replicas=replicas,
-                                                config=cfg, m_reference=256)
-        w1 = empirical_measure_deviation(m, 16, [0.05, 0.2], replicas=replicas,
-                                         config=replace(cfg, snapshot_stride=4),
+        table = observable_deviation_experiment(m, obs, [0.05, 0.2], replicas=replicas,
+                                                config=replace(cfg, n_particles=16),
+                                                m_reference=256)
+        w1 = empirical_measure_deviation(m, [0.05, 0.2], replicas=replicas,
+                                         config=replace(cfg, n_particles=16, snapshot_stride=4),
                                          sup_over_time=True, m_reference=256)
         curve = equilibrium_convergence(
-            m, 16, 0.2, replace(cfg, snapshot_stride=4), replicas=replicas,
+            m, replace(cfg, n_particles=16, snapshot_stride=4), replicas=replicas,
             target_sampler=lambda n, salt: np.random.default_rng(salt).normal(size=(n, m.dim)),
             gap_times=[0.1, 0.2], m_reference=256)
         return (fit.mean_sq_gaps, fit.stderrs, fit.w2_sq_estimates, fit.slope,
@@ -299,8 +309,8 @@ def test_chaos_rate_chunks_count_only_the_terminal_gap(monkeypatch, tmp_path):
     grids = []
     init = NoiseGrid.__init__
 
-    def counting(self, seed, replica_id=0, dt=1.0):
-        init(self, seed, replica_id, dt)
+    def counting(self, seed, replica_id=0):
+        init(self, seed, replica_id)
         if np.all(np.asarray(self.replica_id) < REFERENCE_NAMESPACE):
             grids.append(np.size(self.replica_id))
 
@@ -331,7 +341,8 @@ def test_equilibrium_gap_chunks_count_recorded_gaps_not_steps(monkeypatch):
     monkeypatch.setattr(experiments, "_BATCH_VALUES", 57)
     replicas = 6
     curve = equilibrium_convergence(
-        m, 8, 1.0, cfg, replicas=replicas, gap_times=[0.5, 1.0], m_reference=128,
+        m, replace(cfg, t_final=1.0, n_particles=8), replicas=replicas, gap_times=[0.5, 1.0],
+        m_reference=128,
         target_sampler=lambda n, salt: np.random.default_rng(salt).normal(size=(n, 1)))
     assert widths == [3, 3]
     # the bits of full traces, run replica by replica, at the gap steps
@@ -363,8 +374,8 @@ def test_one_replica_gap_stderrs_are_nan_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit = chaos_rate_experiment(m, [4, 8], cfg, replicas=1, m_reference=128)
-        curve = equilibrium_convergence(m, 8, 1.0, cfg, replicas=1, gap_times=[0.5, 1.0],
-                                        m_reference=128)
+        curve = equilibrium_convergence(m, replace(cfg, n_particles=8), replicas=1,
+                                        gap_times=[0.5, 1.0], m_reference=128)
     assert all(np.isnan(se) for se in fit.stderrs + curve.gap_stderrs)
     assert all(np.isfinite(g) and g > 0 for g in fit.mean_sq_gaps + curve.gap_means)
 
@@ -374,10 +385,10 @@ def test_equilibrium_last_gap_is_the_chaos_rate_terminal_gap(replicas):
     # at the same N, seed, dt and M, with t_equilibrium = t_final, the two
     # experiments couple the same runs: their terminal gaps agree bit for bit
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
-    cfg = _cfg(dt=0.05, t_final=1.0, replica_id=3)
+    cfg = _cfg(dt=0.05, t_final=1.0, n_particles=8, replica_id=3)
     fit = chaos_rate_experiment(m, [8], cfg, replicas=replicas, m_reference=128)
     curve = equilibrium_convergence(
-        m, 8, 1.0, cfg, replicas=replicas, gap_times=[0.25, 1.0], m_reference=128,
+        m, cfg, replicas=replicas, gap_times=[0.25, 1.0], m_reference=128,
         target_sampler=lambda n, salt: np.random.default_rng(salt).normal(size=(n, 1)))
     assert curve.gap_means[-1] == fit.mean_sq_gaps[0]
     assert np.array_equal(curve.gap_stderrs[-1], fit.stderrs[0], equal_nan=True)
@@ -439,9 +450,9 @@ def test_zero_replicas_is_a_labelled_error(kind):
     x0 = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
     calls = {
         "chaos_rate": lambda: chaos_rate_experiment(m, [4, 8], cfg, replicas=0),
-        "observable_deviation": lambda: observable_deviation_experiment(m, x0, 8, [0.1], 0, cfg),
-        "empirical_deviation": lambda: empirical_measure_deviation(m, 8, [0.1], 0, cfg),
-        "equilibrium": lambda: equilibrium_convergence(m, 8, 0.2, cfg, replicas=0),
+        "observable_deviation": lambda: observable_deviation_experiment(m, x0, [0.1], 0, cfg),
+        "empirical_deviation": lambda: empirical_measure_deviation(m, [0.1], 0, cfg),
+        "equilibrium": lambda: equilibrium_convergence(m, cfg, replicas=0),
     }
     with pytest.raises(ValidationError, match="replicas must be >= 1"):
         calls[kind]()
@@ -461,11 +472,11 @@ def test_negative_reference_size_is_named_by_the_flow(kind):
     x0 = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
     calls = {
         "observable_deviation": lambda: observable_deviation_experiment(
-            m, x0, 8, [0.1], 2, cfg, m_reference=-5),
-        "empirical_deviation": lambda: empirical_measure_deviation(m, 8, [0.1], 2, cfg,
+            m, x0, [0.1], 2, cfg, m_reference=-5),
+        "empirical_deviation": lambda: empirical_measure_deviation(m, [0.1], 2, cfg,
                                                                    m_reference=-5),
-        "equilibrium": lambda: equilibrium_convergence(m, 8, 0.2, cfg, replicas=2,
-                                                       gap_times=[0.2], m_reference=-5),
+        "equilibrium": lambda: equilibrium_convergence(m, cfg, replicas=2, gap_times=[0.2],
+                                                       m_reference=-5),
     }
     with pytest.raises(ValidationError, match=r"^reference flow: m must be >= 0.*\(m=-5\)"):
         calls[kind]()
@@ -495,7 +506,7 @@ def test_constant_observable_has_zero_tails():
     m = linear_test_model(1.0, 1)
     obs = Observable(eval=lambda x: np.zeros(np.asarray(x).shape[:-1]),
                      lipschitz_constant=1.0, name="const")
-    table = observable_deviation_experiment(m, obs, 32, [0.01, 0.1], replicas=20,
+    table = observable_deviation_experiment(m, obs, [0.01, 0.1], replicas=20,
                                             config=_cfg(), m_reference=512)
     assert table.empirical_probs == [0.0, 0.0]
     assert table.mean_square_error == 0.0
@@ -507,8 +518,8 @@ def test_observable_mse_matches_lln_oracle():
     obs = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
     n = 64
     reps = 400
-    cfg = _cfg(dt=0.01, t_final=0.5)
-    table = observable_deviation_experiment(m, obs, n, [0.05], replicas=reps, config=cfg,
+    cfg = _cfg(dt=0.01, t_final=0.5, n_particles=n)
+    table = observable_deviation_experiment(m, obs, [0.05], replicas=reps, config=cfg,
                                             m_reference=200_000)
     expected_mse = ou_variance(0.5, 1.0, 1.0) / n
     se = expected_mse * np.sqrt(2.0 / reps)
@@ -520,7 +531,7 @@ def test_observable_mse_matches_lln_oracle():
 def test_observable_probs_decrease_in_r():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
     obs = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
-    table = observable_deviation_experiment(m, obs, 32, [0.0, 0.05, 0.5], replicas=60,
+    table = observable_deviation_experiment(m, obs, [0.0, 0.05, 0.5], replicas=60,
                                             config=_cfg(), m_reference=512)
     p = table.empirical_probs
     assert p[0] >= p[1] >= p[2]
@@ -531,8 +542,8 @@ def test_observable_rescaling_flag():
     m = linear_test_model(1.0, 1)
     wide = Observable(eval=lambda x: 3.0 * np.asarray(x)[..., 0], lipschitz_constant=3.0,
                       name="3x")
-    table = observable_deviation_experiment(m, wide, 16, [0.05], replicas=10, config=_cfg(),
-                                            m_reference=512)
+    table = observable_deviation_experiment(m, wide, [0.05], replicas=10,
+                                            config=_cfg(n_particles=16), m_reference=512)
     assert table.metadata["rescaled"] is True
 
 
@@ -542,7 +553,7 @@ def test_observable_rescaling_flag():
 
 def test_empirical_deviation_extreme_radii():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
-    table = empirical_measure_deviation(m, 32, [0.0, 100.0], replicas=15, config=_cfg(),
+    table = empirical_measure_deviation(m, [0.0, 100.0], replicas=15, config=_cfg(),
                                         m_reference=512)
     assert table.empirical_probs[0] == 1.0  # W1 > 0 almost surely
     assert table.empirical_probs[1] == 0.0
@@ -551,10 +562,9 @@ def test_empirical_deviation_extreme_radii():
 def test_sup_over_time_dominates_terminal():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
     cfg = _cfg(snapshot_stride=5)
-    term = empirical_measure_deviation(m, 32, [0.05], replicas=25, config=cfg,
-                                       m_reference=512)
-    sup = empirical_measure_deviation(m, 32, [0.05], replicas=25, config=cfg,
-                                      m_reference=512, sup_over_time=True)
+    term = empirical_measure_deviation(m, [0.05], replicas=25, config=cfg, m_reference=512)
+    sup = empirical_measure_deviation(m, [0.05], replicas=25, config=cfg, m_reference=512,
+                                      sup_over_time=True)
     assert sup.empirical_probs[0] >= term.empirical_probs[0]
     assert sup.metadata["statistic"] == "sup_t W1"
 
@@ -570,7 +580,8 @@ def test_equilibrium_started_at_steady_state_sits_at_floor():
     def gaussian_target(n, salt):
         return np.random.default_rng(10_000 + salt).normal(size=(n, 1))
 
-    curve = equilibrium_convergence(m, 128, 1.0, _cfg(dt=0.02, snapshot_stride=10),
+    curve = equilibrium_convergence(m, _cfg(dt=0.02, t_final=1.0, n_particles=128,
+                                            snapshot_stride=10),
                                     target_sampler=gaussian_target, replicas=6)
     w = np.asarray(curve.w2_to_target)
     assert np.all(w < 4.0 * curve.noise_floor)
@@ -582,7 +593,8 @@ def test_equilibrium_decay_from_displaced_start():
     def gaussian_target(n, salt):
         return np.random.default_rng(20_000 + salt).normal(size=(n, 1))
 
-    curve = equilibrium_convergence(m, 256, 3.0, _cfg(dt=0.02, snapshot_stride=15),
+    curve = equilibrium_convergence(m, _cfg(dt=0.02, t_final=3.0, n_particles=256,
+                                            snapshot_stride=15),
                                     target_sampler=gaussian_target, replicas=6)
     w = np.asarray(curve.w2_to_target)
     assert w[0] > 5.0 * curve.noise_floor
@@ -593,13 +605,28 @@ def test_equilibrium_decay_from_displaced_start():
 
 def test_equilibrium_gap_uniformity_outputs():
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
-    curve = equilibrium_convergence(m, 32, 1.0, _cfg(dt=0.02, snapshot_stride=10),
+    curve = equilibrium_convergence(m, _cfg(dt=0.02, t_final=1.0, snapshot_stride=10),
                                     target_sampler=lambda n, salt: np.random.default_rng(
                                         salt).normal(size=(n, 1)),
                                     replicas=5, gap_times=[0.24, 0.5, 1.0], m_reference=512)
     assert len(curve.gap_means) == 3
     assert all(g >= 0.0 for g in curve.gap_means)
     assert curve.gap_slope is not None and curve.gap_slope_se is not None
+
+
+def test_one_gap_time_writes_a_nan_gap_slope(tmp_path):
+    # one time gives a gap mean but no slope: nan, as the chaos rate writes
+    # for one N, where a fit to one abscissa had read a slope with se 9.6e12
+    run(parse_config("[sim]\ndt = 0.1\nn_particles = 8\nreplicas = 3\nseed = 5\n"
+                     "[reference]\nm = 128\n[experiment]\nkind = equilibrium\n"
+                     "t_equilibrium = 0.4\ngap_times = 0.4\n[output]\nplots = false\n"),
+        output_dir=str(tmp_path))
+    summary = (tmp_path / "equilibrium_summary.csv").read_text().splitlines()
+    row = dict(zip(summary[0].split(","), summary[1].split(",")))
+    assert (row["gap_slope"], row["gap_slope_se"]) == ("nan", "nan")
+    gaps = (tmp_path / "gap_uniformity.csv").read_text().splitlines()
+    assert len(gaps) == 2 and gaps[1].startswith("0.40000000000000002,")
+    assert float(gaps[1].split(",")[1]) > 0
 
 
 def test_reference_flow_reuse_is_deterministic():

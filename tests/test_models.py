@@ -94,7 +94,9 @@ def test_granular_cubic_kernel_matches_finite_differences():
         fd = v + _fd_grad(lambda z: abs(z[0]) ** 3, [v - w])[0]
         assert got == pytest.approx(expect)
         assert got == pytest.approx(fd, rel=1e-5)
-    assert m.drift.taming_exponent == 1.0
+    assert m.drift.superlinear
+    assert not granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0),
+                                    1).drift.superlinear
 
 
 def test_granular_rejects_odd_interaction():
@@ -197,7 +199,7 @@ def test_pairwise_drift_does_not_depend_on_block_width(d, monkeypatch):
 
 def test_pairwise_drift_stays_in_cache_sized_blocks():
     kernel = granular_media_model(quadratic_potential(1.0), power_potential(2.5), 1).drift
-    assert kernel.taming_exponent > 0 and kernel.mean_field is None
+    assert kernel.superlinear and kernel.mean_field is None
     rng = np.random.default_rng(3)
     X = rng.normal(size=(1024, 1))
     cloud = rng.normal(size=(1024, 1))
@@ -610,6 +612,19 @@ def test_initial_law_gaussian_moments():
         assert np.atleast_2d(np.cov(sample.T)) == pytest.approx(cov, rel=0.02, abs=0.02)
     point = InitialLaw.gaussian([1.0, 2.0], 0.0).sample(grid, np.arange(10))
     assert np.array_equal(point, np.tile([1.0, 2.0], (10, 1)))
+
+
+@pytest.mark.parametrize("mean, cov", [
+    ([0.0], -1.0),                          # a negative variance
+    ([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]),  # singular, not zero
+    ([0.0, 0.0], [1.0, -0.5]),              # a negative diagonal entry
+    ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]]),  # indefinite
+], ids=["negative-variance", "singular", "negative-diagonal", "indefinite"])
+def test_a_covariance_that_is_not_positive_definite_is_a_labelled_error(mean, cov):
+    # numpy's cholesky raised its own LinAlgError, which names no rule
+    with pytest.raises(ValidationError, match="covariance must be positive definite, "
+                                              "or zero for the point law"):
+        InitialLaw.gaussian(mean, cov)
 
 
 def test_observable_lipschitz_sample_check():

@@ -14,14 +14,14 @@ from meanfieldlab.rng import (BURN_IN_NAMESPACE, INIT_STEP, REFERENCE_NAMESPACE,
 
 
 def test_same_key_same_value():
-    g = NoiseGrid(seed=123, replica_id=4, dt=0.02)
+    g = NoiseGrid(seed=123, replica_id=4)
     a = g.normals(np.array([7]), step=9, dim=3)
     b = g.normals(np.array([7]), step=9, dim=3)
     assert np.array_equal(a, b)
 
 
 def test_order_independent():
-    g = NoiseGrid(seed=55, replica_id=0, dt=0.01)
+    g = NoiseGrid(seed=55, replica_id=0)
     block = g.normals(np.arange(100), step=3, dim=2)
     # single-key lookups, reversed order, must reproduce the batch bit-exactly
     for i in reversed(range(100)):
@@ -36,13 +36,6 @@ def test_distinct_keys_distinct_values():
     assert not np.array_equal(v, g.normals(np.array([0]), 1, 1))
     assert not np.array_equal(v, NoiseGrid(seed=1, replica_id=1).normals(np.array([0]), 0, 1))
     assert not np.array_equal(v, NoiseGrid(seed=2, replica_id=0).normals(np.array([0]), 0, 1))
-
-
-def test_increment_variance_is_dt():
-    dt = 0.03
-    g = NoiseGrid(seed=9, replica_id=0, dt=dt)
-    dw = g.increments(np.arange(200_000), step=0, dim=1).ravel()
-    assert abs(dw.var() - dt) < 3 * dt * np.sqrt(2 / len(dw))
 
 
 def test_normality_batch():
@@ -105,22 +98,22 @@ def test_init_step_reserved():
     assert not np.allclose(a, b)
 
 
-@pytest.mark.parametrize("draw", ["normals", "uniforms", "increments"])
+@pytest.mark.parametrize("draw", ["normals", "uniforms"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_batched_draws_equal_per_replica_draws(draw, dim):
     # non-contiguous, unsorted ids, some in the reference namespace
     ids = np.array([9, 2, 40, REFERENCE_NAMESPACE + 3, 0, REFERENCE_NAMESPACE])
     particles = np.array([5, 0, 17, 3])
     for step in (0, 11, INIT_STEP):
-        batch = getattr(NoiseGrid(31, ids, dt=0.04), draw)(particles, step, dim)
+        batch = getattr(NoiseGrid(31, ids), draw)(particles, step, dim)
         assert batch.shape == (len(ids), len(particles), dim)
         for r, rid in enumerate(ids):
-            one = getattr(NoiseGrid(31, int(rid), dt=0.04), draw)(particles, step, dim)
+            one = getattr(NoiseGrid(31, int(rid)), draw)(particles, step, dim)
             assert one.shape == (len(particles), dim)
             assert np.array_equal(batch[r], one)
 
 
-@pytest.mark.parametrize("draw", ["normals", "uniforms", "increments"])
+@pytest.mark.parametrize("draw", ["normals", "uniforms"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_draws_are_c_contiguous(draw, dim):
     # the engine writes states into C-ordered arrays row by row, and an
@@ -131,7 +124,7 @@ def test_draws_are_c_contiguous(draw, dim):
                      np.arange(11, -1, -1),                 # descending
                      np.array([0, 1, 2, 4100, 4101, 9000])]  # gapped, across blocks
     for replica_id in (3, np.array([6, 2, 11, REFERENCE_NAMESPACE + 1])):
-        grid = NoiseGrid(73, replica_id, dt=0.02)
+        grid = NoiseGrid(73, replica_id)
         for step in (5, INIT_STEP):
             for particles in particle_sets:
                 out = getattr(grid, draw)(particles, step, dim)
@@ -198,15 +191,14 @@ def _normal_block(key, step, b):
     return np.random.Generator(bitgen).standard_normal(B)
 
 
-def _oracle_draw(seed, replica, dt, draw, particles, step, dim):
+def _oracle_draw(seed, replica, draw, particles, step, dim):
     key = _splitmix64(_splitmix64(seed) ^ ((replica * 0xA24BAED4963EE407) & _MASK))
     values = [v for i in particles for v in range(dim * i, dim * (i + 1))]
     if draw == "uniforms":
         z = [_stream_unit(key, step, v) for v in values]
     else:
         z = [_normal_block(key, step, v // B)[v % B] for v in values]
-    z = np.array(z).reshape(len(particles), dim)
-    return z * np.sqrt(dt) if draw == "increments" else z
+    return np.array(z).reshape(len(particles), dim)
 
 
 def _bits(a):
@@ -230,7 +222,7 @@ def _block_end_sets(dim):
             [edge + 1, 0, edge, 9, 3, edge - 5]]  # gapped, unsorted, in both blocks
 
 
-@pytest.mark.parametrize("draw", ["normals", "uniforms", "increments"])
+@pytest.mark.parametrize("draw", ["normals", "uniforms"])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
 def test_draws_equal_the_layout_oracle(draw, dim, batched):
@@ -238,11 +230,11 @@ def test_draws_equal_the_layout_oracle(draw, dim, batched):
     seed = rand.getrandbits(64)
     ids = [rand.getrandbits(48) for _ in range(3)] + [REFERENCE_NAMESPACE + 3] if batched \
         else rand.getrandbits(48)
-    grid = NoiseGrid(seed, np.array(ids) if batched else ids, dt=0.03)
+    grid = NoiseGrid(seed, np.array(ids) if batched else ids)
     for step in (0, rand.randrange(INIT_STEP), INIT_STEP):
         for particles in PARTICLE_SETS + _block_end_sets(dim):
             got = getattr(grid, draw)(np.array(particles), step, dim)
-            want = np.array([_oracle_draw(seed, int(rid), 0.03, draw, particles, step, dim)
+            want = np.array([_oracle_draw(seed, int(rid), draw, particles, step, dim)
                              for rid in np.atleast_1d(ids)])
             want = want if batched else want[0]
             assert got.shape == want.shape == grid.batch_shape + (len(particles), dim)
@@ -295,15 +287,14 @@ def test_uniform_bytes_are_those_of_the_previous_stream():
 def test_draws_do_not_depend_on_order_or_batch(ids, particles, dim, step, rand):
     # one batched call over every replica and particle, against the same
     # draws shuffled, split into per-replica grids and per-particle calls
-    full = NoiseGrid(11, np.array(ids), dt=0.2).increments(np.array(particles), step, dim)
+    full = NoiseGrid(11, np.array(ids)).normals(np.array(particles), step, dim)
     rows, cols = list(range(len(ids))), list(range(len(particles)))
     rand.shuffle(rows)
     rand.shuffle(cols)
-    shuffled = NoiseGrid(11, np.array(ids)[rows], dt=0.2).increments(
-        np.array(particles)[cols], step, dim)
+    shuffled = NoiseGrid(11, np.array(ids)[rows]).normals(np.array(particles)[cols], step, dim)
     assert np.array_equal(_bits(shuffled), _bits(full[rows][:, cols]))
     for r in rows[:2]:
-        grid = NoiseGrid(11, ids[r], dt=0.2)
+        grid = NoiseGrid(11, ids[r])
         for c in cols[:3]:
-            one = grid.increments(np.array([particles[c]]), step, dim)
+            one = grid.normals(np.array([particles[c]]), step, dim)
             assert np.array_equal(_bits(one[0]), _bits(full[r, c]))
