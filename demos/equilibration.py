@@ -1,10 +1,10 @@
 """Long-time behavior: exponential approach to the steady state.
 
-Two views of equilibration.  First the linear test model (an OU process),
-where the exact decay rate is known, started far from its Gaussian steady
-state.  Second the quadratic granular model, where we also check that the
-particle-vs-nonlinear coupling gap stays flat in time, which is what makes
-time-uniform chaos estimates plausible.
+Two views of equilibration.  First an Ornstein-Uhlenbeck process (the
+granular model with no interaction), where the exact decay rate is known,
+started far from its Gaussian steady state.  Second the quadratic granular
+model, where we also check that the particle-vs-nonlinear coupling gap stays
+flat in time, which is what makes time-uniform chaos estimates plausible.
 
 Run:  python3 demos/equilibration.py
 """
@@ -12,10 +12,11 @@ Run:  python3 demos/equilibration.py
 import numpy as np
 
 from meanfieldlab import (InitialLaw, SimConfig, equilibrium_convergence,
-                          granular_media_model, linear_test_model, quadratic_potential)
+                          granular_media_model, quadratic_potential, zero_potential)
 
 # OU: dX = sqrt(2) dB - X dt, started at mean 3; W2 to N(0,1) decays at rate 1
-ou = linear_test_model(1.0, 1, mean0=3.0, var0=1.0)
+ou = granular_media_model(quadratic_potential(1.0), zero_potential(), 1,
+                          initial_law=InitialLaw.gaussian([3.0], 1.0))
 config = SimConfig(dt=0.02, t_final=4.0, n_particles=512, seed=21, snapshot_stride=10)
 
 

@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .errors import DivergenceError, ValidationError
 from .measures import EmpiricalMeasure
 from .models import (DiffusionSpec, DriftKernel, InitialLaw, ModelSpec, Observable,
-                     Potential, granular_media_model, linear_test_model, ou_mean,
-                     ou_variance, power_potential, quadratic_potential,
+                     Potential, granular_media_model, ou_mean, ou_variance,
+                     power_potential, quadratic_potential,
                      vlasov_fokker_planck_model, zero_potential)
 from .rng import NoiseGrid
 from .engine import (CoupledEnsemble, SimConfig, TrajectoryEnsemble, build_reference_flow,

@@ -21,7 +21,7 @@ from .rng import seed_errors
 __all__ = ["RunConfig", "parse_config", "serialize_config", "observable_errors",
            "EXPERIMENT_KINDS", "MODEL_FAMILIES"]
 
-MODEL_FAMILIES = ("granular_quadratic", "granular_cubic", "linear", "kinetic")
+MODEL_FAMILIES = ("granular_quadratic", "granular_cubic", "kinetic")
 EXPERIMENT_KINDS = ("chaos_rate", "observable_deviation", "empirical_deviation", "equilibrium")
 
 
@@ -31,9 +31,6 @@ class ModelBlock:
     dim: int = 1
     v_coeff: float = 1.0            # confinement strength (granular families)
     w_coeff: float = 1.0            # interaction strength
-    rate: float = 1.0               # linear family
-    mean0: float = 0.0              # linear family initial mean
-    var0: float = 1.0               # linear family initial variance
     u_coeff: float = 1.0            # kinetic family interaction
     friction_coeff: float = 1.0     # kinetic A(v) = friction_coeff * v
     confinement_coeff: float = 1.0  # kinetic B(x) = confinement_coeff * x
@@ -56,9 +53,6 @@ class SimBlock:
 @dataclass
 class ReferenceBlock:
     m: int = 0                      # 0 resolves to 16 * max N at run time
-    # No effect: the reference flow is its own Picard fixed point, so one pass
-    # is all there is.  Still parsed and checked (>= 1) so old configs rerun.
-    picard_iters: int = 2
 
 
 @dataclass
@@ -97,6 +91,14 @@ _BLOCKS = {
     "experiment": ExperimentBlock,
     "output": OutputBlock,
 }
+
+# Keys of earlier versions that change no run of any family that still parses:
+# the old linear family's rate, mean0 and var0 (the Ornstein-Uhlenbeck model is
+# granular_quadratic with w_coeff = 0), and picard_iters (the reference flow is
+# its own Picard fixed point).  They are accepted at any value and ignored, so
+# every manifest that lists them still reruns.
+_RETIRED_KEYS = {("model", "rate"), ("model", "mean0"), ("model", "var0"),
+                 ("reference", "picard_iters")}
 
 _LIST_KEYS = {("sim", "n_grid"): int, ("experiment", "r_grid"): float,
               ("experiment", "gap_times"): float}
@@ -154,6 +156,8 @@ def parse_config(text: str) -> RunConfig:
         known = {f.name: f.type for f in dc_fields(block)}
         types = {f.name: type(getattr(block, f.name)) for f in dc_fields(block)}
         for key, raw in cp.items(section):
+            if (section, key) in _RETIRED_KEYS:
+                continue
             if key not in known:
                 errors.append(f"unknown key {key!r} in [{section}]{_suggest(key, known)}")
                 continue
@@ -180,6 +184,8 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
     if cfg.sim.replicas < 1:
         errs.append("[sim] replicas must be >= 1")
     errs.extend(f"[sim] {e}" for e in seed_errors(cfg.sim.seed))
+    if cfg.model.dim < 1:
+        errs.append("[model] dim must be >= 1")
     if cfg.experiment.kind == "chaos_rate":
         errs.extend(f"[sim] {e}" for e in n_grid_errors(cfg.sim.n_grid))
     elif cfg.sim.n_particles < 1:
@@ -189,8 +195,6 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
         errs.append("[experiment] r_grid is required for deviation experiments")
     chaos_grid = cfg.sim.n_grid if cfg.experiment.kind == "chaos_rate" else ()
     errs.extend(f"[reference] {e}" for e in reference_size_errors(cfg.reference.m, chaos_grid))
-    if cfg.reference.picard_iters < 1:
-        errs.append("[reference] picard_iters must be >= 1")
     if cfg.output.snapshot_stride < 1:
         errs.append("[output] snapshot_stride must be >= 1")
     if cfg.experiment.kind == "equilibrium":
@@ -201,10 +205,9 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
     errs.extend(f"[experiment] {e}" for e in observable_errors(cfg.experiment.observable, coords))
     if cfg.experiment.target not in ("burn_in", "gaussian"):
         errs.append("[experiment] target must be 'burn_in' or 'gaussian'")
-    if cfg.model.family == "linear" and cfg.model.rate <= 0:
-        errs.append("[model] rate must be positive")
-    if cfg.model.init_var < 0 or cfg.model.var0 < 0:
-        errs.append("[model] variances must be nonnegative")
+    errs.extend(f"{key} must be nonnegative" for key, var in
+                (("[model] init_var", cfg.model.init_var),
+                 ("[experiment] target_var", cfg.experiment.target_var)) if var < 0)
     return errs
 
 

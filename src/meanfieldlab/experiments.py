@@ -66,6 +66,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     """Wilson 95% score interval for a binomial proportion."""
     if trials <= 0:
         raise ValidationError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValidationError(f"successes {successes} must lie in [0, trials = {trials}]")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -299,6 +301,7 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     sample-W2^2 between replicated one-particle draws and reference samples
     is reported: the distance-between-laws side of the chain.  A gap's
     stderr is nan with one replica, which leaves no degree of freedom.
+    `config.n_particles` is not read: the sizes come from `n_grid`.
     """
     n_grid = sorted(int(n) for n in n_grid)
     errs = n_grid_errors(n_grid)

@@ -31,6 +31,8 @@ class EmpiricalMeasure:
             w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (pts.shape[0],):
             raise ValidationError(f"weights shape {w.shape} does not match {pts.shape[0]} points")
+        if not np.isfinite(w).all():
+            raise ValidationError("weights must be finite")
         if np.any(w < 0):
             raise ValidationError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > _WEIGHT_TOL:

@@ -29,7 +29,6 @@ __all__ = [
     "mean_field_batch",
     "granular_media_model",
     "vlasov_fokker_planck_model",
-    "linear_test_model",
     "zero_potential",
     "quadratic_potential",
     "power_potential",
@@ -226,7 +225,10 @@ class InitialLaw:
 
     @classmethod
     def gaussian(cls, mean, cov) -> "InitialLaw":
-        """N(mean, cov); a scalar or 1-D cov is that multiple of I or that diagonal."""
+        """N(mean, cov); a scalar or 1-D cov is that multiple of I or that diagonal.
+
+        The mean and covariance must be finite and the covariance exactly symmetric.
+        """
         mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
         d = len(mean)
         cov = np.asarray(cov, dtype=np.float64)
@@ -236,6 +238,10 @@ class InitialLaw:
             cov = np.diag(cov)
         if cov.shape != (d, d):
             raise ValidationError("covariance shape does not match mean")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValidationError("mean and covariance must be finite")
+        if not np.array_equal(cov, cov.T):
+            raise ValidationError("covariance must be symmetric")
         try:
             return cls(mean, np.linalg.cholesky(cov + 0.0) if np.any(cov) else np.zeros((d, d)))
         except np.linalg.LinAlgError:
@@ -495,33 +501,16 @@ def vlasov_fokker_planck_model(U: Potential, A: Callable, B: Callable, d_prime: 
     )
 
 
-def linear_test_model(rate: float, d: int = 1, mean0: float = 0.0,
-                      var0: float = 1.0) -> ModelSpec:
-    """Law-independent Ornstein-Uhlenbeck model with a closed-form solution.
-
-    Kernel b(X, Y) = rate * X and sigma = sqrt(2) I, so each coordinate is an
-    OU process: mean mean0 * exp(-rate t), variance
-    1/rate + (var0 - 1/rate) exp(-2 rate t).
-    """
-    if rate <= 0:
-        raise ValidationError("rate must be positive")
-    r = float(rate)
-
-    def kernel_eval(X, Y):
-        X = np.asarray(X, dtype=np.float64)
-        return r * (X + np.zeros_like(np.asarray(Y, dtype=np.float64)))
-
-    return ModelSpec(
-        drift=DriftKernel(dim=d, eval=kernel_eval, mean_field=lambda X, points, weights: r * X),
-        diffusion=DiffusionSpec.isotropic(d),
-        initial_law=InitialLaw.gaussian(np.full(d, float(mean0)), np.eye(d) * float(var0)),
-        name=f"linear(rate={r})",
-    )
-
-
 def ou_mean(t: float, mean0: float, rate: float) -> float:
+    """Mean at time t of each coordinate of dX = sqrt(2) dB - rate X dt from mean mean0.
+
+    That Ornstein-Uhlenbeck process is granular_media_model with
+    V = quadratic_potential(rate) and W = zero_potential() (in a config,
+    family = granular_quadratic, v_coeff = rate, w_coeff = 0).
+    """
     return mean0 * np.exp(-rate * t)
 
 
 def ou_variance(t: float, var0: float, rate: float) -> float:
+    """Variance at time t of each coordinate of the OU process of ou_mean from variance var0."""
     return 1.0 / rate + (var0 - 1.0 / rate) * np.exp(-2.0 * rate * t)

@@ -27,8 +27,8 @@ from .errors import DivergenceError, ValidationError
 from .experiments import (chaos_rate_experiment, empirical_measure_deviation,
                           equilibrium_convergence, observable_deviation_experiment)
 from .models import (InitialLaw, ModelSpec, Observable, granular_media_model,
-                     linear_test_model, power_potential, quadratic_potential,
-                     vlasov_fokker_planck_model, zero_potential)
+                     power_potential, quadratic_potential, vlasov_fokker_planck_model,
+                     zero_potential)
 from .plots import emit_plot
 from .rng import STREAM, TARGET_NAMESPACE, NoiseGrid, seed_errors, stream_errors
 
@@ -87,8 +87,6 @@ def build_model(cfg: RunConfig) -> ModelSpec:
         return granular_media_model(quadratic_potential(m.v_coeff),
                                     power_potential(3.0, m.w_coeff),
                                     m.dim, initial_law=init)
-    if m.family == "linear":
-        return linear_test_model(m.rate, m.dim, mean0=m.mean0, var0=m.var0)
     if m.family == "kinetic":
         init2 = InitialLaw.gaussian(np.full(2 * m.dim, m.init_mean),
                                     np.eye(2 * m.dim) * m.init_var)

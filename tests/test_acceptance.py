@@ -20,12 +20,12 @@ import pytest
 from meanfieldlab import (EmpiricalMeasure, Observable, SimConfig,
                           chaos_rate_experiment, empirical_measure_deviation,
                           equilibrium_convergence, granular_media_model,
-                          linear_test_model, observable_deviation_experiment,
+                          observable_deviation_experiment,
                           ou_mean, ou_variance, power_potential, quadratic_potential,
                           simulate_coupled, simulate_particle_system,
                           wasserstein_1d, wasserstein_assignment, wilson_interval,
                           kr_dual_lower_bound, quantile_dual_family,
-                          build_reference_flow, parse_config)
+                          build_reference_flow, parse_config, zero_potential)
 from meanfieldlab.engine import ModelSpec
 from meanfieldlab.models import DriftKernel, DiffusionSpec, InitialLaw
 from meanfieldlab.runner import load_config_or_manifest, run
@@ -53,6 +53,12 @@ def _report(num: int, verdict: Verdict):
 
 def _quadratic_model():
     return granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+
+
+def _ou_model(rate, mean0, var0, name=None):
+    """dX = sqrt(2) dB - rate X dt in 1-D: granular media with V = rate x^2 / 2 and W = 0."""
+    return granular_media_model(quadratic_potential(rate), zero_potential(), 1,
+                                initial_law=InitialLaw.gaussian([mean0], var0), name=name)
 
 
 @functools.cache
@@ -85,10 +91,10 @@ def criterion_02(offset: int = 0) -> Verdict:
         diffusion=DiffusionSpec.isotropic(1),
         initial_law=InitialLaw.gaussian([0.0], [[1.0]]),
         name="zero-drift")
-    linear = linear_test_model(1.0, 1, mean0=0.5)
+    ou = _ou_model(1.0, 0.5, 1.0, name="linear(rate=1.0)")
 
     ok, details, stats = True, [], {}
-    for model in (zero_model, linear):
+    for model in (zero_model, ou):
         flow = build_reference_flow(model, 256, cfg)
         res = simulate_coupled(model, cfg, flow)
         exact = bool(np.all(res.mean_square_gap == 0.0))
@@ -104,7 +110,7 @@ def test_criterion_02_coupling_null():
 
 def criterion_03(offset: int = 0) -> Verdict:
     m0, v0, rate, t = 1.0, 0.5, 1.0, 1.0
-    model = linear_test_model(rate, 1, mean0=m0, var0=v0)
+    model = _ou_model(rate, m0, v0)
     samples = []
     for rep in range(100):
         cfg = SimConfig(dt=0.01, t_final=t, n_particles=512, seed=_seed(404, offset),
@@ -246,7 +252,7 @@ def test_criterion_07_w1_deviation_monotone_in_n():
 
 
 def criterion_08(offset: int = 0) -> Verdict:
-    ou = linear_test_model(1.0, 1, mean0=3.0, var0=1.0)
+    ou = _ou_model(1.0, 3.0, 1.0)
     cfg = SimConfig(dt=0.02, t_final=4.0, n_particles=512, seed=_seed(808, offset),
                     snapshot_stride=10)
 
@@ -325,7 +331,6 @@ seed = {seed}
 
 [reference]
 m = 512
-picard_iters = 2
 
 [output]
 directory = {out}

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ seed = 7
 
 [reference]
 m = 256
-picard_iters = 1
 
 [output]
 directory = {out}
@@ -37,8 +37,8 @@ directory = {out}
 
 DEVIATION_CFG = """
 [model]
-family = linear
-rate = 1.0
+family = granular_quadratic
+w_coeff = 0.0
 
 [sim]
 dt = 0.02
@@ -49,7 +49,6 @@ seed = 3
 
 [reference]
 m = 512
-picard_iters = 1
 
 [experiment]
 kind = observable_deviation
@@ -79,7 +78,6 @@ seed = 1
 
 [reference]
 m = 128
-picard_iters = 1
 
 [output]
 directory = {out}
@@ -138,7 +136,7 @@ def test_unknown_key_suggests_closest_match():
 
 def test_unknown_section_suggests_closest_match():
     with pytest.raises(ValidationError) as exc:
-        parse_config("[modle]\nfamily = linear\n[sim]\nn_grid = 4, 8\n")
+        parse_config("[modle]\nfamily = kinetic\n[sim]\nn_grid = 4, 8\n")
     msg = str(exc.value)
     assert "modle" in msg and "model" in msg
 
@@ -182,22 +180,32 @@ def test_list_and_bool_parsing():
         parse_config("[sim]\ntaming = maybe\nn_grid = 4\n")
 
 
-def test_picard_iters_is_checked_but_changes_no_byte(tmp_path):
-    # the reference flow is its own Picard fixed point, so the key only has
-    # to parse: old configs and manifests carry it
-    with pytest.raises(ValidationError, match="picard_iters must be >= 1"):
-        parse_config(CHAOS_CFG.replace("picard_iters = 1", "picard_iters = 0").format(out="x"))
+def _with_retired_keys(text, rate="1", mean0="0", var0="1", picard_iters="2"):
+    """`text` with the four retired keys, where a manifest written before they retired has them."""
+    text = re.sub(r"^(\[model\])$", rf"\1\nrate = {rate}\nmean0 = {mean0}\nvar0 = {var0}",
+                  text, flags=re.M)
+    return re.sub(r"^(\[reference\])$", rf"\1\npicard_iters = {picard_iters}", text, flags=re.M)
+
+
+def test_a_retired_key_at_any_value_parses_and_changes_no_byte(tmp_path):
+    # the linear family's rate, mean0 and var0 and the reference flow's
+    # picard_iters are read by no family that still parses
+    values = [dict(), dict(rate="0", mean0="nan", var0="-1", picard_iters="0"),
+              dict(rate="inf", mean0="x", var0="", picard_iters="-3")]
     for text, names in ((CHAOS_CFG, ["rate_fit.csv", "rate_fit_summary.csv"]),
                         (DEVIATION_CFG, ["deviation_table.csv", "deviation_summary.csv"])):
-        digests = []
-        for passes in (1, 3):
-            out = str(tmp_path / f"{names[0]}-{passes}")
-            cfg = parse_config(text.replace("picard_iters = 1", f"picard_iters = {passes}")
-                               .format(out=out))
-            assert cfg.reference.picard_iters == passes
+        out = str(tmp_path / names[0])
+        base = parse_config(text.format(out=out))
+        run(base)
+        for k, kw in enumerate(values):
+            old = _with_retired_keys(text, **kw)
+            assert "picard_iters" in old and "var0" in old
+            cfg = parse_config(old.format(out=f"{out}-{k}"))
+            assert cfg == replace(base, output=replace(base.output, directory=f"{out}-{k}"))
+            assert not re.search("^(rate|mean0|var0|picard_iters) =", serialize_config(cfg),
+                                 flags=re.M)
             run(cfg)
-            digests.append(_sha_files(out, names))
-        assert digests[0] == digests[1]
+            assert _sha_files(f"{out}-{k}", names) == _sha_files(out, names)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +331,25 @@ def test_cli_refuses_a_manifest_of_another_noise_stream(noise, tmp_path, capsys)
     assert not (tmp_path / "two").exists()
 
 
+def test_cli_reruns_a_manifest_that_lists_the_retired_keys(tmp_path, capsys):
+    run(parse_config(DEVIATION_CFG.format(out=str(tmp_path / "one"))))
+    lines = (tmp_path / "one" / "manifest.jsonl").read_text().splitlines()
+    head = json.loads(lines[0])
+    recorded = {a["path"]: a["sha256"] for a in map(json.loads, lines[1:])
+                if a["path"].endswith(".csv")}
+    old = tmp_path / "old.jsonl"
+    for family, code in (("granular_quadratic", EXIT_OK), ("linear", EXIT_VALIDATION)):
+        text = _with_retired_keys(head["config_text"]).replace(
+            "family = granular_quadratic", f"family = {family}")
+        old.write_text("\n".join([json.dumps(dict(head, config_text=text), sort_keys=True)]
+                                 + lines[1:]) + "\n")
+        assert main(["validate", str(old)]) == code
+        assert main(["run", str(old), "--output-dir", str(tmp_path / family)]) == code
+    assert _sha_files(str(tmp_path / "granular_quadratic"), recorded) == recorded
+    assert "[model] family 'linear' not in" in capsys.readouterr().err
+    assert not (tmp_path / "linear").exists()
+
+
 def test_seed_override_changes_results(tmp_path):
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     run(parse_config(DEVIATION_CFG.format(out=out1)))
@@ -418,11 +445,29 @@ def test_cli_validate_ok(tmp_path, capsys):
     assert "valid" in capsys.readouterr().out
 
 
-def test_cli_validate_bad_config(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ("[sim]\nn_partcles = 8\n", "n_particles"),
+    # validated; the observable is the norm of a 0-coordinate state
+    (DEVIATION_CFG.replace("w_coeff = 0.0", "dim = 0").replace("= x0", "= norm"),
+     "[model] dim must be >= 1"),
+    # validated, then numpy's unlabelled "negative dimensions are not allowed"
+    (DEVIATION_CFG.replace("w_coeff = 0.0", "dim = -2").replace("= x0", "= norm"),
+     "[model] dim must be >= 1"),
+    # validated, then wrote an all-nan curve and summary and exited 0
+    (GAUSSIAN_TARGET_CFG.replace("target_var = 0.5", "target_var = -1"),
+     "[experiment] target_var must be nonnegative"),
+    (GAUSSIAN_TARGET_CFG.replace("[sim]", "init_var = -1\n\n[sim]"),
+     "[model] init_var must be nonnegative"),
+], ids=["unknown-key", "zero-dim", "negative-dim", "negative-target-var",
+        "negative-init-var"])
+def test_cli_validate_bad_config(text, message, tmp_path, capsys):
     p = tmp_path / "bad.cfg"
-    p.write_text("[sim]\nn_partcles = 8\n")
-    assert main(["validate", str(p)]) == EXIT_VALIDATION
-    assert "n_particles" in capsys.readouterr().err
+    out = tmp_path / "out"
+    p.write_text(text.replace("{out}", str(out)))
+    for command in ("validate", "run"):
+        assert main([command, str(p)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -437,7 +482,7 @@ def test_non_finite_numbers_are_refused_before_any_output(section, key, value, t
                                                           capsys):
     p = tmp_path / "bad.cfg"
     out = tmp_path / "out"
-    text = DEVIATION_CFG.format(out=str(out)).replace("linear", "granular_quadratic")
+    text = DEVIATION_CFG.format(out=str(out))
     if re.search(rf"^{key} = ", text, flags=re.M):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     else:
@@ -554,14 +599,15 @@ def test_cli_seed_override_is_checked_before_any_output(seed, tmp_path, capsys):
 def test_cli_validate_checks_the_observable_name(name, valid, tmp_path, capsys):
     p = tmp_path / "obs.cfg"
     p.write_text(DEVIATION_CFG.format(out=str(tmp_path / "out"))
-                 .replace("rate = 1.0", "rate = 1.0\ndim = 2")
+                 .replace("w_coeff = 0.0", "w_coeff = 0.0\ndim = 2")
                  .replace("observable = x0", f"observable = {name}"))
     assert main(["validate", str(p)]) == (EXIT_OK if valid else EXIT_VALIDATION)
     assert ("[experiment] observable" in capsys.readouterr().err) is not valid
 
 
 @pytest.mark.parametrize("family, dim, name, valid", [
-    ("linear", 2, "x1", True), ("linear", 2, "x2", False), ("linear", 2, "x5", False),
+    ("granular_quadratic", 2, "x1", True), ("granular_quadratic", 2, "x2", False),
+    ("granular_quadratic", 2, "x5", False),
     ("kinetic", 1, "x1", True), ("kinetic", 1, "x2", False),  # (position, velocity)
     ("kinetic", 2, "x3", True), ("kinetic", 2, "x4", False),
 ])
@@ -570,7 +616,7 @@ def test_cli_checks_the_observable_coordinate_against_the_state(family, dim, nam
     p = tmp_path / "obs.cfg"
     out = tmp_path / "out"
     p.write_text(DEVIATION_CFG.format(out=str(out))
-                 .replace("family = linear", f"family = {family}\ndim = {dim}")
+                 .replace("family = granular_quadratic", f"family = {family}\ndim = {dim}")
                  .replace("observable = x0", f"observable = {name}"))
     assert main(["validate", str(p)]) == (EXIT_OK if valid else EXIT_VALIDATION)
     assert main(["run", str(p)]) == (EXIT_OK if valid else EXIT_VALIDATION)

@@ -5,11 +5,17 @@ import pytest
 
 from meanfieldlab import (DiffusionSpec, DivergenceError, InitialLaw, SimConfig,
                           TrajectoryEnsemble, ValidationError, build_reference_flow, engine,
-                          euler_step, granular_media_model, linear_test_model, power_potential,
+                          euler_step, granular_media_model, power_potential,
                           quadratic_potential, simulate_coupled, simulate_particle_system,
                           sample_w2, vlasov_fokker_planck_model, zero_potential)
 from meanfieldlab.models import DriftKernel, ModelSpec
 from meanfieldlab.rng import NoiseGrid, REFERENCE_NAMESPACE
+
+
+def _ou_model(rate=1.0, mean0=0.0, var0=1.0, d=1):
+    """dX = sqrt(2) dB - rate X dt: granular media with V = rate |x|^2 / 2 and W = 0."""
+    return granular_media_model(quadratic_potential(rate), zero_potential(), d,
+                                initial_law=InitialLaw.gaussian(np.full(d, mean0), var0))
 
 
 def _static_model(d=1):
@@ -193,7 +199,7 @@ def test_exchangeability_under_index_permutation():
 
 def test_ou_ensemble_mean_and_variance():
     # closed-form oracle: mean m0 e^{-t}, variance 1/r + (v0 - 1/r) e^{-2rt}
-    m = linear_test_model(1.0, 1, mean0=1.0, var0=1.0)
+    m = _ou_model(mean0=1.0)
     cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=512, seed=17)
     samples = []
     for rep in range(20):
@@ -311,7 +317,7 @@ def test_vfp_position_update_is_exactly_v_dt():
 
 
 def test_reference_flow_matches_ou_moments():
-    m = linear_test_model(1.0, 1, mean0=1.0, var0=1.0)
+    m = _ou_model(mean0=1.0)
     cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=1, seed=29)
     flow = build_reference_flow(m, 8192, cfg)
     term = flow.states[-1].ravel()
@@ -389,7 +395,7 @@ def test_coupling_null_for_zero_drift():
 
 
 def test_coupling_null_for_law_free_drift():
-    m = linear_test_model(1.0, 1, mean0=0.5)
+    m = _ou_model(mean0=0.5)
     cfg = SimConfig(dt=0.01, t_final=0.5, n_particles=64, seed=43)
     flow = build_reference_flow(m, 256, cfg)
     res = simulate_coupled(m, cfg, flow)
@@ -413,7 +419,7 @@ def test_coupling_gap_scales_inversely_with_n():
 
 def test_coupled_consumes_identical_noise():
     # reconstruct the nonlinear path by hand from the same keys
-    m = linear_test_model(2.0, 1)
+    m = _ou_model(rate=2.0)
     cfg = SimConfig(dt=0.01, t_final=0.1, n_particles=4, seed=53)
     flow = build_reference_flow(m, 64, cfg)
     res = simulate_coupled(m, cfg, flow)
@@ -442,7 +448,7 @@ def test_reference_pass_and_coupled_particles_match_particle_system(cubic):
 
 
 def test_coupled_rejects_mismatched_flow():
-    m = linear_test_model(1.0, 1)
+    m = _ou_model()
     cfg = SimConfig(dt=0.01, t_final=0.5, n_particles=4, seed=59)
     flow = build_reference_flow(m, 32, cfg)
     longer = SimConfig(dt=0.01, t_final=1.0, n_particles=4, seed=59)

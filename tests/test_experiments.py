@@ -6,16 +6,23 @@ import pytest
 
 from meanfieldlab import (DiffusionSpec, InitialLaw, Observable, SimConfig, ValidationError,
                           build_reference_flow, chaos_rate_experiment, empirical_measure_deviation,
-                          equilibrium_convergence, granular_media_model, linear_test_model,
+                          equilibrium_convergence, granular_media_model,
                           observable_deviation_experiment, ou_variance, power_potential,
                           quadratic_potential, sample_w2, simulate_coupled,
-                          simulate_particle_system, vlasov_fokker_planck_model, wilson_interval)
+                          simulate_particle_system, vlasov_fokker_planck_model, wilson_interval,
+                          zero_potential)
 from meanfieldlab import experiments, wasserstein
 from meanfieldlab.config import parse_config
 from meanfieldlab.experiments import linear_fit
 from meanfieldlab.models import ModelSpec
 from meanfieldlab.rng import REFERENCE_NAMESPACE, NoiseGrid
 from meanfieldlab.runner import run
+
+
+def _ou_model(rate=1.0, mean0=0.0, var0=1.0, d=1):
+    """dX = sqrt(2) dB - rate X dt: granular media with V = rate |x|^2 / 2 and W = 0."""
+    return granular_media_model(quadratic_potential(rate), zero_potential(), d,
+                                initial_law=InitialLaw.gaussian(np.full(d, mean0), var0))
 
 
 def _cfg(**kw):
@@ -39,6 +46,13 @@ def test_wilson_interval_basics():
     lo1, hi1 = wilson_interval(50, 100)
     lo2, hi2 = wilson_interval(500, 1000)
     assert hi2 - lo2 < hi1 - lo1
+
+
+@pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 10), (11, 10)])
+def test_wilson_interval_refuses_successes_outside_the_trials(successes, trials):
+    # (5, 3) returned nan with a RuntimeWarning from the sqrt
+    with pytest.raises(ValidationError, match=r"must lie in \[0, trials"):
+        wilson_interval(successes, trials)
 
 
 def test_wilson_interval_brackets_binomial_truth():
@@ -150,8 +164,8 @@ def test_linear_fit_slope_error_scales():
 
 
 def test_chaos_rate_degenerate_for_law_free_model():
-    # the linear test model ignores the measure, so coupled gaps are exactly 0
-    m = linear_test_model(1.0, 1)
+    # the OU model ignores the measure, so coupled gaps are exactly 0
+    m = _ou_model()
     fit = chaos_rate_experiment(m, [16, 32], _cfg(), replicas=3, m_reference=512)
     assert fit.degenerate
     assert all(g == 0.0 for g in fit.mean_sq_gaps)
@@ -503,7 +517,7 @@ def test_chaos_rate_rejects_small_supplied_flow():
 
 
 def test_constant_observable_has_zero_tails():
-    m = linear_test_model(1.0, 1)
+    m = _ou_model()
     obs = Observable(eval=lambda x: np.zeros(np.asarray(x).shape[:-1]),
                      lipschitz_constant=1.0, name="const")
     table = observable_deviation_experiment(m, obs, [0.01, 0.1], replicas=20,
@@ -514,7 +528,7 @@ def test_constant_observable_has_zero_tails():
 
 def test_observable_mse_matches_lln_oracle():
     # oracle: particle average of x over N iid OU draws has variance Var(t)/N
-    m = linear_test_model(1.0, 1, mean0=1.0, var0=1.0)
+    m = _ou_model(mean0=1.0)
     obs = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
     n = 64
     reps = 400
@@ -539,7 +553,7 @@ def test_observable_probs_decrease_in_r():
 
 
 def test_observable_rescaling_flag():
-    m = linear_test_model(1.0, 1)
+    m = _ou_model()
     wide = Observable(eval=lambda x: 3.0 * np.asarray(x)[..., 0], lipschitz_constant=3.0,
                       name="3x")
     table = observable_deviation_experiment(m, wide, [0.05], replicas=10,
@@ -575,7 +589,7 @@ def test_sup_over_time_dominates_terminal():
 
 def test_equilibrium_started_at_steady_state_sits_at_floor():
     # OU with rate 1 and initial law N(0, 1) is already stationary
-    m = linear_test_model(1.0, 1, mean0=0.0, var0=1.0)
+    m = _ou_model()
 
     def gaussian_target(n, salt):
         return np.random.default_rng(10_000 + salt).normal(size=(n, 1))
@@ -588,7 +602,7 @@ def test_equilibrium_started_at_steady_state_sits_at_floor():
 
 
 def test_equilibrium_decay_from_displaced_start():
-    m = linear_test_model(1.0, 1, mean0=3.0, var0=1.0)
+    m = _ou_model(mean0=3.0)
 
     def gaussian_target(n, salt):
         return np.random.default_rng(20_000 + salt).normal(size=(n, 1))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meanfieldlab import (DiffusionSpec, InitialLaw, Observable, ValidationError,
-                          granular_media_model, linear_test_model, ou_mean, ou_variance,
+                          granular_media_model, ou_mean, ou_variance,
                           power_potential, quadratic_potential, vlasov_fokker_planck_model,
                           zero_potential)
 from meanfieldlab import models
@@ -14,6 +14,12 @@ from meanfieldlab.config import parse_config
 from meanfieldlab.models import DriftKernel, Potential, mean_field_batch
 from meanfieldlab.rng import NoiseGrid
 from meanfieldlab.runner import run
+
+
+def _ou_model(rate=1.0, mean0=0.0, var0=1.0, d=1):
+    """dX = sqrt(2) dB - rate X dt: granular media with V = rate |x|^2 / 2 and W = 0."""
+    return granular_media_model(quadratic_potential(rate), zero_potential(), d,
+                                initial_law=InitialLaw.gaussian(np.full(d, mean0), var0))
 
 
 def _fd_grad(value, z, h=1e-6):
@@ -527,10 +533,10 @@ plots = false
 def test_kernel_lipschitz_sampled():
     # |b(X,Y) - b(X',Y')| <= L (|X-X'| + |Y-Y'|) on 1e4 random quadruples in a
     # bounded box, with L = Lip(grad V) + Lip(grad W) for granular media and
-    # the rate for the linear model
+    # the rate for the OU model
     cases = [(granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1), 2.0),
              (granular_media_model(quadratic_potential(0.5), quadratic_potential(2.0), 2), 2.5),
-             (linear_test_model(1.0, 2), 1.0)]
+             (_ou_model(d=2), 1.0)]
     rng = np.random.default_rng(10)
     for m, L in cases:
         d = m.dim
@@ -568,14 +574,14 @@ def test_vfp_degenerate_diffusion_matrix():
 
 
 # ---------------------------------------------------------------------------
-# linear test model and diffusion/initial-law plumbing
+# OU model and diffusion/initial-law plumbing
 
 
 def test_linear_model_closed_form_values():
     assert ou_mean(1.0, 1.0, 1.0) == pytest.approx(np.exp(-1.0))
     assert ou_variance(0.0, 1.0, 1.0) == pytest.approx(1.0)   # stationary at v0 = 1/rate
     assert ou_variance(50.0, 0.0, 1.0) == pytest.approx(1.0)  # relaxes to 1/rate
-    m = linear_test_model(1.0, 1)
+    m = _ou_model()
     # the drift reads the state alone: two different clouds give the same bits
     X = np.random.default_rng(3).normal(size=(5, 1))
     w = np.full(4, 0.25)
@@ -583,6 +589,19 @@ def test_linear_model_closed_form_values():
     far = mean_field_batch(m.drift, X, np.arange(4.0)[:, None] * 100.0, w)
     assert np.array_equal(near.view(np.uint64), far.view(np.uint64))
     assert m.drift.eval(np.array([2.0]), np.array([-1.0]))[0] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("rate, d", [(1.0, 1), (2.0, 1), (0.3, 2), (1.0, 3)])
+def test_ou_mean_field_is_the_deleted_kernel_bit_for_bit(rate, d):
+    # the retired linear family's closed form was rate * X; W = 0 adds an exact 0
+    rng = np.random.default_rng(17)
+    m = _ou_model(rate, d=d)
+    X = rng.normal(size=(3, 5, d)) * 4.0 + 3.0
+    for points in (rng.normal(size=(7, d)), rng.normal(size=(3, 7, d)) * 50.0, X):
+        w = rng.dirichlet(np.ones(points.shape[-2]))
+        assert _same_bits(mean_field_batch(m.drift, X, points, w), rate * X)
+        assert _same_bits(mean_field_batch(m.drift, X[0], points[0] if points.ndim == 3
+                                           else points, w), rate * X[0])
 
 
 def test_diffusion_rejects_non_square():
@@ -614,16 +633,24 @@ def test_initial_law_gaussian_moments():
     assert np.array_equal(point, np.tile([1.0, 2.0], (10, 1)))
 
 
-@pytest.mark.parametrize("mean, cov", [
-    ([0.0], -1.0),                          # a negative variance
-    ([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]),  # singular, not zero
-    ([0.0, 0.0], [1.0, -0.5]),              # a negative diagonal entry
-    ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]]),  # indefinite
-], ids=["negative-variance", "singular", "negative-diagonal", "indefinite"])
-def test_a_covariance_that_is_not_positive_definite_is_a_labelled_error(mean, cov):
+_NOT_PD = "covariance must be positive definite, or zero for the point law"
+
+
+@pytest.mark.parametrize("mean, cov, rule", [
+    ([0.0], -1.0, _NOT_PD),                                  # a negative variance
+    ([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], _NOT_PD),         # singular, not zero
+    ([0.0, 0.0], [1.0, -0.5], _NOT_PD),                      # a negative diagonal entry
+    ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], _NOT_PD),         # indefinite
+    # cholesky read the lower triangle alone, and the 0.9 was dropped
+    ([0.0, 0.0], [[1.0, 0.9], [0.0, 1.0]], "covariance must be symmetric"),
+    ([0.0], np.nan, "mean and covariance must be finite"),   # every sample was nan
+    ([np.inf], 1.0, "mean and covariance must be finite"),   # accepted
+    ([0.0, 0.0], [1.0, np.inf], "mean and covariance must be finite"),
+], ids=["negative-variance", "singular", "negative-diagonal", "indefinite", "asymmetric",
+        "nan-variance", "inf-mean", "inf-variance"])
+def test_a_covariance_that_is_not_positive_definite_is_a_labelled_error(mean, cov, rule):
     # numpy's cholesky raised its own LinAlgError, which names no rule
-    with pytest.raises(ValidationError, match="covariance must be positive definite, "
-                                              "or zero for the point law"):
+    with pytest.raises(ValidationError, match=rule):
         InitialLaw.gaussian(mean, cov)
 
 

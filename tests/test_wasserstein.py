@@ -48,6 +48,13 @@ def _measure(pts, w=None):
 # known closed-form cases
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, -np.inf], [0.5, np.nan]])
+def test_empirical_measure_refuses_non_finite_weights(weights):
+    # nan < 0 and |nan - 1| > tol are both False, so a nan weight passed both checks
+    with pytest.raises(ValidationError, match="weights must be finite"):
+        EmpiricalMeasure([[0.0], [1.0]], weights)
+
+
 def test_two_diracs():
     mu, nu = _measure([0.0]), _measure([3.0])
     assert wasserstein_1d(1, mu, nu).cost == pytest.approx(3.0)
