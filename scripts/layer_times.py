@@ -10,12 +10,17 @@ Each layer is timed on its own, at the shapes the engine calls it with:
 - the noise generator, a step's Brownian increments in d = 1 as the step
   loop makes them (`NoiseGrid.normals`, then an in-place scale by
   sqrt(dt)), at replicas x particles 200 x 16, 88 x 128, 20 x 64 and
-  1 x 2048.
+  1 x 2048;
+- the transport solver, `wasserstein.wasserstein_assignment` with p = 2 in
+  d = 2, on two n-point clouds of the same law and on clouds whose means lie
+  3 apart in each coordinate (as the W2 curve of `equilibrium_2d` starts), at
+  n = 64, 128, 256 and 512.
 
-A round times a loop of CALLS calls at one shape; the script prints one JSON
-line with the best and the median over the rounds of the time per call, in
-microseconds.  The inputs are fixed normal samples, so two checkouts time the
-same work.  It is run by hand, not by the test suite:
+A round times a loop of calls at one shape (CALLS, or TRANSPORT_CALLS for
+the transport solver); the script prints one JSON line with the best and the
+median over the rounds of the time per call, in microseconds.  The inputs are
+fixed normal samples, so two checkouts time the same work.  It is run by
+hand, not by the test suite:
 
     PYTHONPATH=src python scripts/layer_times.py [--rounds K] [--smallest]
 """
@@ -30,7 +35,8 @@ import time
 
 import numpy as np
 
-from meanfieldlab import granular_media_model, power_potential, quadratic_potential
+from meanfieldlab import (EmpiricalMeasure, granular_media_model, power_potential,
+                          quadratic_potential, wasserstein_assignment)
 from meanfieldlab.models import mean_field_batch
 from meanfieldlab.rng import NoiseGrid
 
@@ -47,7 +53,11 @@ QUADRATIC_SHAPES = {"quadratic 88x128 vs 2048": (88, 128, 2048)}
 # (replicas, particles) of a draw
 NOISE_SHAPES = {"200x16": (200, 16), "88x128": (88, 128), "20x64": (20, 64),
                 "1x2048": (1, 2048)}
+# (points per cloud, shift of the second cloud's mean in each coordinate)
+TRANSPORT_SHAPES = {f"{n} {name}": (n, shift) for n in (64, 128, 256, 512)
+                    for name, shift in (("same law", 0.0), ("shifted by 3", 3.0))}
 CALLS = 200  # calls per round
+TRANSPORT_CALLS = 5  # calls per round of a transport solve, up to ~0.1 s each
 
 
 def _drift_call(kernel, replicas, n, cloud_size, rng):
@@ -73,19 +83,30 @@ def _noise_call(replicas, n):
     return call
 
 
-def _smallest(shapes: dict) -> dict:
-    name = min(shapes, key=lambda k: shapes[k][0] * shapes[k][1])
-    return {name: shapes[name]}
+def _transport_call(n, shift):
+    """A W2 assignment between two fixed n-point clouds in d = 2, the same at every shift."""
+    rng = np.random.default_rng(n)
+    mu = EmpiricalMeasure.uniform(rng.normal(size=(n, 2)))
+    nu = EmpiricalMeasure.uniform(rng.normal(size=(n, 2)) + shift)
+    return lambda: wasserstein_assignment(2, mu, nu)
 
 
-def _time(call, rounds: int) -> dict:
+def _pick(shapes: dict, smallest: bool, size=lambda shape: shape[0] * shape[1]) -> dict:
+    """Every shape, or with smallest those of the least size."""
+    if not smallest:
+        return shapes
+    least = min(map(size, shapes.values()))
+    return {name: shape for name, shape in shapes.items() if size(shape) == least}
+
+
+def _time(call, rounds: int, calls: int = CALLS) -> dict:
     call()  # warm up
     per_call = []
     for _ in range(rounds):
         start = time.perf_counter()
-        for _ in range(CALLS):
+        for _ in range(calls):
             call()
-        per_call.append((time.perf_counter() - start) / CALLS * 1e6)
+        per_call.append((time.perf_counter() - start) / calls * 1e6)
     return {"best": round(min(per_call), 1), "median": round(statistics.median(per_call), 1)}
 
 
@@ -95,19 +116,25 @@ def main(argv=None) -> dict:
     parser.add_argument("--smallest", action="store_true",
                         help="time only the smallest shape of each layer")
     args = parser.parse_args(argv)
-    pick = _smallest if args.smallest else dict
+    small = args.smallest
 
     rng = np.random.default_rng(0)
     cubic = granular_media_model(quadratic_potential(1.0), power_potential(3.0), 1).drift
     quadratic = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1).drift
-    drift = {name: _drift_call(cubic, *spec, rng) for name, spec in pick(CUBIC_SHAPES).items()}
+    drift = {name: _drift_call(cubic, *spec, rng)
+             for name, spec in _pick(CUBIC_SHAPES, small).items()}
     drift.update({name: _drift_call(quadratic, *spec, rng)
-                  for name, spec in pick(QUADRATIC_SHAPES).items()})
-    noise = {name: _noise_call(*shape) for name, shape in pick(NOISE_SHAPES).items()}
+                  for name, spec in _pick(QUADRATIC_SHAPES, small).items()})
+    noise = {name: _noise_call(*shape) for name, shape in _pick(NOISE_SHAPES, small).items()}
+    transport = {name: _transport_call(*shape) for name, shape in
+                 _pick(TRANSPORT_SHAPES, small, size=lambda shape: shape[0]).items()}
 
     result = {"unit": "us per call", "rounds": args.rounds, "calls": CALLS,
+              "transport_calls": TRANSPORT_CALLS,
               "mean_field_batch": {k: _time(f, args.rounds) for k, f in drift.items()},
-              "increments": {k: _time(f, args.rounds) for k, f in noise.items()}}
+              "increments": {k: _time(f, args.rounds) for k, f in noise.items()},
+              "wasserstein_assignment": {k: _time(f, args.rounds, TRANSPORT_CALLS)
+                                         for k, f in transport.items()}}
     print(json.dumps(result))
     return result
 

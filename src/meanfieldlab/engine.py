@@ -168,13 +168,13 @@ def _tame(drift: np.ndarray, dt: float) -> np.ndarray:
 
 
 def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float, taming: bool = False,
-               step: int = -1, labels=None) -> np.ndarray:
+               step: int = -1) -> np.ndarray:
     """One explicit step: X + sigma dW - b dt (with b tamed when requested).
 
     States have shape (N, d) or, batched, (R, N, d).  A non-finite result
-    raises DivergenceError carrying `step` and the label of the first
-    diverged particle row: labels[row] when labels are given, else row.  For
-    a batched state its `replica` is the position r of that row's replica.
+    raises DivergenceError carrying `step` and, as its `particle`, the first
+    diverged row: row i is particle i of the step's draw.  For a batched
+    state its `replica` is the position r of that row's replica.
     """
     X = np.asarray(X, dtype=np.float64)
     drift = np.asarray(drift, dtype=np.float64)
@@ -186,31 +186,31 @@ def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float, taming: bool =
         bad = ~np.all(np.isfinite(out), axis=-1)
         first = np.argwhere(np.atleast_1d(bad))[0]
         row = int(first[-1])
-        raise DivergenceError(step=step, particle=int(labels[row]) if labels is not None else row,
+        raise DivergenceError(step=step, particle=row,
                               replica=int(first[0]) if len(first) > 1 else None)
     return out
 
 
-def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, indices: np.ndarray,
+def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, n_draw: int,
                states: list, clouds: list, on_step: Callable[[int, list], None]) -> list:
     """The step loop shared by every simulation: all states ride the same noise.
 
-    States have shape noise.batch_shape + (n, d) with n <= len(indices); a
-    state of n rows carries the particles indices[:n].  Each step k draws
-    noise.normals(indices, k, d) once for every replica and state and scales it
-    in place by sqrt(config.dt), the one place a draw meets dt; a state of n
-    rows reads the first n rows, the draw for indices[:n] since every value is
-    keyed by its own particle.  The step evaluates each state's mean-field
-    drift (against its own empirical measure, replica by replica, when its
-    cloud is None, else against the frozen snapshot cloud[k] shared by all
-    replicas), then advances the states with euler_step in list order.
-    on_step(k + 1, states) sees the new states; the terminal states are
-    returned.  A DivergenceError is that of the first state in list order to
-    diverge at the earliest step, and names the replica id and particle label
-    of its diverged row.  Each initial state is made C-contiguous once, so
-    every drift sees contiguous states and clouds, as the euler_step results of
-    later steps already are: a closed-form mean may round a strided state
-    differently.
+    States have shape noise.batch_shape + (n, d) with n <= n_draw; row i of
+    a state is particle i.  Each step k draws noise.normals(n_draw, k, d),
+    the particles 0..n_draw-1, once for every replica and state and scales
+    it in place by sqrt(config.dt), the one place a draw meets dt; a state
+    of n rows reads the first n rows, the draw of particles 0..n-1 since
+    every value is keyed by its own particle.  The step evaluates each
+    state's mean-field drift (against the state itself, replica by replica,
+    when its cloud is None, else against the frozen snapshot cloud[k] (M, d)
+    shared by all replicas), then advances the states with euler_step in
+    list order.  on_step(k + 1, states) sees the new states; the terminal
+    states are returned.  A DivergenceError is that of the first state in
+    list order to diverge at the earliest step, and names the replica id and
+    the particle of its diverged row.  Each initial state is made
+    C-contiguous once, so every drift sees contiguous states and clouds, as
+    the euler_step results of later steps already are: a closed-form mean
+    may round a strided state differently.
     """
     d = model.dim
     states = [np.ascontiguousarray(X) for X in states]
@@ -221,11 +221,10 @@ def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, indices: n
     for k in range(config.n_steps):
         drifts = [mean_field_batch(model.drift, X, X if c is None else c[k], w)
                   for X, c, w in zip(states, clouds, weights)]
-        dW = noise.normals(indices, k, d)
+        dW = noise.normals(n_draw, k, d)
         dW *= np.sqrt(config.dt)
         try:
-            states = [euler_step(X, b, model.diffusion, dW[..., :n, :], config.dt, tame,
-                                 step=k, labels=indices[:n])
+            states = [euler_step(X, b, model.diffusion, dW[..., :n, :], config.dt, tame, step=k)
                       for X, b, n in zip(states, drifts, rows)]
         except DivergenceError as err:
             ids = noise.replica_id
@@ -243,42 +242,29 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
 
 
 def simulate_particle_system(model: ModelSpec, config: SimConfig,
-                             noise: Optional[NoiseGrid] = None,
-                             particle_indices=None) -> TrajectoryEnsemble:
+                             noise: Optional[NoiseGrid] = None) -> TrajectoryEnsemble:
     """Run the N-particle system with the exact empirical mean-field drift.
 
     Every step is a Jacobi update: all drifts are evaluated against the
     frozen step-start ensemble (self-interaction j=i included), then all
-    particles advance simultaneously.  The ensemble is processed in
-    key-sorted order internally so that relabeling particle indices permutes
-    the output bit-exactly.  A batched noise grid (a vector of replica ids)
-    runs one system per replica and gives states a leading replica axis.
+    particles advance simultaneously.  Row i is particle i of the noise
+    grid, for i < N.  A batched noise grid (a vector of replica ids) runs
+    one system per replica and gives states a leading replica axis.
     """
     noise = noise or config.noise()
     N, d = config.n_particles, model.dim
-    if particle_indices is None:
-        indices = np.arange(N)
-        unsort = slice(None)
-    else:
-        particle_indices = np.asarray(particle_indices)
-        if len(particle_indices) != N:
-            raise ValidationError("particle_indices length must equal n_particles")
-        order = np.argsort(particle_indices, kind="stable")
-        indices = particle_indices[order]
-        unsort = np.argsort(order, kind="stable")
-
-    X = model.initial_law.sample(noise, indices)
+    X = model.initial_law.sample(noise, N)
     recs = _record_steps(config.n_steps, config.snapshot_stride)
     states = np.empty(noise.batch_shape + (len(recs), N, d))
     rec_pos = {int(k): r for r, k in enumerate(recs)}
-    states[..., 0, :, :] = X[..., unsort, :]
+    states[..., 0, :, :] = X
 
     def record(k, Xs):
         r = rec_pos.get(k)
         if r is not None:
-            states[..., r, :, :] = Xs[0][..., unsort, :]
+            states[..., r, :, :] = Xs[0]
 
-    _integrate(model, config, noise, indices, [X], [None], record)
+    _integrate(model, config, noise, N, [X], [None], record)
     return TrajectoryEnsemble(times=recs * config.dt, states=states)
 
 
@@ -339,8 +325,7 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemb
     top = max(sizes)
     bars = sorted({1, top} & set(sizes))  # sizes of the simulated copies
     home = [bars.index(1 if n == 1 else top) for n in sizes]
-    indices = np.arange(top)
-    bar0 = [model.initial_law.sample(noise, indices[:b]) for b in bars]
+    bar0 = [model.initial_law.sample(noise, b) for b in bars]
     recs = _record_steps(n_steps, config.snapshot_stride)
     rec_pos = {int(k): r for r, k in enumerate(recs)}
     # both sides start from the same samples, so the step-0 gap is 0
@@ -354,7 +339,7 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemb
             diff = X - Xs[len(sizes) + h][..., :n, :]
             gap[..., r] = np.mean(np.einsum("...id,...id->...i", diff, diff), axis=-1)
 
-    final = _integrate(model, config, noise, indices,
+    final = _integrate(model, config, noise, top,
                        [bar0[h][..., :n, :] for n, h in zip(sizes, home)] + bar0,
                        [None] * len(sizes) + [flow.states] * len(bars), record)
     runs = [CoupledEnsemble(times=recs * config.dt, mean_square_gap=gap, terminal_particles=X,

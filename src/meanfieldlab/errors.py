@@ -9,7 +9,7 @@ class DivergenceError(RuntimeError):
     """A simulated state became non-finite.
 
     Carries enough context to locate the blow-up: the replica id of the noise
-    it ran on, the step, and the particle label.
+    it ran on, the step, and the particle (its row in the state).
     """
 
     def __init__(self, step: int, particle: int | None = None, replica: int | None = None):

@@ -15,7 +15,7 @@ _WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Finitely supported measure: points (n, d) with nonnegative weights summing to 1."""
+    """Finitely supported measure: finite points (n, d), nonnegative weights summing to 1."""
 
     points: np.ndarray
     weights: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -24,6 +24,8 @@ class EmpiricalMeasure:
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         if pts.size == 0:
             raise ValidationError("empirical measure needs at least one support point")
+        if not np.isfinite(pts).all():
+            raise ValidationError("support points must be finite")
         object.__setattr__(self, "points", pts)
         if self.weights is None:
             w = np.full(pts.shape[0], 1.0 / pts.shape[0])
@@ -42,8 +44,7 @@ class EmpiricalMeasure:
     @classmethod
     def uniform(cls, points) -> "EmpiricalMeasure":
         """The empirical measure (1/n) sum of Dirac masses at the given points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return cls(pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))
+        return cls(points)
 
     @property
     def n(self) -> int:

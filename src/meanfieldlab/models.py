@@ -160,8 +160,9 @@ class DriftKernel:
     that grows faster than linearly, whose drift the integrator tames to
     b / (1 + dt |b|) when a run asks for taming.
     `mean_field(X, points, weights)`, when set, is the exact weighted average
-    of b(X, .) over the cloud in closed form, taking the same batched shapes
-    as mean_field_batch; when None, that average is taken pair by pair.
+    of b(X, .) over the cloud in closed form, for the shapes mean_field_batch
+    admits (one cloud (m, d), or X itself); when None, that average is taken
+    pair by pair.
     """
 
     dim: int
@@ -219,8 +220,8 @@ class InitialLaw:
     def dim(self) -> int:
         return len(self.mean)
 
-    def sample(self, grid: NoiseGrid, particles: np.ndarray) -> np.ndarray:
-        """I.i.d. initial states, shape grid.batch_shape + (len(particles), dim)."""
+    def sample(self, grid: NoiseGrid, particles) -> np.ndarray:
+        """I.i.d. initial states, shape grid.batch_shape + (n, dim), of a grid draw's particles."""
         return self.mean + grid.normals(particles, INIT_STEP, self.dim) @ self.chol.T
 
     @classmethod
@@ -306,22 +307,6 @@ def _pairwise_average(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
     return out
 
 
-def _count_at_or_below(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.searchsorted(y, x, side="right") for each row of sorted y and x.
-
-    Rows of more than one dimension merge y and x in one stable sort, which
-    ranks each point of y ahead of an equal x, and count the points of y up
-    to each x.  The counts are integers, so both ways give the same ones.
-    """
-    if y.ndim == 1:
-        return np.searchsorted(y, x, side="right")
-    m = y.shape[-1]
-    order = np.argsort(np.concatenate([y, x], axis=-1), axis=-1, kind="stable")
-    counts = np.empty_like(order)
-    np.put_along_axis(counts, order, np.cumsum(order < m, axis=-1), axis=-1)
-    return counts[..., m:]
-
-
 def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
     """Exact weighted average of grad W(x - y_j) over j for W(z) = c |z|^p in 1-D.
@@ -332,20 +317,21 @@ def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
     c p sum_k (-1)^k binom(p-1, k) u^(p-1-k) a_k in u, where a_k is the moment
     sum_j w_j v_j^k over the points y_j <= x minus the one over the points
     above x for odd p, and over all points for even p.  The cloud is sorted
-    once and its moments summed in prefix: X (..., n, 1) against points
-    (m, 1) or (..., m, 1) costs O((n + m) log m), not O(n m) pairwise.
+    once and its moments summed in prefix: X (..., n, 1) against one cloud
+    (m, 1), or against X itself, costs O((n + m) log m), not O(n m) pairwise.
 
     The sort is numpy's default, the stable order when no row has two equal
     values; a tie or a nan in any row sorts the batch again, stably.  Against
-    another cloud each x is ranked by searchsorted.  Against itself (points
-    is X) a state is evaluated in its sort order, where u is v and sorted row
-    i counts i + 1 points (or those to the end of its run of equal values),
-    and the results are scattered back to X's order.  Each step is
-    elementwise, a permutation, or a sort, cumsum or sum along a row of one
-    cloud, so a row's result depends on the values of its own x and cloud
-    only: not on the other rows, the replica axis, or whether the cloud is
-    the state itself or a copy (but for the sign of a nan).  Overflow of a
-    diverging run carries through as inf or nan without a warning.
+    the one cloud each x is ranked by searchsorted on the sorted cloud.
+    Against itself (points is X) a state is evaluated in its sort order,
+    where u is v and sorted row i counts i + 1 points (or those to the end
+    of its run of equal values), and the results are scattered back to X's
+    order.  Each step is elementwise, a permutation, or a sort, cumsum or
+    sum along a row of one cloud, so a row's result depends on the values of
+    its own x and cloud only: not on the other rows, the replica axis, or
+    whether the cloud is the state itself or a copy (but for the sign of a
+    nan).  Overflow of a diverging run carries through as inf or nan without
+    a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x, y, own, m = X[..., 0], points[..., 0], points is X, points.shape[-2]
@@ -379,7 +365,7 @@ def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
                 ends[..., :-1] = np.where(same, m, np.arange(1, m))
                 at = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
             else:
-                at = _count_at_or_below(ys, x)
+                at = np.searchsorted(ys, x, side="right")
             a = np.take((2.0 * moments - a).reshape(p, -1), at + starts // m * (m + 1), axis=1)
         u = v if own else x - shift
         out = a[0]
@@ -395,16 +381,21 @@ def mean_field_batch(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
                      weights: np.ndarray) -> np.ndarray:
     """Mean-field drift for a batch of states X against a weighted cloud.
 
-    X is (n, d) or (R, n, d) for R replicas; points is one cloud (m, d), one
-    per replica (R, m, d), or X itself, which the 1-D prefix moments of an
-    integer power evaluate in X's sort order.  Closed forms broadcast over
-    replicas; the pairwise average (d > 1, non-integer powers) runs per replica.
+    X is (n, d) or (R, n, d) for R replicas; points is one cloud (m, d)
+    shared by every replica, or X itself, each replica against its own
+    state, which the 1-D prefix moments of an integer power evaluate in X's
+    sort order.  Any other (R, m, d) points is a ValidationError.  Closed
+    forms broadcast over replicas; the pairwise average (d > 1, non-integer
+    powers) runs per replica.
     """
+    if points.ndim == 3 and points is not X:
+        raise ValidationError(f"mean-field points {points.shape} must be one cloud (m, d) "
+                              f"or the states {X.shape} themselves")
     if kernel.mean_field is not None:
         return kernel.mean_field(X, points, weights)
     if X.ndim == 2:
         return _pairwise_average(kernel, X, points, weights)
-    clouds = points if points.ndim == 3 else [points] * len(X)
+    clouds = X if points is X else [points] * len(X)
     return np.stack([_pairwise_average(kernel, x, c, weights) for x, c in zip(X, clouds)])
 
 

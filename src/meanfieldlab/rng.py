@@ -28,7 +28,6 @@ NEP 19 keeps bit generators stable, not samplers: see `stream_errors`.
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 import numpy as np
 
@@ -86,6 +85,11 @@ class NoiseGrid:
     ziggurat normals in blocks of B values and channel 1 uniforms (see the
     module docstring), so a uniform draw never reuses a normal's values.
 
+    A draw takes a count n, for the particles 0..n-1, or one contiguous
+    ascending range of particle indices below 2^32, and gives shape (n, dim).
+    A particle's values do not depend on the range it is drawn in, so the
+    draw of any other set is the join of contiguous draws.
+
     `replica_id` is an integer or a 1-D integer array.  With an array of R
     ids every draw gains a leading replica axis, shape (R, n, dim), and row r
     equals, bit for bit, the draw of NoiseGrid(seed, replica_id[r]).
@@ -123,8 +127,10 @@ class NoiseGrid:
     def _draw(self, particles, step: int, dim: int, channel: int):
         """Values [dim*i, dim*(i+1)) of the (step, channel) stream for each particle i.
 
-        From block b it reads values [b*B + lo, last]: lo is 0 for normals (a
-        block is read by its prefix) and the first value needed for uniforms.
+        `particles` is a count n, for the particles 0..n-1, or one contiguous
+        ascending range of particle indices; any other set is a ValueError.
+        The draw reads the values [v0, v1) of the range block by block: a
+        normal block from its start (its prefix), a uniform from v0.
         """
         if np.isscalar(particles):
             particles = np.arange(int(particles))
@@ -136,56 +142,43 @@ class NoiseGrid:
             return np.empty(self.batch_shape + (0, dim))
         if particles.min() < 0 or particles.max() >= 2 ** 32:
             raise ValueError("particle indices must fit in uint32")
-        B = _BLOCK
-        ascending = bool((particles[1:] - particles[:-1] == 1).all())
-        if ascending:  # the values [v0, v1)
-            v0, v1 = dim * int(particles[0]), dim * (int(particles[-1]) + 1)
-            blocks = list(range(v0 // B, (v1 - 1) // B + 1))
-            firsts = [max(v0, b * B) for b in blocks]
-            lasts = [min(v1, b * B + B) - 1 for b in blocks]
-        else:  # the sorted, distinct values, cut at block ends
-            values, inverse = np.unique(dim * particles[:, None] + np.arange(dim),
-                                        return_inverse=True)
-            cut = np.flatnonzero(np.diff(values // B)) + 1
-            firsts = values[np.r_[0, cut]].tolist()
-            lasts = values[np.r_[cut, len(values)] - 1].tolist()
-            blocks = [v // B for v in firsts]
-        los = [v % B if channel == _UNIFORMS else 0 for v in firsts]
-        offsets = list(itertools.accumulate((v % B + 1 - lo for v, lo in zip(lasts, los)),
-                                            initial=0))
-        reads = list(zip(blocks, los, offsets, offsets[1:]))
+        if not (np.diff(particles) == 1).all():
+            raise ValueError("particles must be one contiguous ascending range, "
+                             "such as np.arange(a, b)")
+        B, raw = _BLOCK, channel == _UNIFORMS
+        v0, v1 = dim * int(particles[0]), dim * (int(particles[-1]) + 1)
+        # (first value read, stop) per block of the range
+        reads = [(max(v0, b * B) if raw else b * B, min(v1, b * B + B))
+                 for b in range(v0 // B, (v1 - 1) // B + 1)]
 
-        gen, bitgen, raw = self._gen, self._bitgen, channel == _UNIFORMS
-        buf = np.empty((len(self._states), offsets[-1]), dtype=np.uint64 if raw else float)
-        for b, lo, a, z in reads:
-            w0 = b * B + lo
-            counter = [w0 // 4, step, channel, 0] if raw else [0, step, channel, b]
-            for row, state in zip(buf[:, a:z], self._states):
+        gen, bitgen = self._gen, self._bitgen
+        buf = np.empty((len(self._states), sum(z - a for a, z in reads)),
+                       dtype=np.uint64 if raw else float)
+        at = 0
+        for w0, w1 in reads:
+            counter = [w0 // 4, step, channel, 0] if raw else [0, step, channel, w0 // B]
+            for row, state in zip(buf[:, at:at + w1 - w0], self._states):
                 state["state"]["counter"] = counter
                 bitgen.state = state
                 if raw:
-                    row[:] = bitgen.random_raw(w0 % 4 + z - a)[w0 % 4:]
+                    row[:] = bitgen.random_raw(w0 % 4 + w1 - w0)[w0 % 4:]
                 else:
                     gen.standard_normal(out=row)
+            at += w1 - w0
         buf = _to_unit(buf) if raw else buf
 
         # a C-contiguous result: numpy may round a reduction over another
         # layout differently, and a replica's bits must not depend on the batch
-        if ascending:
-            head = v0 - blocks[0] * B - los[0]
-            out = np.ascontiguousarray(buf[:, head:head + n * dim]).reshape(-1, n, dim)
-        else:
-            base = np.subtract(offsets[:-1], np.add(np.multiply(blocks, B), los))
-            at = base[np.searchsorted(firsts, values, side="right") - 1] + values
-            out = np.take(buf, at[inverse].reshape(n, dim), axis=1)
+        head = v0 - reads[0][0]
+        out = np.ascontiguousarray(buf[:, head:head + n * dim]).reshape(-1, n, dim)
         return out if self.batch_shape else out[0]
 
     def normals(self, particles, step: int, dim: int) -> np.ndarray:
-        """Standard normal draws, shape batch + (len(particles), dim), by the ziggurat."""
+        """Standard normal draws, shape batch + (n, dim), by the ziggurat."""
         return self._draw(particles, step, dim, _NORMALS)
 
     def uniforms(self, particles, step: int, dim: int) -> np.ndarray:
-        """Uniform(0,1) draws, shape batch + (len(particles), dim)."""
+        """Uniform(0,1) draws, shape batch + (n, dim)."""
         return self._draw(particles, step, dim, _UNIFORMS)
 
 
@@ -194,11 +187,17 @@ SAMPLE_SHA256 = "7ecd057d9581337afa51806da1223520983b012cb3cfcf1c0d4fb36d2d9b7b7
 
 
 def stream_sample() -> np.ndarray:
-    """444 normals across keys, steps, blocks, dims 1-3 and batch widths, flattened."""
+    """444 normals across keys, steps, blocks, dims 1-3 and batch widths, flattened.
+
+    The reversed and the gapped particle sets are contiguous draws, reordered
+    or joined along the particle axis.
+    """
     ids = np.array([0, 9, REFERENCE_NAMESPACE + 3])
-    draws = [NoiseGrid(2026, ids).normals(np.arange(96), 0, 1),
-             NoiseGrid(2026, 9).normals(np.arange(1330, 1366)[::-1], 3, 3),
-             NoiseGrid(7, ids[:2]).normals([4094, 2 ** 32 - 1, 2047, 2048, 5, 11], INIT_STEP, 2),
+    far = NoiseGrid(7, ids[:2])
+    draws = [NoiseGrid(2026, ids).normals(96, 0, 1),
+             NoiseGrid(2026, 9).normals(np.arange(1330, 1366), 3, 3)[::-1],
+             np.concatenate([far.normals([i], INIT_STEP, 2)
+                             for i in (4094, 2 ** 32 - 1, 2047, 2048, 5, 11)], axis=1),
              NoiseGrid(5, 2 ** 40).normals(np.arange(4080, 4104), 12, 1)]
     return np.concatenate([d.ravel() for d in draws])
 

@@ -110,7 +110,17 @@ def wasserstein_1d_rows(p: int, A, B) -> np.ndarray:
 
 
 def wasserstein_assignment(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportResult:
-    """Exact W_p between equal-size uniform clouds via optimal assignment."""
+    """Exact W_p between equal-size uniform clouds via optimal assignment.
+
+    For p = 2 the assignment is solved on the mean-centred clouds.  With a
+    and b the means, |x_i - y_j|^2 is |(x_i - a) - (y_j - b)|^2 plus terms
+    of i alone and of j alone, which every permutation pays in full, so the
+    two cost matrices have the same optimal permutations (Peyre & Cuturi,
+    Computational Optimal Transport, 2019, ch. 2); scipy's solver finds one
+    several times faster when one cloud is shifted.  The cost is summed from
+    the original points' entries at that permutation.  W_1 has no such
+    identity, so p = 1 solves the original costs.
+    """
     if p not in (1, 2):
         raise ValidationError("order p must be 1 or 2")
     if mu.n != nu.n:
@@ -133,7 +143,9 @@ def wasserstein_assignment(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -
 
     metric = "euclidean" if p == 1 else "sqeuclidean"
     costs = cdist(mu.points, nu.points, metric=metric)
-    rows, cols = linear_sum_assignment(costs)
+    solved = costs if p == 1 else cdist(mu.points - mu.points.mean(axis=0),
+                                        nu.points - nu.points.mean(axis=0), metric=metric)
+    rows, cols = linear_sum_assignment(solved)
     total = float(costs[rows, cols].sum()) / mu.n
     cost = total if p == 1 else total ** 0.5
     plan = np.column_stack([rows.astype(float), cols.astype(float), np.full(mu.n, uniform)])

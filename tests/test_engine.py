@@ -162,10 +162,9 @@ def test_one_step_is_the_point_plus_sigma_sqrt_dt_normals(sigma, batched):
     m = ModelSpec(drift=_pure_diffusion_model(d).drift, diffusion=DiffusionSpec(sigma),
                   initial_law=InitialLaw.gaussian(x0, 0.0), name="one-step")
     cfg = SimConfig(dt=0.03, t_final=0.03, n_particles=5, seed=29)
-    labels = np.array([5, 0, 9, 2, 4097])
     noise = NoiseGrid(cfg.seed, np.array([3, 0, REFERENCE_NAMESPACE]) if batched else 3)
-    traj = simulate_particle_system(m, cfg, noise=noise, particle_indices=labels)
-    z = noise.normals(labels, 0, d)
+    traj = simulate_particle_system(m, cfg, noise=noise)
+    z = noise.normals(np.arange(5), 0, d)
     assert np.array_equal(traj.states[..., 1, :, :], x0 + (z * np.sqrt(cfg.dt)) @ sigma.T)
 
 
@@ -186,15 +185,6 @@ def test_a_grid_of_the_runs_own_key_gives_the_default_run(run):
         assert np.array_equal(given.terminal_particles, default.terminal_particles)
         assert np.array_equal(given.terminal_nonlinear, default.terminal_nonlinear)
     assert not hasattr(own, "dt") and not hasattr(NoiseGrid, "increments")
-
-
-def test_exchangeability_under_index_permutation():
-    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
-    cfg = SimConfig(dt=0.01, t_final=0.1, n_particles=8, seed=13)
-    base = simulate_particle_system(m, cfg, particle_indices=np.arange(8))
-    perm = np.array([3, 1, 7, 0, 5, 2, 6, 4])
-    shuffled = simulate_particle_system(m, cfg, particle_indices=perm)
-    assert np.array_equal(shuffled.states, base.states[:, perm, :])
 
 
 def test_ou_ensemble_mean_and_variance():
@@ -224,11 +214,10 @@ def test_divergence_error_reports_step():
     assert exc.value.step >= 0
 
 
-def test_divergence_error_reports_caller_label():
+def test_divergence_error_reports_the_particle():
     # a law-free kernel that blows up exactly one particle: the one that starts highest
-    labels = np.array([40, 10, 70, 30, 60, 20, 50])
-    cfg = SimConfig(dt=0.1, t_final=0.5, n_particles=len(labels), seed=5)
-    start = InitialLaw.gaussian(np.zeros(1), np.eye(1)).sample(cfg.noise(), labels)
+    cfg = SimConfig(dt=0.1, t_final=0.5, n_particles=7, seed=5)
+    start = InitialLaw.gaussian(np.zeros(1), np.eye(1)).sample(cfg.noise(), 7)
     top = start.max()
     m = ModelSpec(
         drift=DriftKernel(dim=1, eval=lambda x, y: np.where(x >= top, np.inf, 0.0),
@@ -238,9 +227,9 @@ def test_divergence_error_reports_caller_label():
         name="one-blows-up",
     )
     with pytest.raises(DivergenceError) as exc:
-        simulate_particle_system(m, cfg, particle_indices=labels)
+        simulate_particle_system(m, cfg)
     assert exc.value.step == 0
-    assert exc.value.particle == labels[int(np.argmax(start[:, 0]))]
+    assert exc.value.particle == int(np.argmax(start[:, 0])) > 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -259,7 +248,6 @@ def _blows_up_above(threshold):
 
 def test_batched_divergence_names_the_replica_of_the_per_replica_run():
     cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=4, seed=71)
-    labels = np.array([30, 10, 20, 0])
     ids = np.array([105, 101, 108, 102, 104])
     # The scenario is read off the draws: below the threshold the drift is 0,
     # so each replica follows its calm path until the step at which one of
@@ -268,8 +256,7 @@ def test_batched_divergence_names_the_replica_of_the_per_replica_run():
     # others, and put one of the late ones first in the batch (a replica's
     # path does not depend on its place in the batch).
     calm = simulate_particle_system(_blows_up_above(np.inf), cfg,
-                                    noise=NoiseGrid(cfg.seed, ids),
-                                    particle_indices=labels)
+                                    noise=NoiseGrid(cfg.seed, ids))
     highs = calm.states[:, :-1, :, 0].max(axis=-1)  # (replica, step): drift is read there
     reached = np.unique(highs[highs <= highs.max(axis=1).min()])
     crossing = {t: [int(np.argmax(h >= t)) for h in highs] for t in reached}
@@ -279,28 +266,26 @@ def test_batched_divergence_names_the_replica_of_the_per_replica_run():
     alone = []
     for pos, rid in enumerate(ids):
         with pytest.raises(DivergenceError) as exc:
-            simulate_particle_system(m, cfg, noise=NoiseGrid(cfg.seed, int(rid)),
-                                     particle_indices=labels)
+            simulate_particle_system(m, cfg, noise=NoiseGrid(cfg.seed, int(rid)))
         assert exc.value.replica == rid
         alone.append((exc.value.step, pos, exc.value.particle))
     step, pos, particle = min(alone)
     assert pos > 0  # the first replica to diverge is not the first in the batch
     with pytest.raises(DivergenceError) as exc:
-        simulate_particle_system(m, cfg, noise=NoiseGrid(cfg.seed, ids),
-                                 particle_indices=labels)
+        simulate_particle_system(m, cfg, noise=NoiseGrid(cfg.seed, ids))
     assert (exc.value.replica, exc.value.step, exc.value.particle) == (ids[pos], step, particle)
     assert f"replica {ids[pos]}, step {step}, particle {particle}" in str(exc.value)
 
     # every particle of every replica starts above the threshold, so all
     # diverge at step 0: the batch names the first replica and, like the
-    # per-replica run, the first particle in key order
+    # per-replica run, its first particle
     m = replace(m, initial_law=InitialLaw.gaussian([threshold + 1.0], 0.0))
     errs = []
     for noise in (NoiseGrid(cfg.seed, ids), NoiseGrid(cfg.seed, int(ids[0]))):
         with pytest.raises(DivergenceError) as exc:
-            simulate_particle_system(m, cfg, noise=noise, particle_indices=labels)
+            simulate_particle_system(m, cfg, noise=noise)
         errs.append((exc.value.replica, exc.value.step, exc.value.particle))
-    assert errs[0] == errs[1] == (ids[0], 0, labels.min())
+    assert errs[0] == errs[1] == (ids[0], 0, 0)
 
 
 def test_vfp_position_update_is_exactly_v_dt():
@@ -360,8 +345,7 @@ def test_one_reference_pass_equals_the_picard_loop(case, passes):
     cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=1, seed=79, taming=taming)
     M = 48
     noise = _ref_noise(cfg)
-    indices = np.arange(M)
-    X0 = m.initial_law.sample(noise, indices)
+    X0 = m.initial_law.sample(noise, M)
     prev, gaps = None, []
     for _ in range(passes):
         snaps = np.empty((cfg.n_steps + 1, M, m.dim))
@@ -370,7 +354,7 @@ def test_one_reference_pass_equals_the_picard_loop(case, passes):
         def record(k, Xs, snaps=snaps):
             snaps[k] = Xs[0]
 
-        engine._integrate(m, cfg, noise, indices, [X0], [prev], record)
+        engine._integrate(m, cfg, noise, M, [X0], [prev], record)
         if prev is not None:
             gaps.append(sample_w2(prev[-1], snaps[-1]))
         prev = snaps
@@ -506,11 +490,10 @@ def test_batched_simulations_equal_per_replica_runs(case):
                     snapshot_stride=3)
     flow = build_reference_flow(m, 64, cfg)
     ids = np.array([6, 2, 11, REFERENCE_NAMESPACE + 1])
-    labels = np.array([7, 3, 30, 1, 12, 9, 0, 4, 5, 2, 8, 6])
     batch_noise = NoiseGrid(cfg.seed, ids)
 
     coupled = simulate_coupled(m, cfg, flow, noise=batch_noise)
-    traj = simulate_particle_system(m, cfg, noise=batch_noise, particle_indices=labels)
+    traj = simulate_particle_system(m, cfg, noise=batch_noise)
     assert coupled.mean_square_gap.shape == (len(ids), len(engine._record_steps(cfg.n_steps, 3)))
     assert traj.states.shape == (len(ids), 5, 12, m.dim)
     for r, rid in enumerate(ids):
@@ -519,7 +502,7 @@ def test_batched_simulations_equal_per_replica_runs(case):
         assert np.array_equal(coupled.mean_square_gap[r], one.mean_square_gap)
         assert np.array_equal(coupled.terminal_particles[r], one.terminal_particles)
         assert np.array_equal(coupled.terminal_nonlinear[r], one.terminal_nonlinear)
-        one_traj = simulate_particle_system(m, cfg, noise=noise, particle_indices=labels)
+        one_traj = simulate_particle_system(m, cfg, noise=noise)
         assert np.array_equal(traj.states[r], one_traj.states)
         assert np.array_equal(traj.terminal[r], one_traj.terminal)
     assert np.array_equal(traj.times, one_traj.times)
@@ -576,9 +559,8 @@ def test_strided_gap_is_the_full_trace_at_the_recorded_steps(case, batched, stri
 
 
 def test_every_drift_call_sees_contiguous_states():
-    # the sizes of a grid start as the first rows of the max-N draw, and a
-    # relabeled system as a permutation of its draw; each reaches the drift
-    # as a C-contiguous state against a C-contiguous cloud
+    # the sizes of a grid start as the first rows of the max-N draw; each
+    # reaches the drift as a C-contiguous state against a C-contiguous cloud
     calls = []
 
     def mean_field(X, points, weights):
@@ -593,7 +575,7 @@ def test_every_drift_call_sees_contiguous_states():
     noise = NoiseGrid(cfg.seed, np.array([3, 1, 8]))
     calls.clear()
     simulate_coupled(m, cfg, flow, noise=noise, n_grid=[4, 8, 16])
-    simulate_particle_system(m, cfg, noise=noise, particle_indices=[5, 0, 9, 2, 7, 1])
+    simulate_particle_system(m, cfg, noise=noise)
     shapes = {shape for shape, _ in calls}
     assert {(3, 4, 1), (3, 8, 1), (3, 16, 1), (3, 6, 1)} <= shapes
     assert len(calls) == cfg.n_steps * (3 + 1 + 1)

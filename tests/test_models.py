@@ -189,14 +189,13 @@ def test_pairwise_drift_does_not_depend_on_block_width(d, monkeypatch):
     X2 = rng.normal(size=(n, d))
     XR = rng.normal(size=(R, n, d))
     shared = 1.0 + rng.normal(size=(m, d))
-    per_replica = rng.normal(size=(R, m, d))
-    cases = [(X2, shared), (XR, shared), (XR, per_replica)]
+    cases = [(X2, shared, w), (XR, shared, w), (XR, XR, np.full(n, 1.0 / n))]
     default = models._PAIRWISE_CHUNK
     assert default < n * m  # the default splits the 2-D case into blocks
     results = {}
     for width in (1, 1000, default, 4_000_000):
         monkeypatch.setattr(models, "_PAIRWISE_CHUNK", width)
-        results[width] = [mean_field_batch(kernel, X, pts, w) for X, pts in cases]
+        results[width] = [mean_field_batch(kernel, X, pts, wp) for X, pts, wp in cases]
     base = results.pop(4_000_000)
     for width, got in results.items():
         for g, b in zip(got, base):
@@ -221,6 +220,35 @@ def test_pairwise_drift_stays_in_cache_sized_blocks():
 
 # ---------------------------------------------------------------------------
 # prefix-moment drift of 1-D integer powers against the pairwise oracle
+
+
+FOREIGN_CLOUD_PATHS = {
+    "closed-form-quadratic": lambda: granular_media_model(
+        quadratic_potential(1.0), quadratic_potential(1.0), 2).drift,
+    "prefix-moment-cubic": lambda: _prefix_kernel(3),
+    "pairwise-cubic-2d": lambda: granular_media_model(
+        quadratic_potential(1.0), power_potential(3.0), 2).drift,
+}
+
+
+@pytest.mark.parametrize("path", sorted(FOREIGN_CLOUD_PATHS))
+def test_a_cloud_per_replica_that_is_not_the_state_is_a_labelled_error(path):
+    # the clouds are one (m, d) shared by every replica or the states
+    # themselves; the closed form and the pairwise path took another
+    # (R, m, d) cloud silently, and the prefix moments raised numpy's error
+    kernel = FOREIGN_CLOUD_PATHS[path]()
+    assert (kernel.mean_field is None) == (path == "pairwise-cubic-2d")
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(3, 4, kernel.dim))
+    for states, points in [(X, rng.normal(size=(3, 6, kernel.dim))), (X, X.copy()),
+                           (X[0], rng.normal(size=(1, 6, kernel.dim)))]:
+        w = np.full(points.shape[-2], 1.0 / points.shape[-2])
+        with pytest.raises(ValidationError) as exc:
+            mean_field_batch(kernel, states, points, w)
+        assert f"{points.shape}" in str(exc.value) and f"{states.shape}" in str(exc.value)
+    w = np.full(4, 0.25)
+    assert mean_field_batch(kernel, X, X, w).shape == X.shape
+    assert mean_field_batch(kernel, X, X[1].copy(), w).shape == X.shape
 
 
 def test_only_integer_powers_above_2_carry_the_marker():
@@ -276,7 +304,8 @@ def test_prefix_moment_drift_matches_the_pairwise_oracle(p, centre, uniform):
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_prefix_moment_drift_is_a_function_of_the_values_alone(p):
     # a state against its own cloud and against a frozen copy of it (Picard
-    # pass 0 and a later pass), and R replicas in one call against R calls
+    # pass 0 and a later pass), and R replicas in one call against R calls,
+    # against themselves and against one shared cloud
     rng = np.random.default_rng(p)
     kernel = _prefix_kernel(p)
     R, n, m = 4, 33, 65
@@ -291,15 +320,12 @@ def test_prefix_moment_drift_is_a_function_of_the_values_alone(p):
     w /= w.sum()
 
     own = kernel.mean_field(XR, XR, w_own)
-    assert _same_bits(own, kernel.mean_field(XR, XR.copy(), w_own))
     with_shared = kernel.mean_field(XR, shared, w)
-    with_own_replica_cloud = kernel.mean_field(XR, per_replica, w)
     for r in range(R):
         x = XR[r].copy()
         assert _same_bits(own[r], kernel.mean_field(x, x, w_own))
         assert _same_bits(own[r], kernel.mean_field(x, x.copy(), w_own))
         assert _same_bits(with_shared[r], kernel.mean_field(x, shared, w))
-        assert _same_bits(with_own_replica_cloud[r], kernel.mean_field(x, per_replica[r], w))
         _assert_matches_oracle(kernel, x, per_replica[r], w)
 
 
@@ -316,36 +342,14 @@ def test_prefix_moment_drift_matches_the_pairwise_oracle_on_random_clouds(
     w /= w.sum()
     X = np.vstack([shift + spread * rng.normal(size=(n, 1)), y[:ties]])
     _assert_matches_oracle(_prefix_kernel(p), X, y, w)
-    # the rows of a batch rank against their own clouds as searchsorted does
-    ys = np.sort(np.stack([y[:, 0], y[::-1, 0]]), axis=-1)
-    xs = np.stack([X[:, 0], X[::-1, 0]])
-    ranks = models._count_at_or_below(ys, xs)
-    for r in range(2):
-        assert np.array_equal(ranks[r], np.searchsorted(ys[r], xs[r], side="right"))
 
 
 # The prefix-moment drift as written before a state against itself was
 # evaluated in its sort order: the oracle of the bit-for-bit test below.
 
 
-def _old_count_at_or_below(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.searchsorted(y, x, side="right") for each row of sorted y and x.
-
-    Rows of more than one dimension merge y and x in one stable sort, which
-    ranks each point of y ahead of an equal x, and count the points of y up
-    to each x.  The counts are integers, so both ways give the same ones.
-    """
-    if y.ndim == 1:
-        return np.searchsorted(y, x, side="right")
-    m = y.shape[-1]
-    order = np.argsort(np.concatenate([y, x], axis=-1), axis=-1, kind="stable")
-    counts = np.empty_like(order)
-    np.put_along_axis(counts, order, np.cumsum(order < m, axis=-1), axis=-1)
-    return counts[..., m:]
-
-
 def _old_count_self_at_or_below(y: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """_old_count_at_or_below(y, x) for the cloud x itself, from y = x sorted by order.
+    """np.searchsorted(y, x, side="right") per row for the cloud x itself, y = x sorted by order.
 
     The points at or below y[i] run to the end of the run of values equal to
     y[i], so row i of y counts that end's index plus 1, and the counts go back
@@ -399,7 +403,8 @@ def _old_power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
         np.cumsum(terms, axis=-2, out=moments[..., 1:, :])
         a = moments[..., -1:, :]
         if p % 2:
-            at = _old_count_self_at_or_below(y, order) if points is X else _old_count_at_or_below(y, x)
+            at = (_old_count_self_at_or_below(y, order) if points is X
+                  else np.searchsorted(y, x, side="right"))
             if y.ndim > 1:  # row i of cloud r sits at r (m + 1) + i of the stacked rows
                 rows = np.arange(math.prod(y.shape[:-1])).reshape(y.shape[:-1] + (1,))
                 at += rows * moments.shape[-2]
@@ -430,8 +435,8 @@ def _cloud_values(rng, shape, kind):
 @pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_prefix_moment_drift_has_the_bits_of_the_rank_gather(p, uniform, kind):
-    # against itself, a shared cloud and one cloud per replica, for one
-    # state, n states and R replicas of n states
+    # against itself and a shared cloud, for one state, n states and R
+    # replicas of n states
     rng = np.random.default_rng([p, uniform, CLOUD_KINDS.index(kind)])
     n, m, R = 23, 37, 4
 
@@ -440,14 +445,10 @@ def test_prefix_moment_drift_has_the_bits_of_the_rank_gather(p, uniform, kind):
         return w / w.sum()
 
     shared = _cloud_values(rng, (m, 1), kind)
-    per_replica = _cloud_values(rng, (R, m, 1), kind)
     w = weights(m)
     for shape in [(1, 1), (n, 1), (R, n, 1)]:
         X = _cloud_values(rng, shape, kind)
-        clouds = [(X, weights(shape[-2])), (shared, w)]
-        if len(shape) == 3:
-            clouds.append((per_replica, w))
-        for points, wp in clouds:
+        for points, wp in [(X, weights(shape[-2])), (shared, w)]:
             got = models._power_law_average(p, 0.7, X, points, wp)
             want = _old_power_law_average(p, 0.7, X, points, wp)
             # only the specials hold a nan, whose sign may differ
@@ -475,8 +476,8 @@ def test_a_tie_in_one_replica_changes_no_other_replicas_bits(p):
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_self_interaction_counts_come_from_the_one_sort(p, monkeypatch):
     # a state against itself counts its points at or below each row from its
-    # own sort, with no merge: the average's bits against a copy of the
-    # state, without ties and with ties, +-inf and nan
+    # own sort, with no searchsorted: the bits of each replica against a
+    # copy of its state, without ties and with ties, +-inf and nan
     rng = np.random.default_rng(29)
     specials = np.array([-np.inf, np.inf, np.nan, 0.0, -0.0])
     cases = []
@@ -488,16 +489,16 @@ def test_self_interaction_counts_come_from_the_one_sort(p, monkeypatch):
                 hit = rng.random(shape) < 0.4
                 x[hit] = rng.choice(specials, size=int(hit.sum()))
             cases.append(x)
-    merge = models._count_at_or_below
     for x in cases:
         X = x[..., None]
         w = rng.uniform(0.1, 2.0, size=x.shape[-1])
         w /= w.sum()
-        want = models._power_law_average(p, 0.7, X, X.copy(), w)
-        monkeypatch.setattr(models, "_count_at_or_below", None)  # the merge is not made
-        got = models._power_law_average(p, 0.7, X, X, w)
-        monkeypatch.setattr(models, "_count_at_or_below", merge)
-        assert (_same_bits_or_nan if np.isnan(x).any() else _same_bits)(got, want)
+        with monkeypatch.context() as patch:
+            patch.setattr(models.np, "searchsorted", None)  # no rank is searched
+            got = models._power_law_average(p, 0.7, X, X, w)
+        same = _same_bits_or_nan if np.isnan(x).any() else _same_bits
+        for r in np.ndindex(X.shape[:-2]):
+            assert same(got[r], models._power_law_average(p, 0.7, X[r], X[r].copy(), w)), r
 
 
 @pytest.mark.parametrize("dim, pairwise", [(1, False), (2, True)])
@@ -597,11 +598,11 @@ def test_ou_mean_field_is_the_deleted_kernel_bit_for_bit(rate, d):
     rng = np.random.default_rng(17)
     m = _ou_model(rate, d=d)
     X = rng.normal(size=(3, 5, d)) * 4.0 + 3.0
-    for points in (rng.normal(size=(7, d)), rng.normal(size=(3, 7, d)) * 50.0, X):
+    for points in (rng.normal(size=(7, d)), rng.normal(size=(7, d)) * 50.0, X):
         w = rng.dirichlet(np.ones(points.shape[-2]))
         assert _same_bits(mean_field_batch(m.drift, X, points, w), rate * X)
-        assert _same_bits(mean_field_batch(m.drift, X[0], points[0] if points.ndim == 3
-                                           else points, w), rate * X[0])
+        assert _same_bits(mean_field_batch(m.drift, X[0], X[0] if points is X else points, w),
+                          rate * X[0])
 
 
 def test_diffusion_rejects_non_square():
@@ -668,7 +669,7 @@ def test_initial_laws_sample_a_leading_replica_axis():
     laws = [InitialLaw.gaussian([1.0, 2.0], 0.0),
             InitialLaw.gaussian([1.0, 0.0], [[2.0, 0.5], [0.5, 1.0]]),
             InitialLaw.gaussian([0.0, -1.0], [0.3, 2.0])]
-    particles = np.array([3, 0, 8, 5, 1])
+    particles = np.arange(3, 8)
     for law in laws:
         batch = law.sample(NoiseGrid(seed=12, replica_id=ids), particles)
         assert batch.shape == (len(ids), len(particles), 2)

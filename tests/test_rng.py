@@ -89,6 +89,20 @@ def test_bad_keys_rejected():
         g.normals(np.array([-1]), 0, 1)
     with pytest.raises(ValueError):
         g.normals(np.array([0]), 2 ** 32, 1)
+    with pytest.raises(ValueError):
+        g.normals(np.array([2 ** 32 - 1, 2 ** 32]), 0, 1)
+
+
+@pytest.mark.parametrize("draw", ["normals", "uniforms"])
+@pytest.mark.parametrize("particles", [[1, 0], [3, 2, 1], [0, 2], [4, 4], [0, 1, 1, 2],
+                                       [4095, 4097]],
+                         ids=["swapped", "descending", "gapped", "duplicate", "repeat-in-run",
+                              "gap-at-block-end"])
+def test_a_draw_is_one_contiguous_ascending_range(draw, particles):
+    # any other particle set is the join of contiguous draws, never one draw
+    for replica_id in (0, np.array([2, 7])):
+        with pytest.raises(ValueError, match="one contiguous ascending range"):
+            getattr(NoiseGrid(4, replica_id), draw)(np.array(particles), 0, 2)
 
 
 def test_init_step_reserved():
@@ -101,9 +115,10 @@ def test_init_step_reserved():
 @pytest.mark.parametrize("draw", ["normals", "uniforms"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_batched_draws_equal_per_replica_draws(draw, dim):
-    # non-contiguous, unsorted ids, some in the reference namespace
+    # non-contiguous, unsorted ids, some in the reference namespace, and
+    # particles across the end of block 0
     ids = np.array([9, 2, 40, REFERENCE_NAMESPACE + 3, 0, REFERENCE_NAMESPACE])
-    particles = np.array([5, 0, 17, 3])
+    particles = np.arange(B - 2, B + 2)
     for step in (0, 11, INIT_STEP):
         batch = getattr(NoiseGrid(31, ids), draw)(particles, step, dim)
         assert batch.shape == (len(ids), len(particles), dim)
@@ -119,10 +134,10 @@ def test_draws_are_c_contiguous(draw, dim):
     # the engine writes states into C-ordered arrays row by row, and an
     # elementwise map of a draw keeps its layout: a draw laid out with the
     # replica axis innermost passed every value check but this one
-    particle_sets = [np.arange(12),                         # contiguous
-                     np.array([7, 3, 30, 1, 12]),           # unsorted
-                     np.arange(11, -1, -1),                 # descending
-                     np.array([0, 1, 2, 4100, 4101, 9000])]  # gapped, across blocks
+    particle_sets = [np.arange(12),                   # from particle 0
+                     np.array([7]),                   # one particle
+                     np.arange(4090, 4110),           # across a block end
+                     np.arange(2 ** 32 - 3, 2 ** 32)]  # to the last label
     for replica_id in (3, np.array([6, 2, 11, REFERENCE_NAMESPACE + 1])):
         grid = NoiseGrid(73, replica_id)
         for step in (5, INIT_STEP):
@@ -206,20 +221,20 @@ def _bits(a):
 
 
 PARTICLE_SETS = [
-    [4, 5, 6, 7, 8, 9, 10],              # a run from an even particle
-    [3, 4, 5, 6, 7],                     # a run from an odd particle
+    [4, 5, 6, 7, 8, 9, 10],                    # a run from an even particle
+    [3, 4, 5, 6, 7],                           # a run from an odd particle
     [7],
-    [6, 5, 4, 3],                        # one contiguous run, in descending order
-    [21, 0, 1, 2, 9, 8, 2 ** 32 - 1, 5],  # unsorted, in four runs, one at the last label
+    [0],
+    list(range(2 ** 32 - 4, 2 ** 32)),         # a run to the last label
 ]
 
 
 def _block_end_sets(dim):
-    """Sets about the end of block 0, particle B div dim: it straddles it unless dim | B."""
+    """Ranges about the end of block 0, particle B div dim: it straddles it unless dim | B."""
     edge = B // dim
-    return [list(range(edge - 2, edge + 3)),      # an ascending run across it
-            list(range(edge + 2, edge - 3, -1)),  # a descending one
-            [edge + 1, 0, edge, 9, 3, edge - 5]]  # gapped, unsorted, in both blocks
+    return [list(range(edge - 2, edge + 3)),  # a run across it
+            [edge],                           # the particle at it alone
+            list(range(edge + 1, edge + 4))]  # a run just past it
 
 
 @pytest.mark.parametrize("draw", ["normals", "uniforms"])
@@ -270,11 +285,17 @@ def test_the_stream_sample_is_pinned():
 def test_uniform_bytes_are_those_of_the_previous_stream():
     # the uniform channel kept its layout: sha256 of the same draws under
     # philox4x64-v2, across keys, steps, dims, block ends and batch widths
+    # (particle sets out of order or with gaps are contiguous draws, joined)
     ids = np.array([0, 9, REFERENCE_NAMESPACE + 3])
+
+    def joined(grid, runs, step, dim):
+        return np.concatenate([grid.uniforms(np.asarray(run), step, dim) for run in runs],
+                              axis=-2)
+
     parts = [NoiseGrid(2026, ids).uniforms(np.arange(50), 0, 1),
-             NoiseGrid(2026, 9).uniforms(np.array([2730, 2731, 0, 7]), 3, 3),
-             NoiseGrid(7, ids[:2]).uniforms(np.array([4095, 4096, 2 ** 32 - 1, 11]), INIT_STEP, 2),
-             NoiseGrid(5, 2 ** 40).uniforms(np.array([6, 5, 4, 3, 8192, 8191, 20000]), 12, 1),
+             joined(NoiseGrid(2026, 9), [[2730, 2731], [0], [7]], 3, 3),
+             joined(NoiseGrid(7, ids[:2]), [[4095, 4096], [2 ** 32 - 1], [11]], INIT_STEP, 2),
+             joined(NoiseGrid(5, 2 ** 40), [[6], [5], [4], [3], [8192], [8191], [20000]], 12, 1),
              NoiseGrid(5, 3).uniforms(np.arange(8000, 8400), 1, 5)]
     assert hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest() \
         == "871dda01e7057d71fd6525b93f092351e9b62e55e875a86495e53f01c1750740"
@@ -282,16 +303,20 @@ def test_uniform_bytes_are_those_of_the_previous_stream():
 
 @settings(max_examples=40, deadline=None)
 @given(ids=st.lists(st.integers(0, 2 ** 52), min_size=1, max_size=5, unique=True),
-       particles=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=12, unique=True),
+       start=st.integers(0, 2 ** 32 - 1) | st.just(2 ** 32 - 1), n=st.integers(1, 12),
        dim=st.integers(1, 4), step=st.sampled_from([0, 5, INIT_STEP]), rand=st.randoms())
-def test_draws_do_not_depend_on_order_or_batch(ids, particles, dim, step, rand):
-    # one batched call over every replica and particle, against the same
-    # draws shuffled, split into per-replica grids and per-particle calls
-    full = NoiseGrid(11, np.array(ids)).normals(np.array(particles), step, dim)
-    rows, cols = list(range(len(ids))), list(range(len(particles)))
+def test_draws_do_not_depend_on_order_or_batch(ids, start, n, dim, step, rand):
+    # one batched call over every replica and a contiguous range of
+    # particles, against the same draws shuffled: the replicas in another
+    # batch order, the particles as single-particle calls in another order,
+    # joined, and per-replica grids
+    particles = np.arange(min(start, 2 ** 32 - n), min(start, 2 ** 32 - n) + n)
+    full = NoiseGrid(11, np.array(ids)).normals(particles, step, dim)
+    rows, cols = list(range(len(ids))), list(range(n))
     rand.shuffle(rows)
     rand.shuffle(cols)
-    shuffled = NoiseGrid(11, np.array(ids)[rows]).normals(np.array(particles)[cols], step, dim)
+    grid = NoiseGrid(11, np.array(ids)[rows])
+    shuffled = np.concatenate([grid.normals(particles[c:c + 1], step, dim) for c in cols], axis=1)
     assert np.array_equal(_bits(shuffled), _bits(full[rows][:, cols]))
     for r in rows[:2]:
         grid = NoiseGrid(11, ids[r])

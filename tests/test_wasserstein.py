@@ -55,6 +55,25 @@ def test_empirical_measure_refuses_non_finite_weights(weights):
         EmpiricalMeasure([[0.0], [1.0]], weights)
 
 
+@pytest.mark.parametrize("points", [[], np.empty((0, 2)), np.empty((3, 0))])
+def test_empirical_measure_refuses_an_empty_cloud(points):
+    # uniform() divided by the number of points first, a ZeroDivisionError
+    for build in (EmpiricalMeasure, EmpiricalMeasure.uniform):
+        with pytest.raises(ValidationError, match="at least one support point"):
+            build(points)
+
+
+@pytest.mark.parametrize("points", [[[np.nan], [1.0]], [[0.0, 1.0], [np.inf, 2.0]],
+                                    [[-np.inf]]])
+def test_empirical_measure_refuses_non_finite_points(points):
+    # a nan point used to build, and wasserstein_1d then returned a nan cost
+    # with a plan in numpy's nan-last sort order
+    with pytest.raises(ValidationError, match="support points must be finite"):
+        EmpiricalMeasure(points)
+    with pytest.raises(ValidationError, match="support points must be finite"):
+        EmpiricalMeasure.uniform(points)
+
+
 def test_two_diracs():
     mu, nu = _measure([0.0]), _measure([3.0])
     assert wasserstein_1d(1, mu, nu).cost == pytest.approx(3.0)
@@ -114,6 +133,54 @@ def test_assignment_solver_vs_permutation_oracle_2d():
             ys = rng.normal(size=(n, 2))
             got = wasserstein_assignment(p, _measure(xs), _measure(ys)).cost
             assert got == pytest.approx(_brute_force_permutation(p, xs, ys), abs=1e-9)
+
+
+def _uncentred_w2_assignment(a, b):
+    """W_2 and its permutation from the assignment of the original squared costs."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    costs = cdist(a, b, metric="sqeuclidean")
+    rows, cols = linear_sum_assignment(costs)
+    return (float(costs[rows, cols].sum()) / len(a)) ** 0.5, cols
+
+
+def _centring_case(rng, kind, n, d):
+    """Two n-point clouds in R^d; the optimum is unique but for the duplicates."""
+    a = rng.normal(size=(n, d))
+    if kind == "shifted":
+        return a, rng.normal(size=(n, d)) + 3.0
+    if kind == "scaled":
+        return 10.0 * a - 40.0, 0.1 * rng.normal(size=(n, d)) + 100.0
+    if kind == "translated":
+        return a, a + rng.normal(size=d) * 5.0
+    b = rng.normal(size=(n, d)) + 3.0  # duplicates: every point of a twice, some of b
+    a[n // 2:] = a[:n - n // 2]
+    b[1::3] = b[0]
+    return a, b
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["shifted", "scaled", "translated", "duplicates"])
+def test_w2_assignment_on_centred_clouds_is_the_uncentred_solve(kind, d):
+    # W_2's cost matrix and that of the mean-centred clouds differ by terms
+    # of one index, so both have the same optimal permutations: where the
+    # optimum is unique the permutation and the cost bits are equal, and
+    # where it is not the cost is equal to rounding
+    rng = np.random.default_rng([d, len(kind)])
+    for n in (2, 3, 5, 17, 64, 256, 512):
+        a, b = _centring_case(rng, kind, n, d)
+        got = wasserstein_assignment(2, _measure(a), _measure(b))
+        cost, cols = _uncentred_w2_assignment(a, b)
+        assert np.array_equal(got.plan[:, 0], np.arange(n))
+        if kind == "duplicates":
+            assert abs(got.cost - cost) <= 1e-12 * cost, n
+            assert sorted(got.plan[:, 1]) == list(range(n))
+        else:
+            assert np.array_equal(got.plan[:, 1], cols), n
+            assert got.cost == cost, n
+        if kind == "translated":
+            assert np.array_equal(cols, np.arange(n))
 
 
 def test_quantile_solver_vs_two_atom_coupling_sweep():
