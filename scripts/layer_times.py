@@ -8,9 +8,11 @@ Each layer is timed on its own, at the shapes the engine calls it with:
   particles against themselves, and 20 x 64 nonlinear copies against the
   flow), and on the closed-form quadratic at 88 replicas x 128 particles;
 - the noise generator, a step's Brownian increments in d = 1 as the step
-  loop makes them (`NoiseGrid.normals`, then an in-place scale by
+  loop makes them (`NoiseGrid.normals` of a count, then an in-place scale by
   sqrt(dt)), at replicas x particles 200 x 16, 88 x 128, 20 x 64 and
   1 x 2048;
+- the Euler step, `engine.euler_step` with taming, in d = 1 at the
+  `chaos_cubic` shapes 1 x 1024 and 20 x 16, 32 and 64;
 - the transport solver, `wasserstein.wasserstein_assignment` with p = 2 in
   d = 2, on two n-point clouds of the same law and on clouds whose means lie
   3 apart in each coordinate (as the W2 curve of `equilibrium_2d` starts), at
@@ -35,8 +37,8 @@ import time
 
 import numpy as np
 
-from meanfieldlab import (EmpiricalMeasure, granular_media_model, power_potential,
-                          quadratic_potential, wasserstein_assignment)
+from meanfieldlab import (DiffusionSpec, EmpiricalMeasure, euler_step, granular_media_model,
+                          power_potential, quadratic_potential, wasserstein_assignment)
 from meanfieldlab.models import mean_field_batch
 from meanfieldlab.rng import NoiseGrid
 
@@ -53,6 +55,8 @@ QUADRATIC_SHAPES = {"quadratic 88x128 vs 2048": (88, 128, 2048)}
 # (replicas, particles) of a draw
 NOISE_SHAPES = {"200x16": (200, 16), "88x128": (88, 128), "20x64": (20, 64),
                 "1x2048": (1, 2048)}
+# (replicas, particles) of a tamed Euler step
+EULER_SHAPES = {"1x1024": (1, 1024), "20x16": (20, 16), "20x32": (20, 32), "20x64": (20, 64)}
 # (points per cloud, shift of the second cloud's mean in each coordinate)
 TRANSPORT_SHAPES = {f"{n} {name}": (n, shift) for n in (64, 128, 256, 512)
                     for name, shift in (("same law", 0.0), ("shifted by 3", 3.0))}
@@ -71,16 +75,23 @@ def _drift_call(kernel, replicas, n, cloud_size, rng):
 def _noise_call(replicas, n):
     """Draws of increments at successive steps, as the step loop makes them."""
     grid = NoiseGrid(7, np.arange(replicas) if replicas > 1 else 0)
-    particles = np.arange(n)
     steps = itertools.count()
     scale = np.sqrt(0.02)
 
     def call():
-        dW = grid.normals(particles, next(steps), 1)
+        dW = grid.normals(n, next(steps), 1)
         dW *= scale
         return dW
 
     return call
+
+
+def _euler_call(replicas, n, rng):
+    """A tamed Euler step of normal states, drifts and increments at dt = 0.02, sigma = sqrt(2)."""
+    shape = (n, 1) if replicas == 1 else (replicas, n, 1)
+    X, drift, dW = rng.normal(size=shape), rng.normal(size=shape), rng.normal(size=shape)
+    diffusion = DiffusionSpec.isotropic(1)
+    return lambda: euler_step(X, drift, diffusion, dW, 0.02, taming=True)
 
 
 def _transport_call(n, shift):
@@ -126,6 +137,7 @@ def main(argv=None) -> dict:
     drift.update({name: _drift_call(quadratic, *spec, rng)
                   for name, spec in _pick(QUADRATIC_SHAPES, small).items()})
     noise = {name: _noise_call(*shape) for name, shape in _pick(NOISE_SHAPES, small).items()}
+    euler = {name: _euler_call(*shape, rng) for name, shape in _pick(EULER_SHAPES, small).items()}
     transport = {name: _transport_call(*shape) for name, shape in
                  _pick(TRANSPORT_SHAPES, small, size=lambda shape: shape[0]).items()}
 
@@ -133,6 +145,7 @@ def main(argv=None) -> dict:
               "transport_calls": TRANSPORT_CALLS,
               "mean_field_batch": {k: _time(f, args.rounds) for k, f in drift.items()},
               "increments": {k: _time(f, args.rounds) for k, f in noise.items()},
+              "euler_step": {k: _time(f, args.rounds) for k, f in euler.items()},
               "wasserstein_assignment": {k: _time(f, args.rounds, TRANSPORT_CALLS)
                                          for k, f in transport.items()}}
     print(json.dumps(result))

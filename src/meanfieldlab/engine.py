@@ -161,27 +161,53 @@ class CoupledEnsemble:
 
 
 def _tame(drift: np.ndarray, dt: float) -> np.ndarray:
-    """Tamed drift b / (1 + dt |b|), applied rowwise."""
+    """Tamed drift b / (1 + dt |b|), applied rowwise, as a new array.
+
+    |b| is |b_1| in 1-D, the same bits as the root of b_1^2 wherever that
+    square does not overflow.  In d > 1 it is the root of the summed
+    squares, taken again on b / max_i |b_i| in a row whose sum overflows.
+    So a huge finite drift tames to about 1/dt in norm, not to 0.
+    """
+    drift = np.asarray(drift, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(drift, axis=-1, keepdims=True)
-        return drift / (1.0 + dt * norm)
+        if drift.shape[-1] == 1:
+            r = np.abs(drift)
+        else:
+            r = np.add.reduce(drift * drift, axis=-1, keepdims=True)
+            np.sqrt(r, out=r)
+            huge = np.isinf(r[..., 0])
+            if huge.any():
+                b = drift[huge]
+                top = np.max(np.abs(b), axis=-1, keepdims=True)
+                b /= top
+                r[huge] = top * np.sqrt(np.add.reduce(b * b, axis=-1, keepdims=True))
+        r *= dt
+        r += 1.0
+        return drift / r
 
 
 def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float, taming: bool = False,
                step: int = -1) -> np.ndarray:
     """One explicit step: X + sigma dW - b dt (with b tamed when requested).
 
-    States have shape (N, d) or, batched, (R, N, d).  A non-finite result
-    raises DivergenceError carrying `step` and, as its `particle`, the first
-    diverged row: row i is particle i of the step's draw.  For a batched
-    state its `replica` is the position r of that row's replica.
+    States have shape (N, d) or, batched, (R, N, d), and dW has the shape of
+    X.  The update is built in place on sigma dW, with the bits of the
+    expression.  A non-finite result raises DivergenceError carrying `step`
+    and, as its `particle`, the first diverged row: row i is particle i of
+    the step's draw.  For a batched state its `replica` is the position r of
+    that row's replica.
     """
     X = np.asarray(X, dtype=np.float64)
     drift = np.asarray(drift, dtype=np.float64)
     dW = np.asarray(dW, dtype=np.float64)
     if taming:
         drift = _tame(drift, dt)
-    out = X + diffusion.apply(dW) - drift * dt
+        drift *= dt
+    else:
+        drift = drift * dt
+    out = diffusion.apply(dW)
+    out += X
+    out -= drift
     if not np.isfinite(out).all():
         bad = ~np.all(np.isfinite(out), axis=-1)
         first = np.argwhere(np.atleast_1d(bad))[0]
@@ -218,11 +244,12 @@ def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, n_draw: in
     rows = [X.shape[-2] for X in states]
     cloud_sizes = [n if c is None else c.shape[1] for n, c in zip(rows, clouds)]
     weights = [np.full(m, 1.0 / m) for m in cloud_sizes]
+    scale = np.sqrt(config.dt)
     for k in range(config.n_steps):
         drifts = [mean_field_batch(model.drift, X, X if c is None else c[k], w)
                   for X, c, w in zip(states, clouds, weights)]
         dW = noise.normals(n_draw, k, d)
-        dW *= np.sqrt(config.dt)
+        dW *= scale
         try:
             states = [euler_step(X, b, model.diffusion, dW[..., :n, :], config.dt, tame, step=k)
                       for X, b, n in zip(states, drifts, rows)]

@@ -10,6 +10,7 @@ cloud.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -307,6 +308,14 @@ def _pairwise_average(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _power_coefficients(p: int, c: float) -> np.ndarray:
+    """The row c p (-1)^k binom(p-1, k), k < p, of _power_law_average, built once per (p, c)."""
+    row = np.array([c * p * (-1) ** k * math.comb(p - 1, k) for k in range(p)])
+    row.flags.writeable = False
+    return row
+
+
 def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
     """Exact weighted average of grad W(x - y_j) over j for W(z) = c |z|^p in 1-D.
@@ -322,37 +331,39 @@ def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
 
     The sort is numpy's default, the stable order when no row has two equal
     values; a tie or a nan in any row sorts the batch again, stably.  Against
-    the one cloud each x is ranked by searchsorted on the sorted cloud.
-    Against itself (points is X) a state is evaluated in its sort order,
-    where u is v and sorted row i counts i + 1 points (or those to the end
-    of its run of equal values), and the results are scattered back to X's
-    order.  Each step is elementwise, a permutation, or a sort, cumsum or
-    sum along a row of one cloud, so a row's result depends on the values of
-    its own x and cloud only: not on the other rows, the replica axis, or
-    whether the cloud is the state itself or a copy (but for the sign of a
-    nan).  Overflow of a diverging run carries through as inf or nan without
-    a warning.
+    the one cloud each row of x is sorted, its values ranked by searchsorted
+    on the sorted cloud in that order (a sorted query narrows each search),
+    and the ranks scattered back to x's order.  Against itself (points is X)
+    a state is evaluated in its sort order, where u is v and sorted row i
+    counts i + 1 points (or those to the end of its run of equal values),
+    and the results are scattered back to X's order.  Each step is
+    elementwise, a permutation, or a sort, cumsum or sum along a row of one
+    cloud, so a row's result depends on the values of its own x and cloud
+    only: not on the other rows, the replica axis, or whether the cloud is
+    the state itself or a copy (but for the sign of a nan).  Overflow of a
+    diverging run carries through as inf or nan without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x, y, own, m = X[..., 0], points[..., 0], points is X, points.shape[-2]
         starts = np.arange(0, y.size, m).reshape(y.shape[:-1] + (1,))  # flat index of each row
-        order = np.argsort(y, axis=-1)
-        ys = y.reshape(-1)[order + starts]
+        order = y.argsort(axis=-1)
+        flat = order + starts
+        ys = y.reshape(-1)[flat]
         same = ys[..., 1:] == ys[..., :-1]  # a stable re-sort only reorders equal values
         tied = same.any() or np.isnan(ys[..., -1]).any()
         if tied:
-            order = np.argsort(y, axis=-1, kind="stable")
-            ys = y.reshape(-1)[order + starts]
+            order = y.argsort(axis=-1, kind="stable")
+            flat = order + starts
+            ys = y.reshape(-1)[flat]
         w = weights[order]
-        shift = np.sum(ys * w, axis=-1, keepdims=True)
+        shift = np.add.reduce(ys * w, axis=-1, keepdims=True)
         v = ys - shift
         # moments[k, ..., i] = coeff_k * sum_{j < i} w_j v_j^k
         terms = np.empty((p,) + ys.shape)
         terms[0] = w
         for k in range(1, p):
             np.multiply(terms[k - 1], v, out=terms[k])
-        terms *= np.reshape([c * p * (-1) ** k * math.comb(p - 1, k) for k in range(p)],
-                            (p,) + (1,) * ys.ndim)
+        terms *= _power_coefficients(p, c).reshape((p,) + (1,) * ys.ndim)
         moments = np.zeros((p,) + ys.shape[:-1] + (m + 1,))
         np.cumsum(terms, axis=-1, out=moments[..., 1:])
         a = moments[..., -1:]
@@ -365,15 +376,22 @@ def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
                 ends[..., :-1] = np.where(same, m, np.arange(1, m))
                 at = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
             else:
-                at = np.searchsorted(ys, x, side="right")
+                n = x.shape[-1]
+                queries = x.argsort(axis=-1) + np.arange(0, x.size, n).reshape(
+                    x.shape[:-1] + (1,))
+                at = np.empty(x.shape, dtype=np.intp)
+                at.reshape(-1)[queries] = np.searchsorted(ys, x.reshape(-1)[queries],
+                                                          side="right")
             a = np.take((2.0 * moments - a).reshape(p, -1), at + starts // m * (m + 1), axis=1)
         u = v if own else x - shift
-        out = a[0]
-        for k in range(1, p):
-            out = out * u + a[k]
+        out = a[0] * u  # Horner in place: ((a_0 u + a_1) u + a_2) u + ...
+        out += a[1]
+        for k in range(2, p):
+            out *= u
+            out += a[k]
         if own:  # from sort order back to X's
             out, sorted_out = np.empty(out.shape), out
-            out.reshape(-1)[order + starts] = sorted_out
+            out.reshape(-1)[flat] = sorted_out
         return out[..., None]
 
 
@@ -434,7 +452,9 @@ def granular_media_model(V: Potential, W: Potential, d: int,
         pw, cw = W.integer_power
 
         def mean_field(X, points, weights):
-            return _power_law_average(pw, cw, X, points, weights) + V.grad(X)
+            out = _power_law_average(pw, cw, X, points, weights)
+            out += V.grad(X)
+            return out
 
     return ModelSpec(
         drift=DriftKernel(dim=d, eval=kernel_eval, mean_field=mean_field,

@@ -128,25 +128,30 @@ class NoiseGrid:
         """Values [dim*i, dim*(i+1)) of the (step, channel) stream for each particle i.
 
         `particles` is a count n, for the particles 0..n-1, or one contiguous
-        ascending range of particle indices; any other set is a ValueError.
+        ascending range of particle indices; a negative or non-integer count,
+        or any other set, is a ValueError.  A count builds no index array.
         The draw reads the values [v0, v1) of the range block by block: a
         normal block from its start (its prefix), a uniform from v0.
         """
         if np.isscalar(particles):
-            particles = np.arange(int(particles))
-        particles = np.asarray(particles, dtype=np.int64)
+            if not isinstance(particles, (int, np.integer)) or particles < 0:
+                raise ValueError(f"a particle count must be a nonnegative integer, "
+                                 f"not {particles!r}")
+            first, n = 0, int(particles)
+        else:
+            particles = np.asarray(particles, dtype=np.int64)
+            first, n = (int(particles[0]), len(particles)) if len(particles) else (0, 0)
+            if not (np.diff(particles) == 1).all():
+                raise ValueError("particles must be one contiguous ascending range, "
+                                 "such as np.arange(a, b)")
         if not 0 <= step < 2 ** 32:
             raise ValueError("step index must fit in uint32")
-        n = len(particles)
+        if first < 0 or first + n > 2 ** 32:
+            raise ValueError("particle indices must fit in uint32")
         if n == 0:
             return np.empty(self.batch_shape + (0, dim))
-        if particles.min() < 0 or particles.max() >= 2 ** 32:
-            raise ValueError("particle indices must fit in uint32")
-        if not (np.diff(particles) == 1).all():
-            raise ValueError("particles must be one contiguous ascending range, "
-                             "such as np.arange(a, b)")
         B, raw = _BLOCK, channel == _UNIFORMS
-        v0, v1 = dim * int(particles[0]), dim * (int(particles[-1]) + 1)
+        v0, v1 = dim * first, dim * (first + n)
         # (first value read, stop) per block of the range
         reads = [(max(v0, b * B) if raw else b * B, min(v1, b * B + B))
                  for b in range(v0 // B, (v1 - 1) // B + 1)]

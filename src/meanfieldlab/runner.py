@@ -245,7 +245,7 @@ def _run_experiment(cfg: RunConfig, write) -> None:
             tm, tv = cfg.experiment.target_mean, cfg.experiment.target_var
 
             def target(n, salt, tm=tm, tv=tv, d=model.dim, seed=cfg.sim.seed):
-                z = NoiseGrid(seed, TARGET_NAMESPACE + salt).normals(np.arange(n), 0, d)
+                z = NoiseGrid(seed, TARGET_NAMESPACE + salt).normals(n, 0, d)
                 return tm + np.sqrt(tv) * z
 
         run_cfg = replace(_sim_config(cfg, cfg.sim.n_particles),

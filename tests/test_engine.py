@@ -87,6 +87,80 @@ def test_euler_step_tames_to_b_over_one_plus_dt_norm_b(dim):
         assert np.array_equal(euler_step(X, b, diff, dW, dt, taming=True), want)
 
 
+def _same_bits(a, b):
+    """Equal element for element down to the sign of zero."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _old_tame(drift, dt):
+    """The tamed drift as written before it was built in place."""
+    return drift / (1.0 + dt * np.linalg.norm(drift, axis=-1, keepdims=True))
+
+
+def _wide_drifts(rng, shape):
+    """Signed drifts whose squares do not overflow, from 1e-200 to 1e153, with zeros."""
+    b = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-200.0, 153.0, size=shape)
+    b[rng.random(shape) < 0.05] = 0.0
+    return b
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tame_has_the_bits_of_the_norm_expression(dim):
+    rng = np.random.default_rng(40 + dim)
+    for shape in [(dim,), (7, dim), (20, 64, dim)]:
+        b = _wide_drifts(rng, shape)
+        for dt in (0.01, 0.02, 0.1):
+            assert _same_bits(engine._tame(b, dt), _old_tame(b, dt)), (shape, dt)
+
+
+@pytest.mark.parametrize("drift, want", [
+    ([[1e200]], [[100.0]]),
+    ([[-1e200]], [[-100.0]]),
+    ([[1e200, 1e200]], [[100.0 / np.sqrt(2.0)] * 2]),
+    ([[1e200, -1e300, 3.0]], [[1e-98, -100.0, 3e-298]]),
+    ([1e308, 1e308, 1e308], [100.0 / np.sqrt(3.0)] * 3),
+], ids=["1d", "1d-negative", "2d", "3d-mixed", "3d-one-state"])
+def test_a_drift_whose_square_overflows_tames_to_one_over_dt(drift, want):
+    # the root of squares overflows to inf, which once tamed these drifts to 0
+    got = engine._tame(np.array(drift), 0.01)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0), got
+
+
+def test_tame_rescales_only_the_rows_that_overflow():
+    rng = np.random.default_rng(5)
+    b = rng.normal(scale=1e3, size=(4, 6, 2))
+    huge = b.copy()
+    huge[1, 2] = [1e200, -2e200]
+    got = engine._tame(huge, 0.02)
+    rest = np.ones(b.shape[:-1], dtype=bool)
+    rest[1, 2] = False
+    assert _same_bits(got[rest], _old_tame(b, 0.02)[rest])
+    assert np.allclose(got[1, 2], [1.0, -2.0] / (0.02 * np.sqrt(5.0)), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("taming", [False, True])
+@pytest.mark.parametrize("sigma", ["isotropic", "kinetic", "full"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_euler_step_has_the_bits_of_the_update_expression(dim, sigma, taming):
+    # the step built in place on sigma dW against X + sigma dW - b dt, with b
+    # tamed by the norm expression
+    rng = np.random.default_rng([dim, int(taming), len(sigma)])
+    if sigma == "isotropic":
+        diffusion = DiffusionSpec.isotropic(dim)
+    elif sigma == "kinetic":
+        diffusion = DiffusionSpec(np.diag(rng.choice([0.0, np.sqrt(2.0)], size=dim)))
+    else:
+        diffusion = DiffusionSpec(rng.normal(size=(dim, dim)))
+    for shape in [(9, dim), (4, 9, dim)]:
+        X, dW = rng.normal(size=shape), 0.1 * rng.normal(size=shape)
+        b = _wide_drifts(rng, shape) if taming else rng.normal(scale=1e3, size=shape)
+        for dt in (0.01, 0.1):
+            drift = _old_tame(b, dt) if taming else b
+            want = X + diffusion.apply(dW) - drift * dt
+            got = euler_step(X, b, diffusion, dW, dt, taming=taming)
+            assert _same_bits(got, want), (shape, dt)
+
+
 def test_euler_step_nonfinite_raises():
     with pytest.raises(DivergenceError):
         euler_step(np.array([np.inf]), np.zeros(1), DiffusionSpec.isotropic(1),

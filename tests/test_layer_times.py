@@ -21,7 +21,8 @@ def test_layer_times_prints_best_and_median_per_layer(capsys):
     assert json.loads(capsys.readouterr().out) == result
     assert set(result["mean_field_batch"]) == {"cubic 20x16 vs itself", "quadratic 88x128 vs 2048"}
     assert set(result["increments"]) == {"20x64"}
+    assert set(result["euler_step"]) == {"20x16"}
     assert set(result["wasserstein_assignment"]) == {"64 same law", "64 shifted by 3"}
-    for layer in ("mean_field_batch", "increments", "wasserstein_assignment"):
+    for layer in ("mean_field_batch", "increments", "euler_step", "wasserstein_assignment"):
         for times in result[layer].values():
             assert 0 < times["best"] <= times["median"]

@@ -456,6 +456,40 @@ def test_prefix_moment_drift_has_the_bits_of_the_rank_gather(p, uniform, kind):
             assert same(got, want), (shape, kind, points is X)
 
 
+@pytest.mark.parametrize("kind", ["distinct", "ties"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_sorted_query_ranks_have_the_bits_of_the_rank_search(p, kind, monkeypatch):
+    # states against the one cloud are ranked in each row's sorted order and
+    # the ranks scattered back: queries equal to cloud points, repeated in a
+    # row and across rows, beyond either end of the cloud, and a nan (a nan
+    # in the cloud would make every result nan, whatever the ranks)
+    rng = np.random.default_rng([p, CLOUD_KINDS.index(kind)])
+    m, R, n = 129, 4, 24
+    y = _cloud_values(rng, (m, 1), kind)
+    w = rng.uniform(0.1, 2.0, size=m)
+    w /= w.sum()
+    X = 2.0 + rng.normal(size=(R, n, 1))
+    X[:, :6] = y[rng.integers(0, m, size=6)]
+    X[:, 6:9] = X[:, 6:7]
+    X[1, 12:] = X[0, 12:]
+    X[2, 9] = np.nan
+    X[3, 10:12] = [[-1e3], [1e3]]
+    keys = []
+    search = np.searchsorted
+
+    def sorted_search(a, v, side):
+        keys.append(v)
+        return search(a, v, side=side)
+
+    monkeypatch.setattr(models.np, "searchsorted", sorted_search)
+    for x in (X, X[2], X[3, 10:11]):
+        keys.clear()
+        got = models._power_law_average(p, 0.7, x, y, w)
+        [key] = keys  # one search, of each row's queries in sorted order
+        assert np.array_equal(key, np.sort(x[..., 0], axis=-1), equal_nan=True)
+        assert _same_bits_or_nan(got, _old_power_law_average(p, 0.7, x, y, w)), x.shape
+
+
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_a_tie_in_one_replica_changes_no_other_replicas_bits(p):
     # the tie re-sorts the whole batch stably; the tie-free rows keep the

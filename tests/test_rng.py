@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,45 @@ def test_a_draw_is_one_contiguous_ascending_range(draw, particles):
     for replica_id in (0, np.array([2, 7])):
         with pytest.raises(ValueError, match="one contiguous ascending range"):
             getattr(NoiseGrid(4, replica_id), draw)(np.array(particles), 0, 2)
+
+
+@pytest.mark.parametrize("draw", ["normals", "uniforms"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_count_draws_the_range_from_zero(draw, dim):
+    # a count n builds no index array and draws the bits of np.arange(n):
+    # empty, one particle, to and across the end of block 0, and two blocks
+    for replica_id in (5, np.array([3, REFERENCE_NAMESPACE + 1, 0])):
+        grid = NoiseGrid(61, replica_id)
+        for n in (0, 1, 17, B // dim, B // dim + 1, 2 * B // dim + 3):
+            for step in (0, INIT_STEP):
+                got = getattr(grid, draw)(n, step, dim)
+                want = getattr(grid, draw)(np.arange(n), step, dim)
+                assert got.shape == want.shape == grid.batch_shape + (n, dim)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, step)
+
+
+def _no_arrays(*args, **kwargs):
+    raise AssertionError("an array was built before the count was checked")
+
+
+@pytest.mark.parametrize("draw", ["normals", "uniforms"])
+@pytest.mark.parametrize("count", [-3, np.int64(-1), 2.5, 2.0, np.float64(3.0), "4"],
+                         ids=["minus-3", "int64-minus-1", "2.5", "2.0", "float64", "str"])
+def test_a_negative_or_non_integer_count_is_refused(draw, count, monkeypatch):
+    # refused by name before any array is built, where it once drew 0 rows
+    # (a negative count) or truncated (2.5 drew 2)
+    grid = NoiseGrid(8, np.array([1, 2]))
+    for name in ("asarray", "arange", "empty"):
+        monkeypatch.setattr(rng.np, name, _no_arrays)
+    with pytest.raises(ValueError, match=re.escape(f"nonnegative integer, not {count!r}")):
+        getattr(grid, draw)(count, 0, 1)
+
+
+@pytest.mark.parametrize("draw", ["normals", "uniforms"])
+def test_a_count_of_zero_is_an_empty_draw(draw):
+    assert getattr(NoiseGrid(8, 4), draw)(0, 3, 2).shape == (0, 2)
+    assert getattr(NoiseGrid(8, np.array([1, 2])), draw)(np.int64(0), 3, 2).shape == (2, 0, 2)
 
 
 def test_init_step_reserved():
