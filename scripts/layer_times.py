@@ -9,8 +9,9 @@ Each layer is timed on its own, at the shapes the engine calls it with:
   flow), and on the closed-form quadratic at 88 replicas x 128 particles;
 - the noise generator, a step's Brownian increments in d = 1 as the step
   loop makes them (`NoiseGrid.normals` of a count, then an in-place scale by
-  sqrt(dt)), at replicas x particles 200 x 16, 88 x 128, 20 x 64 and
-  1 x 2048;
+  sqrt(dt)), at replicas x particles 200 x 16, 88 x 128, 20 x 64,
+  1 x 2048 and 128 x 128 (a chunk of acceptance criterion c06, bound by its
+  noise);
 - the Euler step, `engine.euler_step` with taming, in d = 1 at the
   `chaos_cubic` shapes 1 x 1024 and 20 x 16, 32 and 64;
 - the transport solver, `wasserstein.wasserstein_assignment` with p = 2 in
@@ -54,7 +55,7 @@ CUBIC_SHAPES = {
 QUADRATIC_SHAPES = {"quadratic 88x128 vs 2048": (88, 128, 2048)}
 # (replicas, particles) of a draw
 NOISE_SHAPES = {"200x16": (200, 16), "88x128": (88, 128), "20x64": (20, 64),
-                "1x2048": (1, 2048)}
+                "1x2048": (1, 2048), "128x128": (128, 128)}
 # (replicas, particles) of a tamed Euler step
 EULER_SHAPES = {"1x1024": (1, 1024), "20x16": (20, 16), "20x32": (20, 32), "20x64": (20, 64)}
 # (points per cloud, shift of the second cloud's mean in each coordinate)

@@ -9,6 +9,7 @@ replica r's results equal, bit for bit, a run on the grid of its own id.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -32,10 +33,11 @@ __all__ = [
 def time_grid_errors(dt: float, t_final: float, allow_large_dt: bool) -> list[str]:
     """Every time-grid rule that (dt, t_final) breaks, one message each."""
     errs = []
-    if dt <= 0:
-        errs.append("dt must be positive")
-    if t_final <= 0:
-        errs.append("t_final must be positive")
+    for name, t in (("dt", dt), ("t_final", t_final)):
+        if not math.isfinite(t):
+            errs.append(f"{name} must be finite")
+        elif t <= 0:
+            errs.append(f"{name} must be positive")
     if errs:
         return errs
     steps = t_final / dt
@@ -89,7 +91,7 @@ def equilibrium_time_errors(dt: float, t_equilibrium: float, gap_times) -> list[
     must be a step of that grid: in [0, t_equilibrium] and a multiple of dt,
     and distinct, since the gaps are fitted against time as n_grid's are against N.
     """
-    if dt <= 0:
+    if not 0 < dt < math.inf:
         return []
     errs = [e.replace("t_final", "t_equilibrium")
             for e in time_grid_errors(dt, t_equilibrium, allow_large_dt=True)]
@@ -117,10 +119,12 @@ class SimConfig:
 
     def __post_init__(self):
         errs = time_grid_errors(self.dt, self.t_final, self.allow_large_dt)
-        if self.n_particles < 1:
-            errs.append("n_particles must be >= 1")
-        if self.snapshot_stride < 1:
-            errs.append("snapshot_stride must be >= 1")
+        for name in ("n_particles", "snapshot_stride"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                errs.append(f"{name} must be an integer, not {value!r}")
+            elif value < 1:
+                errs.append(f"{name} must be >= 1")
         if errs:
             raise ValidationError("; ".join(errs))
 

@@ -221,9 +221,12 @@ class InitialLaw:
     def dim(self) -> int:
         return len(self.mean)
 
-    def sample(self, grid: NoiseGrid, particles) -> np.ndarray:
-        """I.i.d. initial states, shape grid.batch_shape + (n, dim), of a grid draw's particles."""
-        return self.mean + grid.normals(particles, INIT_STEP, self.dim) @ self.chol.T
+    def sample(self, grid: NoiseGrid, n) -> np.ndarray:
+        """I.i.d. initial states of particles 0..n-1, shape grid.batch_shape + (n, dim).
+
+        `n` is a count, as in every grid draw: an int or numpy integer in [0, 2^32].
+        """
+        return self.mean + grid.normals(n, INIT_STEP, self.dim) @ self.chol.T
 
     @classmethod
     def gaussian(cls, mean, cov) -> "InitialLaw":

@@ -21,7 +21,8 @@ before it generates, so a generator set to counter c yields block c + 1 first.
 - uniforms (channel 1): value w is `((x >> 11) + 0.5) * 2^-53`, x word
   w mod 4 of the Philox block at counter `(w div 4 + 1, step, 1, 0)`.
 
-A draw costs one counter set and one compiled call per replica and block.
+A draw is a count n <= 2^32, the particles 0..n-1: one counter set and one
+compiled call per replica and block, each block read from its start.
 NEP 19 keeps bit generators stable, not samplers: see `stream_errors`.
 """
 
@@ -73,8 +74,10 @@ def _to_unit(words):
 
 
 def seed_errors(seed: int) -> list[str]:
-    """Why `seed` keys no noise stream: [] if it does."""
-    return [] if 0 <= seed < 2 ** 64 else ["seed must be a 64-bit unsigned integer"]
+    """Why `seed` keys no noise stream: [] if it is an int or numpy integer in [0, 2^64)."""
+    if isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64:
+        return []
+    return [f"seed must be a 64-bit unsigned integer, not {seed!r}"]
 
 
 class NoiseGrid:
@@ -85,10 +88,9 @@ class NoiseGrid:
     ziggurat normals in blocks of B values and channel 1 uniforms (see the
     module docstring), so a uniform draw never reuses a normal's values.
 
-    A draw takes a count n, for the particles 0..n-1, or one contiguous
-    ascending range of particle indices below 2^32, and gives shape (n, dim).
-    A particle's values do not depend on the range it is drawn in, so the
-    draw of any other set is the join of contiguous draws.
+    A draw is a count n <= 2^32, for the particles 0..n-1, of shape (n, dim).
+    A particle's values do not depend on n, so any other set of particles is
+    a slice of the draw of a count past its largest.
 
     `replica_id` is an integer or a 1-D integer array.  With an array of R
     ids every draw gains a leading replica axis, shape (R, n, dim), and row r
@@ -124,86 +126,59 @@ class NoiseGrid:
         """() for a single replica, (R,) for a vector of R replica ids."""
         return np.shape(self.replica_id)
 
-    def _draw(self, particles, step: int, dim: int, channel: int):
-        """Values [dim*i, dim*(i+1)) of the (step, channel) stream for each particle i.
+    def _draw(self, n, step: int, dim: int, channel: int):
+        """Values [0, dim*n) of the (step, channel) stream, dim per particle 0..n-1.
 
-        `particles` is a count n, for the particles 0..n-1, or one contiguous
-        ascending range of particle indices; a negative or non-integer count,
-        or any other set, is a ValueError.  A count builds no index array.
-        The draw reads the values [v0, v1) of the range block by block: a
-        normal block from its start (its prefix), a uniform from v0.
+        `n` is an int or numpy integer in [0, 2^32]; anything else, an index
+        array too, is a ValueError that names it, raised before any array is
+        built.  The draw reads its values block by block from value 0: a
+        normal block from its start (its prefix), a uniform block of B words.
         """
-        if np.isscalar(particles):
-            if not isinstance(particles, (int, np.integer)) or particles < 0:
-                raise ValueError(f"a particle count must be a nonnegative integer, "
-                                 f"not {particles!r}")
-            first, n = 0, int(particles)
-        else:
-            particles = np.asarray(particles, dtype=np.int64)
-            first, n = (int(particles[0]), len(particles)) if len(particles) else (0, 0)
-            if not (np.diff(particles) == 1).all():
-                raise ValueError("particles must be one contiguous ascending range, "
-                                 "such as np.arange(a, b)")
+        if not isinstance(n, (int, np.integer)) or not 0 <= n <= 2 ** 32:
+            raise ValueError(f"a particle count must be an integer in [0, 2^32], not {n!r}")
         if not 0 <= step < 2 ** 32:
             raise ValueError("step index must fit in uint32")
-        if first < 0 or first + n > 2 ** 32:
-            raise ValueError("particle indices must fit in uint32")
-        if n == 0:
-            return np.empty(self.batch_shape + (0, dim))
-        B, raw = _BLOCK, channel == _UNIFORMS
-        v0, v1 = dim * first, dim * (first + n)
-        # (first value read, stop) per block of the range
-        reads = [(max(v0, b * B) if raw else b * B, min(v1, b * B + B))
-                 for b in range(v0 // B, (v1 - 1) // B + 1)]
-
+        B, raw, n = _BLOCK, channel == _UNIFORMS, int(n)
         gen, bitgen = self._gen, self._bitgen
-        buf = np.empty((len(self._states), sum(z - a for a, z in reads)),
-                       dtype=np.uint64 if raw else float)
-        at = 0
-        for w0, w1 in reads:
-            counter = [w0 // 4, step, channel, 0] if raw else [0, step, channel, w0 // B]
-            for row, state in zip(buf[:, at:at + w1 - w0], self._states):
+        buf = np.empty((len(self._states), dim * n), dtype=np.uint64 if raw else float)
+        for v in range(0, dim * n, B):
+            counter = [v // 4, step, channel, 0] if raw else [0, step, channel, v // B]
+            for row, state in zip(buf[:, v:v + B], self._states):
                 state["state"]["counter"] = counter
                 bitgen.state = state
                 if raw:
-                    row[:] = bitgen.random_raw(w0 % 4 + w1 - w0)[w0 % 4:]
+                    row[:] = bitgen.random_raw(len(row))
                 else:
                     gen.standard_normal(out=row)
-            at += w1 - w0
-        buf = _to_unit(buf) if raw else buf
-
         # a C-contiguous result: numpy may round a reduction over another
         # layout differently, and a replica's bits must not depend on the batch
-        head = v0 - reads[0][0]
-        out = np.ascontiguousarray(buf[:, head:head + n * dim]).reshape(-1, n, dim)
+        out = (_to_unit(buf) if raw else buf).reshape(len(self._states), n, dim)
         return out if self.batch_shape else out[0]
 
-    def normals(self, particles, step: int, dim: int) -> np.ndarray:
-        """Standard normal draws, shape batch + (n, dim), by the ziggurat."""
-        return self._draw(particles, step, dim, _NORMALS)
+    def normals(self, n, step: int, dim: int) -> np.ndarray:
+        """Standard normals of particles 0..n-1, shape batch + (n, dim), by the ziggurat."""
+        return self._draw(n, step, dim, _NORMALS)
 
-    def uniforms(self, particles, step: int, dim: int) -> np.ndarray:
-        """Uniform(0,1) draws, shape batch + (n, dim)."""
-        return self._draw(particles, step, dim, _UNIFORMS)
+    def uniforms(self, n, step: int, dim: int) -> np.ndarray:
+        """Uniform(0,1) draws of particles 0..n-1, shape batch + (n, dim)."""
+        return self._draw(n, step, dim, _UNIFORMS)
 
 
 # sha256 of the bytes of stream_sample() under this stream
-SAMPLE_SHA256 = "7ecd057d9581337afa51806da1223520983b012cb3cfcf1c0d4fb36d2d9b7b7a"
+SAMPLE_SHA256 = "689e165b4d51fef6e3580c818a239429bae354049fb1311ebc2362f879e4aa95"
 
 
 def stream_sample() -> np.ndarray:
-    """444 normals across keys, steps, blocks, dims 1-3 and batch widths, flattened.
+    """440 normals across keys, steps, blocks, dims 1-3 and batch widths, flattened.
 
-    The reversed and the gapped particle sets are contiguous draws, reordered
-    or joined along the particle axis.
+    Each is a count draw, sliced: reversed, gathered out of order or cut
+    from its end along the particle axis.
     """
     ids = np.array([0, 9, REFERENCE_NAMESPACE + 3])
-    far = NoiseGrid(7, ids[:2])
     draws = [NoiseGrid(2026, ids).normals(96, 0, 1),
-             NoiseGrid(2026, 9).normals(np.arange(1330, 1366), 3, 3)[::-1],
-             np.concatenate([far.normals([i], INIT_STEP, 2)
-                             for i in (4094, 2 ** 32 - 1, 2047, 2048, 5, 11)], axis=1),
-             NoiseGrid(5, 2 ** 40).normals(np.arange(4080, 4104), 12, 1)]
+             NoiseGrid(2026, 9).normals(1366, 3, 3)[1330:][::-1],
+             NoiseGrid(7, ids[:2]).normals(4095, INIT_STEP, 2)[:, [4094, 2047, 2048, 5, 11]],
+             NoiseGrid(5, 2 ** 40).normals(4104, 12, 1)[4080:]]
     return np.concatenate([d.ravel() for d in draws])
 
 

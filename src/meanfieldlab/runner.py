@@ -156,7 +156,7 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None,
     raises ValidationError before anything is written.
     """
     if seed is not None:
-        errors = seed_errors(int(seed))
+        errors = seed_errors(seed)
         if errors:
             raise ValidationError(f"seed override {seed}: {'; '.join(errors)}")
         cfg = replace(cfg, sim=replace(cfg.sim, seed=int(seed)))

@@ -369,6 +369,16 @@ def test_seed_override_leaves_input_config_alone(tmp_path):
     assert parse_config(manifest.config_text).sim.seed == 99
 
 
+@pytest.mark.parametrize("seed", [1.5, np.float64(3.0)])
+def test_a_non_integer_seed_override_is_refused_before_any_output(seed, tmp_path):
+    # run(cfg, seed=1.5) once ran, and wrote, seed 1
+    out = tmp_path / "out"
+    cfg = parse_config(DEVIATION_CFG.format(out=str(out)))
+    with pytest.raises(ValidationError, match=re.escape(f"seed override {seed}: seed must be")):
+        run(cfg, seed=seed)
+    assert not out.exists()
+
+
 def test_gaussian_target_is_drawn_from_the_seed(tmp_path):
     cfg = parse_config(GAUSSIAN_TARGET_CFG.format(out=str(tmp_path / "unused")))
     names = ["equilibrium_curve.csv", "equilibrium_summary.csv"]

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -181,6 +182,29 @@ def test_config_rejects_zero_step_time_grid():
         SimConfig(dt=0.01, t_final=1e-12, n_particles=4, seed=1)
 
 
+@pytest.mark.parametrize("field", ["dt", "t_final"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_names_a_non_finite_time(field, value):
+    # nan once raised numpy's unlabelled "cannot convert float NaN to
+    # integer", t_final = inf an OverflowError, and dt = inf "t_final must be
+    # at least dt"
+    times = {"dt": 0.1, "t_final": 1.0, field: value}
+    with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
+        SimConfig(**times, n_particles=4, seed=1, allow_large_dt=True)
+    assert engine.time_grid_errors(**times, allow_large_dt=True) == [f"{field} must be finite"]
+
+
+@pytest.mark.parametrize("field, value", [("snapshot_stride", 2.5), ("snapshot_stride", 2.0),
+                                          ("n_particles", 4.5), ("n_particles", "4")])
+def test_config_names_a_non_integer_run_setting(field, value):
+    # snapshot_stride = 2.5 once ran, labelling step 2's state t = 0.25 at
+    # dt = 0.1, and n_particles = 4.5 failed only at the first draw
+    settings = {"n_particles": 4, "snapshot_stride": 1, field: value}
+    with pytest.raises(ValidationError, match=re.escape(f"{field} must be an integer, "
+                                                        f"not {value!r}")):
+        SimConfig(dt=0.1, t_final=1.0, seed=1, **settings)
+
+
 def test_config_dt_guard_and_override():
     with pytest.raises(ValidationError):
         SimConfig(dt=0.2, t_final=1.0, n_particles=4, seed=1)
@@ -204,10 +228,10 @@ def test_single_particle_drift_is_self_interaction():
     traj = simulate_particle_system(m, cfg)
     # with N=1 the empirical drift is b(X, X) = V'(X) (since grad W(0) = 0)
     noise = cfg.noise()
-    x = m.initial_law.sample(noise, np.arange(1))
+    x = m.initial_law.sample(noise, 1)
     for k in range(cfg.n_steps):
         drift = m.drift.eval(x, x)
-        dW = noise.normals(np.arange(1), k, 1) * np.sqrt(cfg.dt)
+        dW = noise.normals(1, k, 1) * np.sqrt(cfg.dt)
         x = x + m.diffusion.apply(dW) - drift * cfg.dt
     assert np.allclose(traj.terminal, x, atol=1e-14)
 
@@ -238,7 +262,7 @@ def test_one_step_is_the_point_plus_sigma_sqrt_dt_normals(sigma, batched):
     cfg = SimConfig(dt=0.03, t_final=0.03, n_particles=5, seed=29)
     noise = NoiseGrid(cfg.seed, np.array([3, 0, REFERENCE_NAMESPACE]) if batched else 3)
     traj = simulate_particle_system(m, cfg, noise=noise)
-    z = noise.normals(np.arange(5), 0, d)
+    z = noise.normals(5, 0, d)
     assert np.array_equal(traj.states[..., 1, :, :], x0 + (z * np.sqrt(cfg.dt)) @ sigma.T)
 
 
@@ -482,10 +506,10 @@ def test_coupled_consumes_identical_noise():
     flow = build_reference_flow(m, 64, cfg)
     res = simulate_coupled(m, cfg, flow)
     noise = cfg.noise()
-    x = m.initial_law.sample(noise, np.arange(4))
+    x = m.initial_law.sample(noise, 4)
     for k in range(cfg.n_steps):
         drift = 2.0 * x
-        dW = noise.normals(np.arange(4), k, 1) * np.sqrt(cfg.dt)
+        dW = noise.normals(4, k, 1) * np.sqrt(cfg.dt)
         x = x + m.diffusion.apply(dW) - drift * cfg.dt
     assert np.array_equal(res.terminal_nonlinear, x)
 
@@ -676,7 +700,7 @@ def test_grid_divergence_is_earliest_step_then_grid_order_then_nonlinear_side():
                               states=np.zeros((cfg.n_steps + 1, M, 1)))
     ids = np.array([105, 101, 108])
     noise = NoiseGrid(cfg.seed, ids)
-    start = InitialLaw.gaussian(np.zeros(1), np.eye(1)).sample(noise, np.arange(20))
+    start = InitialLaw.gaussian(np.zeros(1), np.eye(1)).sample(noise, 20)
 
     def level(rows, step):  # the highest of the first `rows` rows reaches it at `step`
         return float(start[:, :rows].max()) + (step - 0.5) * cfg.dt

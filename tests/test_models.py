@@ -660,11 +660,11 @@ def test_initial_law_gaussian_moments():
     for mean, cov in [([1.0], [[4.0]]),
                       ([1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]]),
                       ([0.0, 3.0, -1.0], [0.5, 1.0, 2.0])]:
-        sample = InitialLaw.gaussian(mean, cov).sample(grid, np.arange(200_000))
+        sample = InitialLaw.gaussian(mean, cov).sample(grid, 200_000)
         cov = np.atleast_2d(np.diag(cov) if np.ndim(cov) == 1 else cov)
         assert np.mean(sample, axis=0) == pytest.approx(mean, abs=0.02)
         assert np.atleast_2d(np.cov(sample.T)) == pytest.approx(cov, rel=0.02, abs=0.02)
-    point = InitialLaw.gaussian([1.0, 2.0], 0.0).sample(grid, np.arange(10))
+    point = InitialLaw.gaussian([1.0, 2.0], 0.0).sample(grid, 10)
     assert np.array_equal(point, np.tile([1.0, 2.0], (10, 1)))
 
 
@@ -703,10 +703,8 @@ def test_initial_laws_sample_a_leading_replica_axis():
     laws = [InitialLaw.gaussian([1.0, 2.0], 0.0),
             InitialLaw.gaussian([1.0, 0.0], [[2.0, 0.5], [0.5, 1.0]]),
             InitialLaw.gaussian([0.0, -1.0], [0.3, 2.0])]
-    particles = np.arange(3, 8)
     for law in laws:
-        batch = law.sample(NoiseGrid(seed=12, replica_id=ids), particles)
-        assert batch.shape == (len(ids), len(particles), 2)
+        batch = law.sample(NoiseGrid(seed=12, replica_id=ids), 8)
+        assert batch.shape == (len(ids), 8, 2)
         for r, rid in enumerate(ids):
-            assert np.array_equal(batch[r], law.sample(NoiseGrid(seed=12, replica_id=int(rid)),
-                                                       particles))
+            assert np.array_equal(batch[r], law.sample(NoiseGrid(seed=12, replica_id=int(rid)), 8))
