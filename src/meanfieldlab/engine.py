@@ -15,9 +15,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, count_errors
 from .models import DiffusionSpec, ModelSpec, mean_field_batch
-from .rng import INIT_STEP, REFERENCE_NAMESPACE, NoiseGrid
+from .rng import INIT_STEP, REFERENCE_NAMESPACE, NoiseGrid, replica_id_errors, seed_errors
 
 __all__ = [
     "SimConfig",
@@ -118,13 +118,10 @@ class SimConfig:
     allow_large_dt: bool = False
 
     def __post_init__(self):
-        errs = time_grid_errors(self.dt, self.t_final, self.allow_large_dt)
-        for name in ("n_particles", "snapshot_stride"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                errs.append(f"{name} must be an integer, not {value!r}")
-            elif value < 1:
-                errs.append(f"{name} must be >= 1")
+        errs = (time_grid_errors(self.dt, self.t_final, self.allow_large_dt)
+                + count_errors("n_particles", self.n_particles)
+                + count_errors("snapshot_stride", self.snapshot_stride)
+                + seed_errors(self.seed) + replica_id_errors(self.replica_id))
         if errs:
             raise ValidationError("; ".join(errs))
 
@@ -221,16 +218,16 @@ def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float, taming: bool =
     return out
 
 
-def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, n_draw: int,
-               states: list, clouds: list, on_step: Callable[[int, list], None]) -> list:
+def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, states: list,
+               clouds: list, on_step: Callable[[int, list], None]) -> list:
     """The step loop shared by every simulation: all states ride the same noise.
 
-    States have shape noise.batch_shape + (n, d) with n <= n_draw; row i of
-    a state is particle i.  Each step k draws noise.normals(n_draw, k, d),
-    the particles 0..n_draw-1, once for every replica and state and scales
-    it in place by sqrt(config.dt), the one place a draw meets dt; a state
-    of n rows reads the first n rows, the draw of particles 0..n-1 since
-    every value is keyed by its own particle.  The step evaluates each
+    States have shape noise.batch_shape + (n, d); row i of a state is
+    particle i.  Each step k draws the particles of the largest state once
+    for every replica and state and scales the draw in place by
+    sqrt(config.dt), the one place a draw meets dt; a state of n rows reads
+    the first n rows, the draw of particles 0..n-1 since every value is
+    keyed by its own particle.  The step evaluates each
     state's mean-field drift (against the state itself, replica by replica,
     when its cloud is None, else against the frozen snapshot cloud[k] (M, d)
     shared by all replicas), then advances the states with euler_step in
@@ -252,7 +249,7 @@ def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, n_draw: in
     for k in range(config.n_steps):
         drifts = [mean_field_batch(model.drift, X, X if c is None else c[k], w)
                   for X, c, w in zip(states, clouds, weights)]
-        dW = noise.normals(n_draw, k, d)
+        dW = noise.normals(max(rows), k, d)
         dW *= scale
         try:
             states = [euler_step(X, b, model.diffusion, dW[..., :n, :], config.dt, tame, step=k)
@@ -295,7 +292,7 @@ def simulate_particle_system(model: ModelSpec, config: SimConfig,
         if r is not None:
             states[..., r, :, :] = Xs[0]
 
-    _integrate(model, config, noise, N, [X], [None], record)
+    _integrate(model, config, noise, [X], [None], record)
     return TrajectoryEnsemble(times=recs * config.dt, states=states)
 
 
@@ -335,13 +332,12 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemb
     With n_grid, one step loop couples a particle system of every size N in
     n_grid (config.n_particles is not read) and returns a list of one
     CoupledEnsemble per N, in grid order, each equal bit for bit to the run
-    at that one size.  Copy Xbar^i never sees the other copies, so its path
-    does not depend on N: the copies run once, at max N, and size N reads
-    the first N of them, as it reads the first N rows of the max-N noise and
-    initial draws.  A one-row size keeps a copy of its own, since numpy's
-    matrix product may round a single row differently from the same row of a
-    larger product.  A divergence is reported for the earliest step; within
-    a step the systems come in grid order and the nonlinear copies last.
+    at that one size.  Copy Xbar^i never sees the other copies, and no step
+    rounds a row by the number of rows, so its path does not depend on N:
+    the copies run once, at max N, and size N reads the first N of them, as
+    it reads the first N rows of the max-N noise and initial draw.  A
+    divergence is reported for the earliest step; within a step the systems
+    come in grid order and the nonlinear copies last.
     """
     if flow.states.ndim != 3:
         raise ValidationError("reference flow must be one run, without a replica axis")
@@ -353,10 +349,7 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemb
 
     noise = noise or config.noise()
     sizes = [config.n_particles] if n_grid is None else [int(n) for n in n_grid]
-    top = max(sizes)
-    bars = sorted({1, top} & set(sizes))  # sizes of the simulated copies
-    home = [bars.index(1 if n == 1 else top) for n in sizes]
-    bar0 = [model.initial_law.sample(noise, b) for b in bars]
+    X0 = model.initial_law.sample(noise, max(sizes))
     recs = _record_steps(n_steps, config.snapshot_stride)
     rec_pos = {int(k): r for r, k in enumerate(recs)}
     # both sides start from the same samples, so the step-0 gap is 0
@@ -366,14 +359,13 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemb
         r = rec_pos.get(k)
         if r is None:
             return
-        for gap, X, n, h in zip(gaps, Xs, sizes, home):
-            diff = X - Xs[len(sizes) + h][..., :n, :]
+        for gap, X, n in zip(gaps, Xs, sizes):
+            diff = X - Xs[-1][..., :n, :]
             gap[..., r] = np.mean(np.einsum("...id,...id->...i", diff, diff), axis=-1)
 
-    final = _integrate(model, config, noise, top,
-                       [bar0[h][..., :n, :] for n, h in zip(sizes, home)] + bar0,
-                       [None] * len(sizes) + [flow.states] * len(bars), record)
+    final = _integrate(model, config, noise, [X0[..., :n, :] for n in sizes] + [X0],
+                       [None] * len(sizes) + [flow.states], record)
     runs = [CoupledEnsemble(times=recs * config.dt, mean_square_gap=gap, terminal_particles=X,
-                            terminal_nonlinear=final[len(sizes) + h][..., :n, :])
-            for gap, X, n, h in zip(gaps, final, sizes, home)]
+                            terminal_nonlinear=final[-1][..., :n, :])
+            for gap, X, n in zip(gaps, final, sizes)]
     return runs[0] if n_grid is None else runs

@@ -1,4 +1,6 @@
-"""Exception types shared across the lab."""
+"""Exception types shared across the lab, and its rule for a count."""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -19,3 +21,10 @@ class DivergenceError(RuntimeError):
         where = (f"replica {replica}, " if replica is not None else "") + f"step {step}" \
             + (f", particle {particle}" if particle is not None else "")
         super().__init__(f"non-finite state at {where}")
+
+
+def count_errors(name: str, value) -> list[str]:
+    """Why `value` is no count `name`: [] if it is an int or numpy integer >= 1."""
+    if not isinstance(value, (int, np.integer)):
+        return [f"{name} must be an integer, not {value!r}"]
+    return [] if value >= 1 else [f"{name} must be >= 1, not {value!r}"]

@@ -26,7 +26,7 @@ import numpy as np
 from .engine import (SimConfig, TrajectoryEnsemble, _record_steps, build_reference_flow,
                      equilibrium_time_errors, n_grid_errors, reference_size_errors,
                      simulate_coupled, simulate_particle_system)
-from .errors import ValidationError
+from .errors import ValidationError, count_errors
 from .models import ModelSpec, Observable
 from .rng import BURN_IN_NAMESPACE, NoiseGrid
 from .wasserstein import _even_subsample, sample_w1, sample_w2
@@ -159,8 +159,9 @@ def _chunked(config: SimConfig, replicas: int, values_per_replica: int, run) -> 
     """run(noise) on chunks of _BATCH_VALUES // values_per_replica (at least 1) replicas,
     replica r on replica id config.replica_id + r; each array that run returns,
     replicas along axis 0, is joined over the chunks in order."""
-    if replicas < 1:
-        raise ValidationError("replicas must be >= 1")
+    errs = count_errors("replicas", replicas)
+    if errs:
+        raise ValidationError(errs[0])
     width = max(1, _BATCH_VALUES // values_per_replica)
     ids = config.replica_id + np.arange(replicas)
     chunks = [run(NoiseGrid(config.seed, ids[start:start + width]))

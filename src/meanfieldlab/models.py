@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, count_errors
 from .rng import INIT_STEP, NoiseGrid
 
 __all__ = [
@@ -172,8 +172,9 @@ class DriftKernel:
     mean_field: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise ValidationError("kernel dimension must be positive")
+        errs = count_errors("kernel dim", self.dim)
+        if errs:
+            raise ValidationError(errs[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,10 +196,11 @@ class DiffusionSpec:
         return self.sigma.shape[0]
 
     def apply(self, dW: np.ndarray) -> np.ndarray:
-        """sigma @ dW, batched over rows of dW."""
+        """sigma dW for each row of dW, a full sigma's products summed row by row: a
+        matrix product may round a row of many differently from the row alone."""
         if self._diag is not None:
             return dW * self._diag
-        return dW @ self.sigma.T
+        return np.add.reduce(dW[..., None, :] * self.sigma, axis=-1)
 
     @classmethod
     def isotropic(cls, dim: int) -> "DiffusionSpec":
@@ -225,8 +227,10 @@ class InitialLaw:
         """I.i.d. initial states of particles 0..n-1, shape grid.batch_shape + (n, dim).
 
         `n` is a count, as in every grid draw: an int or numpy integer in [0, 2^32].
+        chol z is summed row by row, as in DiffusionSpec.apply.
         """
-        return self.mean + grid.normals(n, INIT_STEP, self.dim) @ self.chol.T
+        z = grid.normals(n, INIT_STEP, self.dim)
+        return self.mean + np.add.reduce(z[..., None, :] * self.chol, axis=-1)
 
     @classmethod
     def gaussian(cls, mean, cov) -> "InitialLaw":
@@ -352,8 +356,9 @@ def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
         order = y.argsort(axis=-1)
         flat = order + starts
         ys = y.reshape(-1)[flat]
-        same = ys[..., 1:] == ys[..., :-1]  # a stable re-sort only reorders equal values
-        tied = same.any() or np.isnan(ys[..., -1]).any()
+        # a stable re-sort only reorders equal values, and in a sorted row two
+        # neighbours are unequal only if the later is larger: a nan compares false
+        tied = not (ys[..., 1:] > ys[..., :-1]).all() or m == 1 and np.isnan(ys).any()
         if tied:
             order = y.argsort(axis=-1, kind="stable")
             flat = order + starts
@@ -374,6 +379,7 @@ def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
             a = 2.0 * moments[..., 1:] - a
         elif p % 2:
             if own:  # equal means == or both nan, as in the sort, which puts every nan last
+                same = ys[..., 1:] == ys[..., :-1]
                 same |= np.isnan(ys[..., 1:]) & np.isnan(ys[..., :-1])
                 ends = np.full(ys.shape, m)
                 ends[..., :-1] = np.where(same, m, np.arange(1, m))

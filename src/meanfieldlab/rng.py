@@ -80,6 +80,19 @@ def seed_errors(seed: int) -> list[str]:
     return [f"seed must be a 64-bit unsigned integer, not {seed!r}"]
 
 
+def replica_id_errors(replica_id) -> list[str]:
+    """Why `replica_id` keys no grid: [] if it is an integer or a nonempty 1-D integer array,
+    with no value below 0."""
+    ids = np.asarray(replica_id)
+    if ids.ndim > 1 or (ids.ndim == 1 and len(ids) == 0) \
+            or not np.issubdtype(ids.dtype, np.integer):
+        return [f"replica_id must be an integer or a nonempty 1-D integer array, "
+                f"not {replica_id!r}"]
+    if np.any(ids < 0):
+        return [f"replica_id must be nonnegative, not {replica_id!r}"]
+    return []
+
+
 class NoiseGrid:
     """Unit normals and uniforms, keyed by (seed, replica, particle, step, coordinate).
 
@@ -98,15 +111,10 @@ class NoiseGrid:
     """
 
     def __init__(self, seed: int, replica_id=0):
-        errs = seed_errors(seed)
+        errs = seed_errors(seed) + replica_id_errors(replica_id)
         if errs:
-            raise ValueError(errs[0])
+            raise ValueError("; ".join(errs))
         ids = np.asarray(replica_id)
-        if ids.ndim > 1 or (ids.ndim == 1 and len(ids) == 0) \
-                or not np.issubdtype(ids.dtype, np.integer):
-            raise ValueError("replica_id must be an integer or a nonempty 1-D integer array")
-        if np.any(ids < 0):
-            raise ValueError("replica_id must be nonnegative")
         self.seed = int(seed)
         self.replica_id = int(ids) if ids.ndim == 0 else ids.astype(np.int64)
         base = _splitmix64(self.seed)

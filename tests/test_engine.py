@@ -205,6 +205,21 @@ def test_config_names_a_non_integer_run_setting(field, value):
         SimConfig(dt=0.1, t_final=1.0, seed=1, **settings)
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("seed", -1, "seed must be a 64-bit unsigned integer, not -1"),
+    ("seed", 1.5, "seed must be a 64-bit unsigned integer, not 1.5"),
+    ("seed", 2 ** 64, "seed must be a 64-bit unsigned integer"),
+    ("replica_id", -2, "replica_id must be nonnegative, not -2"),
+    ("replica_id", 2.5, "replica_id must be an integer or a nonempty 1-D integer array, "
+                        "not 2.5")],
+    ids=["seed-negative", "seed-float", "seed-too-large", "replica-negative", "replica-float"])
+def test_config_names_a_bad_seed_or_replica_id(field, value, rule):
+    # each once constructed, and the run failed at its first draw with the
+    # grid's plain ValueError
+    with pytest.raises(ValidationError, match=re.escape(rule)):
+        SimConfig(dt=0.1, t_final=1.0, n_particles=4, **{"seed": 1, field: value})
+
+
 def test_config_dt_guard_and_override():
     with pytest.raises(ValidationError):
         SimConfig(dt=0.2, t_final=1.0, n_particles=4, seed=1)
@@ -452,7 +467,7 @@ def test_one_reference_pass_equals_the_picard_loop(case, passes):
         def record(k, Xs, snaps=snaps):
             snaps[k] = Xs[0]
 
-        engine._integrate(m, cfg, noise, M, [X0], [prev], record)
+        engine._integrate(m, cfg, noise, [X0], [prev], record)
         if prev is not None:
             gaps.append(sample_w2(prev[-1], snaps[-1]))
         prev = snaps
@@ -613,8 +628,9 @@ def test_batched_simulations_equal_per_replica_runs(case):
 @pytest.mark.parametrize("batched", [False, True])
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_grid_call_equals_per_size_runs(case, batched):
-    # sizes out of order, not nested in powers of 2, and a one-row size (whose
-    # matrix products numpy may round differently from a row of a larger one)
+    # sizes out of order, not nested in powers of 2, and a one-row size, whose
+    # copies are the first row of those at max N (no step rounds a row by the
+    # number of rows, a non-diagonal sigma's product included)
     m, taming = BATCH_CASES[case]
     cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=3, seed=83, taming=taming)
     flow = build_reference_flow(m, 64, cfg)
@@ -629,6 +645,28 @@ def test_grid_call_equals_per_size_runs(case, batched):
         assert np.array_equal(res.mean_square_gap, one.mean_square_gap)
         assert np.array_equal(res.terminal_particles, one.terminal_particles)
         assert np.array_equal(res.terminal_nonlinear, one.terminal_nonlinear)
+
+
+def test_a_grid_with_a_one_row_size_draws_and_steps_one_set_of_copies(monkeypatch):
+    # the copies and their initial draw are those of max N, with N = 1 in the
+    # grid as without it
+    m, taming = BATCH_CASES["kinetic-non-diagonal"]
+    cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=3, seed=83, taming=taming)
+    flow = build_reference_flow(m, 64, cfg)
+    draws, stepped = [], []
+    sample, step = InitialLaw.sample, engine.euler_step
+    monkeypatch.setattr(InitialLaw, "sample",
+                        lambda law, grid, n: draws.append(n) or sample(law, grid, n))
+    monkeypatch.setattr(engine, "euler_step",
+                        lambda X, *args, **kw: stepped.append(X.shape) or step(X, *args, **kw))
+    for n_grid in ([12, 1, 5], [12, 5], [1]):
+        draws.clear()
+        stepped.clear()
+        simulate_coupled(m, cfg, flow, noise=NoiseGrid(cfg.seed, np.array([6, 2])),
+                         n_grid=n_grid)
+        assert draws == [max(n_grid)]
+        assert len(stepped) == cfg.n_steps * (len(n_grid) + 1)
+        assert stepped[-1] == (2, max(n_grid), m.dim)
 
 
 @pytest.mark.parametrize("stride", [1, 3, "n_steps"])

@@ -472,6 +472,23 @@ def test_zero_replicas_is_a_labelled_error(kind):
         calls[kind]()
 
 
+@pytest.mark.parametrize("kind", ["chaos_rate", "observable_deviation", "empirical_deviation",
+                                  "equilibrium"])
+def test_a_non_integer_replica_count_is_a_labelled_error(kind):
+    # replicas = 2.5 died in the chunk loop with an unlabelled TypeError from range
+    m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
+    cfg = _cfg(dt=0.1, t_final=0.2, n_particles=8)
+    x0 = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
+    calls = {
+        "chaos_rate": lambda: chaos_rate_experiment(m, [4, 8], cfg, replicas=2.5),
+        "observable_deviation": lambda: observable_deviation_experiment(m, x0, [0.1], 2.5, cfg),
+        "empirical_deviation": lambda: empirical_measure_deviation(m, [0.1], 2.5, cfg),
+        "equilibrium": lambda: equilibrium_convergence(m, cfg, replicas=2.5),
+    }
+    with pytest.raises(ValidationError, match="replicas must be an integer, not 2.5"):
+        calls[kind]()
+
+
 @pytest.mark.parametrize("n_grid", [[16, 16], [16, 32, 16], [0, 16], []])
 def test_chaos_rate_grid_sizes_must_be_distinct_and_positive(n_grid):
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)

@@ -708,3 +708,57 @@ def test_initial_laws_sample_a_leading_replica_axis():
         assert batch.shape == (len(ids), 8, 2)
         for r, rid in enumerate(ids):
             assert np.array_equal(batch[r], law.sample(NoiseGrid(seed=12, replica_id=int(rid)), 8))
+
+
+class _Draws:
+    """A stand-in grid whose draw is the normals z given, shape batch + (n, d)."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def normals(self, n, step, dim):
+        assert (n, dim) == self.z.shape[-2:]
+        return self.z.copy()
+
+
+def _rows_alone(f, z):
+    """f on each row of z alone, as one array of z's shape."""
+    return np.concatenate([f(np.ascontiguousarray(z[..., i:i + 1, :]))
+                           for i in range(z.shape[-2])], axis=-2)
+
+
+@pytest.mark.parametrize("kind", ["full", "diagonal"])
+@pytest.mark.parametrize("d", range(1, 13))
+def test_a_row_of_sigma_dw_or_an_initial_state_has_the_bits_of_the_row_alone(d, kind):
+    # numpy's matrix product may round a row of a larger product differently
+    # from the row alone, as it did here for d = 2 to 12; with a diagonal
+    # matrix with zeros (every config-built model's) the bits are the old ones
+    rng = np.random.default_rng(100 + d)
+    if kind == "full":
+        a = rng.normal(size=(d, d)) + 2 * np.eye(d)
+    else:
+        a = np.diag(rng.uniform(0.5, 2.0, d) * (np.arange(d) % 3 != 1))
+    law, diffusion = InitialLaw(np.full(d, -0.0), a), DiffusionSpec(a)
+    for n in (1, 2, 7, 64):
+        for batch in ((), (3,)):
+            z = rng.normal(size=batch + (n, d))
+            states = law.sample(_Draws(z), n)
+            noise = diffusion.apply(z)
+            assert states.tobytes() == _rows_alone(lambda r: law.sample(_Draws(r), 1),
+                                                   z).tobytes()
+            assert noise.tobytes() == _rows_alone(diffusion.apply, z).tobytes()
+            assert np.allclose(states, z @ a.T, rtol=1e-13, atol=1e-13)
+            assert np.allclose(noise, z @ a.T, rtol=1e-13, atol=1e-13)
+            if kind == "diagonal":  # a mean of -0.0 keeps the product's bits
+                assert states.tobytes() == (law.mean + z @ a.T).tobytes()
+                assert noise.tobytes() == (z * np.diag(a)).tobytes()
+
+
+@pytest.mark.parametrize("dim, rule", [(1.5, "kernel dim must be an integer, not 1.5"),
+                                       (np.float64(2.0), "kernel dim must be an integer"),
+                                       (0, "kernel dim must be >= 1, not 0")],
+                         ids=["float", "numpy-float", "zero"])
+def test_a_kernel_dimension_must_be_an_integer_of_at_least_one(dim, rule):
+    # DriftKernel(dim=1.5) once constructed
+    with pytest.raises(ValidationError, match=rule):
+        DriftKernel(dim=dim, eval=lambda x, y: x - y)
