@@ -69,8 +69,7 @@ def _drift_call(kernel, replicas, n, cloud_size, rng):
     """A call of mean_field_batch on normal states: (n, 1) for one replica, else (R, n, 1)."""
     X = rng.normal(size=(n, 1) if replicas == 1 else (replicas, n, 1))
     points = X if cloud_size is None else rng.normal(size=(cloud_size, 1))
-    weights = np.full(points.shape[-2], 1.0 / points.shape[-2])
-    return lambda: mean_field_batch(kernel, X, points, weights)
+    return lambda: mean_field_batch(kernel, X, points)
 
 
 def _noise_call(replicas, n):
@@ -98,8 +97,8 @@ def _euler_call(replicas, n, rng):
 def _transport_call(n, shift):
     """A W2 assignment between two fixed n-point clouds in d = 2, the same at every shift."""
     rng = np.random.default_rng(n)
-    mu = EmpiricalMeasure.uniform(rng.normal(size=(n, 2)))
-    nu = EmpiricalMeasure.uniform(rng.normal(size=(n, 2)) + shift)
+    mu = EmpiricalMeasure(rng.normal(size=(n, 2)))
+    nu = EmpiricalMeasure(rng.normal(size=(n, 2)) + shift)
     return lambda: wasserstein_assignment(2, mu, nu)
 
 

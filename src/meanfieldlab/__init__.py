@@ -17,8 +17,8 @@ from .models import (DiffusionSpec, DriftKernel, InitialLaw, ModelSpec, Observab
 from .rng import NoiseGrid
 from .engine import (CoupledEnsemble, SimConfig, TrajectoryEnsemble, build_reference_flow,
                      euler_step, simulate_coupled, simulate_particle_system)
-from .wasserstein import (TransportResult, kr_dual_lower_bound, quantile_dual_family,
-                          sample_w1, sample_w2, wasserstein_1d, wasserstein_assignment)
+from .wasserstein import (kr_dual_lower_bound, quantile_dual_family, sample_w1, sample_w2,
+                          wasserstein_1d, wasserstein_assignment)
 from .experiments import (DeviationTable, EquilibriumCurve, RateFit,
                           chaos_rate_experiment, empirical_measure_deviation,
                           equilibrium_convergence, observable_deviation_experiment,

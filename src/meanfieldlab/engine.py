@@ -243,12 +243,10 @@ def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, states: li
     states = [np.ascontiguousarray(X) for X in states]
     tame = config.taming and model.drift.superlinear
     rows = [X.shape[-2] for X in states]
-    cloud_sizes = [n if c is None else c.shape[1] for n, c in zip(rows, clouds)]
-    weights = [np.full(m, 1.0 / m) for m in cloud_sizes]
     scale = np.sqrt(config.dt)
     for k in range(config.n_steps):
-        drifts = [mean_field_batch(model.drift, X, X if c is None else c[k], w)
-                  for X, c, w in zip(states, clouds, weights)]
+        drifts = [mean_field_batch(model.drift, X, X if c is None else c[k])
+                  for X, c in zip(states, clouds)]
         dW = noise.normals(max(rows), k, d)
         dW *= scale
         try:

@@ -1,50 +1,38 @@
-"""Weighted point clouds standing in for probability measures on R^d."""
+"""Uniform point clouds standing in for probability measures on R^d."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["EmpiricalMeasure"]
+__all__ = ["EmpiricalMeasure", "as_cloud"]
 
-_WEIGHT_TOL = 1e-12
+
+def as_cloud(points, stack: bool = False) -> np.ndarray:
+    """Finite points as a float64 array (n, d), or with stack (..., n, d), n, d >= 1;
+    else a ValidationError.  A flat list could be n points on the line or one in R^n."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        raise ValidationError("empirical measure needs at least one support point")
+    if pts.ndim != 2 and not (stack and pts.ndim > 2):
+        raise ValidationError(f"support points must be an array (n, d)"
+                              f"{' or (..., n, d)' if stack else ''}, not of shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValidationError("support points must be finite")
+    return pts
 
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Finitely supported measure: finite points (n, d), nonnegative weights summing to 1."""
+    """The uniform measure (1/n) sum of Dirac masses at n finite points (n, d)."""
 
     points: np.ndarray
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
-        if pts.size == 0:
-            raise ValidationError("empirical measure needs at least one support point")
-        if not np.isfinite(pts).all():
-            raise ValidationError("support points must be finite")
-        object.__setattr__(self, "points", pts)
-        if self.weights is None:
-            w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-        else:
-            w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (pts.shape[0],):
-            raise ValidationError(f"weights shape {w.shape} does not match {pts.shape[0]} points")
-        if not np.isfinite(w).all():
-            raise ValidationError("weights must be finite")
-        if np.any(w < 0):
-            raise ValidationError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValidationError(f"weights sum to {w.sum()!r}, not 1")
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, points) -> "EmpiricalMeasure":
-        """The empirical measure (1/n) sum of Dirac masses at the given points."""
-        return cls(points)
+        object.__setattr__(self, "points", as_cloud(self.points))
 
     @property
     def n(self) -> int:

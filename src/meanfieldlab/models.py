@@ -2,7 +2,7 @@
 
 A model is a pairwise drift kernel b(X, Y), a constant diffusion factor
 sigma, and a Gaussian initial law.  The drift actually used by the dynamics
-is the average of b(X, .) against a measure.  A kernel may carry that
+is the average of b(X, .) against a uniform cloud.  A kernel may carry that
 average in closed form, exploiting linear or polynomial structure (exact
 algebra, no subsampling); otherwise it is the pairwise average over the
 cloud.
@@ -160,16 +160,16 @@ class DriftKernel:
     `eval` must broadcast over leading axes.  `superlinear` marks a kernel
     that grows faster than linearly, whose drift the integrator tames to
     b / (1 + dt |b|) when a run asks for taming.
-    `mean_field(X, points, weights)`, when set, is the exact weighted average
-    of b(X, .) over the cloud in closed form, for the shapes mean_field_batch
-    admits (one cloud (m, d), or X itself); when None, that average is taken
-    pair by pair.
+    `mean_field(X, points)`, when set, is the exact average of b(X, .) over
+    the uniform cloud of the points in closed form, for the shapes
+    mean_field_batch admits (one cloud (m, d), or X itself); when None, that
+    average is taken pair by pair.
     """
 
     dim: int
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     superlinear: bool = False
-    mean_field: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    mean_field: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         errs = count_errors("kernel dim", self.dim)
@@ -294,9 +294,17 @@ class ModelSpec:
 # mean-field averaging
 
 
-def _pairwise_average(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-    """Exact weighted average of b(X_i, Y_j) over j, chunked over i.
+@functools.lru_cache(maxsize=None)
+def _uniform(m: int) -> np.ndarray:
+    """The masses 1/m of a uniform m-point cloud, built once per m: means reduce
+    against it, since points.mean(axis=0) rounds differently from w @ points."""
+    w = np.full(m, 1.0 / m)
+    w.flags.writeable = False
+    return w
+
+
+def _pairwise_average(kernel: DriftKernel, X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Exact average of b(X_i, Y_j) over j, chunked over i.
 
     X is (n, d) and points (m, d); one replica at a time, so the kernel
     buffer never exceeds _PAIRWISE_CHUNK evaluations (at least one row).  The
@@ -306,12 +314,12 @@ def _pairwise_average(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
     """
     n, d = X.shape
     m = points.shape[0]
-    out = np.empty((n, d))
+    out, w = np.empty((n, d)), _uniform(m)
     rows = max(1, _PAIRWISE_CHUNK // max(m, 1))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         vals = kernel.eval(X[start:stop, None, :], points[None, :, :])
-        out[start:stop] = np.einsum("ijd,j->id", vals, weights)
+        out[start:stop] = np.einsum("ijd,j->id", vals, w)
     return out
 
 
@@ -323,15 +331,14 @@ def _power_coefficients(p: int, c: float) -> np.ndarray:
     return row
 
 
-def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
-                       weights: np.ndarray) -> np.ndarray:
-    """Exact weighted average of grad W(x - y_j) over j for W(z) = c |z|^p in 1-D.
+def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Exact average of grad W(x - y_j) over the m points y_j, for W(z) = c |z|^p in 1-D.
 
     For an integer p, grad W(z) = c p |z|^(p-2) z is c p z^(p-1) above 0 and
-    (-1)^p c p z^(p-1) below it.  With the shift s the weighted cloud mean,
+    (-1)^p c p z^(p-1) below it.  With the shift s the cloud's mean,
     u = x - s and v_j = y_j - s, the average is the polynomial
     c p sum_k (-1)^k binom(p-1, k) u^(p-1-k) a_k in u, where a_k is the moment
-    sum_j w_j v_j^k over the points y_j <= x minus the one over the points
+    (1/m) sum_j v_j^k over the points y_j <= x minus the one over the points
     above x for odd p, and over all points for even p.  The cloud is sorted
     once and its moments summed in prefix: X (..., n, 1) against one cloud
     (m, 1), or against X itself, costs O((n + m) log m), not O(n m) pairwise.
@@ -363,10 +370,10 @@ def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
             order = y.argsort(axis=-1, kind="stable")
             flat = order + starts
             ys = y.reshape(-1)[flat]
-        w = weights[order]
+        w = 1.0 / m
         shift = np.add.reduce(ys * w, axis=-1, keepdims=True)
         v = ys - shift
-        # moments[k, ..., i] = coeff_k * sum_{j < i} w_j v_j^k
+        # moments[k, ..., i] = coeff_k * sum_{j < i} w v_j^k
         terms = np.empty((p,) + ys.shape)
         terms[0] = w
         for k in range(1, p):
@@ -404,9 +411,8 @@ def _power_law_average(p: int, c: float, X: np.ndarray, points: np.ndarray,
         return out[..., None]
 
 
-def mean_field_batch(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
-                     weights: np.ndarray) -> np.ndarray:
-    """Mean-field drift for a batch of states X against a weighted cloud.
+def mean_field_batch(kernel: DriftKernel, X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Mean-field drift for a batch of states X against the uniform cloud of the points.
 
     X is (n, d) or (R, n, d) for R replicas; points is one cloud (m, d)
     shared by every replica, or X itself, each replica against its own
@@ -419,11 +425,11 @@ def mean_field_batch(kernel: DriftKernel, X: np.ndarray, points: np.ndarray,
         raise ValidationError(f"mean-field points {points.shape} must be one cloud (m, d) "
                               f"or the states {X.shape} themselves")
     if kernel.mean_field is not None:
-        return kernel.mean_field(X, points, weights)
+        return kernel.mean_field(X, points)
     if X.ndim == 2:
-        return _pairwise_average(kernel, X, points, weights)
+        return _pairwise_average(kernel, X, points)
     clouds = X if points is X else [points] * len(X)
-    return np.stack([_pairwise_average(kernel, x, c, weights) for x, c in zip(X, clouds)])
+    return np.stack([_pairwise_average(kernel, x, c) for x, c in zip(X, clouds)])
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +461,14 @@ def granular_media_model(V: Potential, W: Potential, d: int,
     if W.linear_grad_coeff is not None:
         cw = W.linear_grad_coeff
 
-        def mean_field(X, points, weights):
-            return V.grad(X) + cw * (X - (weights @ points)[..., None, :])
+        def mean_field(X, points):
+            mean = _uniform(points.shape[-2]) @ points
+            return V.grad(X) + cw * (X - mean[..., None, :])
     elif W.integer_power is not None and d == 1:
         pw, cw = W.integer_power
 
-        def mean_field(X, points, weights):
-            out = _power_law_average(pw, cw, X, points, weights)
+        def mean_field(X, points):
+            out = _power_law_average(pw, cw, X, points)
             out += V.grad(X)
             return out
 
@@ -503,9 +510,9 @@ def vlasov_fokker_planck_model(U: Potential, A: Callable, B: Callable, d_prime: 
     if U.linear_grad_coeff is not None:
         cu = U.linear_grad_coeff
 
-        def mean_field(X, points, weights):
+        def mean_field(X, points):
             x, v = X[..., :d_prime], X[..., d_prime:]
-            ybar = (weights @ points[..., :d_prime])[..., None, :]
+            ybar = (_uniform(points.shape[-2]) @ points[..., :d_prime])[..., None, :]
             out = np.empty(X.shape)
             out[..., :d_prime] = -v
             out[..., d_prime:] = A(v) + B(x) + cu * (x - ybar)

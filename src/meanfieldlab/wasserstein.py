@@ -1,27 +1,24 @@
 """Exact Wasserstein distances between empirical measures, plus the dual lower bound.
 
-Two exact solvers: the monotone quantile coupling in one dimension (any
-weights; batched over stacks of equal-size uniform clouds), and optimal
-assignment for equal-size uniform clouds in any dimension.  No entropic
-regularization anywhere; downstream tests assert inequalities at 1e-9 and
-regularization would blur them.  sample_wasserstein alone picks the solver
-for uniform sample clouds: one pair or broadcasting stacks of pairs.
+Every measure is a uniform cloud.  Two exact solvers: the monotone quantile
+coupling in one dimension (any sizes; batched over stacks of equal-size
+clouds), and optimal assignment for equal-size clouds in any dimension.  No
+entropic regularization anywhere; downstream tests assert inequalities at
+1e-9 and regularization would blur them.  sample_wasserstein alone picks the
+solver for sample clouds: one pair or broadcasting stacks of pairs.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, as_cloud
 from .models import Observable
 
 __all__ = [
-    "TransportResult",
     "wasserstein_1d",
     "wasserstein_1d_rows",
     "wasserstein_assignment",
@@ -35,52 +32,28 @@ __all__ = [
 _MAX_ASSIGNMENT = 4096
 
 
-@dataclass(frozen=True)
-class TransportResult:
-    """Optimal cost and the coupling that realizes it."""
-
-    cost: float
-    plan: np.ndarray  # (k, 3) rows (source index, target index, mass)
-
-    def plan_to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("source,target,mass\n")
-        for i, j, m in self.plan:
-            buf.write(f"{int(i)},{int(j)},{format(m, '.17g')}\n")
-        return buf.getvalue()
-
-
-def wasserstein_1d(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportResult:
+def wasserstein_1d(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Exact W_p on the line via the monotone (quantile) coupling.
 
-    Unequal weights are handled by splitting mass at the merged quantile
-    breakpoints of the two cumulative distributions.
+    Clouds of unequal sizes n and m split their mass at the merged steps of
+    the two cumulative distributions, multiples of 1/n and of 1/m.
     """
     if p not in (1, 2):
         raise ValidationError("order p must be 1 or 2")
     if mu.dim != 1 or nu.dim != 1:
         raise ValidationError("wasserstein_1d needs one-dimensional measures")
 
-    ix = np.argsort(mu.points[:, 0], kind="stable")
-    jx = np.argsort(nu.points[:, 0], kind="stable")
-    xs, ws = mu.points[ix, 0], mu.weights[ix]
-    ys, vs = nu.points[jx, 0], nu.weights[jx]
-    cwx = np.cumsum(ws)
-    cwy = np.cumsum(vs)
+    xs = np.sort(mu.points[:, 0], kind="stable")
+    ys = np.sort(nu.points[:, 0], kind="stable")
+    cwx = np.cumsum(np.full(mu.n, 1.0 / mu.n))
+    cwy = np.cumsum(np.full(nu.n, 1.0 / nu.n))
     cwx[-1] = cwy[-1] = 1.0
 
     edges = np.unique(np.concatenate([[0.0], cwx, cwy]))
     mass = np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    ii = np.searchsorted(cwx, mid, side="left")
-    jj = np.searchsorted(cwy, mid, side="left")
-    keep = mass > 0
-    ii, jj, mass = ii[keep], jj[keep], mass[keep]
-
-    gaps = np.abs(xs[ii] - ys[jj])
-    cost = float(np.sum(mass * gaps ** p) ** (1.0 / p))
-    plan = np.column_stack([ix[ii].astype(float), jx[jj].astype(float), mass])
-    return TransportResult(cost=cost, plan=plan)
+    gaps = np.abs(xs[np.searchsorted(cwx, mid)] - ys[np.searchsorted(cwy, mid)])
+    return float(np.sum(mass * gaps ** p) ** (1.0 / p))
 
 
 def wasserstein_1d_rows(p: int, A, B) -> np.ndarray:
@@ -88,7 +61,7 @@ def wasserstein_1d_rows(p: int, A, B) -> np.ndarray:
 
     A and B hold one cloud of n points per row along their last axis; the
     result has their leading shape.  Each value equals, bit for bit,
-    wasserstein_1d(p, ...).cost on the two rows as uniform measures: the
+    wasserstein_1d(p, ...) on the two rows as uniform measures: the
     merged quantile masses of two uniform n-point measures are the steps of
     one cumulative sum, and the root is taken per value as there.
     """
@@ -109,8 +82,8 @@ def wasserstein_1d_rows(p: int, A, B) -> np.ndarray:
     return np.array([c ** root for c in costs.ravel()]).reshape(costs.shape)
 
 
-def wasserstein_assignment(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportResult:
-    """Exact W_p between equal-size uniform clouds via optimal assignment.
+def wasserstein_assignment(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """Exact W_p between equal-size clouds via optimal assignment.
 
     For p = 2 the assignment is solved on the mean-centred clouds.  With a
     and b the means, |x_i - y_j|^2 is |(x_i - a) - (y_j - b)|^2 plus terms
@@ -129,11 +102,6 @@ def wasserstein_assignment(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -
         )
     if mu.n > _MAX_ASSIGNMENT:
         raise ValidationError(f"assignment solver is capped at n={_MAX_ASSIGNMENT}")
-    uniform = 1.0 / mu.n
-    if np.max(np.abs(mu.weights - uniform)) > 1e-12 or np.max(np.abs(nu.weights - uniform)) > 1e-12:
-        raise ValidationError(
-            "assignment solver needs uniform weights; use wasserstein_1d in 1D or resample"
-        )
     if mu.dim != nu.dim:
         raise ValidationError("dimension mismatch")
 
@@ -147,9 +115,7 @@ def wasserstein_assignment(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -
                                         nu.points - nu.points.mean(axis=0), metric=metric)
     rows, cols = linear_sum_assignment(solved)
     total = float(costs[rows, cols].sum()) / mu.n
-    cost = total if p == 1 else total ** 0.5
-    plan = np.column_stack([rows.astype(float), cols.astype(float), np.full(mu.n, uniform)])
-    return TransportResult(cost=cost, plan=plan)
+    return total if p == 1 else total ** 0.5
 
 
 def _certify_lipschitz(func: Observable, pts: np.ndarray, tol: float = 1e-9):
@@ -180,8 +146,7 @@ def kr_dual_lower_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     best = -np.inf
     for func in family:
         _certify_lipschitz(func, pts)
-        val = float(mu.weights @ np.asarray(func.eval(mu.points))
-                    - nu.weights @ np.asarray(func.eval(nu.points)))
+        val = float(np.mean(func.eval(mu.points)) - np.mean(func.eval(nu.points)))
         best = max(best, val)
     if not np.isfinite(best):
         raise ValidationError("dual family is empty")
@@ -223,13 +188,13 @@ def sample_wasserstein(p: int, cloud_a, cloud_b):
 
     The arguments are (n, d) clouds or stacks of them whose leading axes
     broadcast; the result has the broadcast leading shape, or is a float for
-    one pair.  Equal-size 1D stacks go through one batched quantile solve
+    one pair.  Each must pass as_cloud, as an EmpiricalMeasure's points do.
+    Equal-size 1D stacks go through one batched quantile solve
     (wasserstein_1d_rows), a 1D pair of unequal sizes through wasserstein_1d,
     and each pair in higher dimensions through the assignment solver after
     subsampling the larger cloud.
     """
-    A = np.atleast_2d(np.asarray(cloud_a, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(cloud_b, dtype=np.float64))
+    A, B = as_cloud(cloud_a, stack=True), as_cloud(cloud_b, stack=True)
     lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     A, B = np.broadcast_to(A, lead + A.shape[-2:]), np.broadcast_to(B, lead + B.shape[-2:])
     if A.shape == B.shape and A.shape[-1] == 1:
@@ -241,7 +206,7 @@ def sample_wasserstein(p: int, cloud_a, cloud_b):
                 n = min(len(a), len(b), _MAX_ASSIGNMENT)
                 a, b = _even_subsample(a, n), _even_subsample(b, n)
             solve = wasserstein_1d if a.shape[1] == 1 else wasserstein_assignment
-            costs.append(solve(p, EmpiricalMeasure.uniform(a), EmpiricalMeasure.uniform(b)).cost)
+            costs.append(solve(p, EmpiricalMeasure(a), EmpiricalMeasure(b)))
         costs = np.array(costs).reshape(lead)
     return costs if lead else float(costs)
 

@@ -5,13 +5,16 @@ no other test runs them, so a removed or renamed public name would
 otherwise surface only when someone runs one.  Each `demos/*.py` and
 `scripts/*.py` is parsed with `ast`, not executed: the check resolves the
 `from meanfieldlab... import ...` names and the `import meanfieldlab...`
-modules, and takes well under a second.
+modules, and takes well under a second.  The transport demo, which runs in
+under a second, is also run, so a stale call in it fails here too.
 """
 
 import ast
 import glob
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -53,3 +56,10 @@ def test_demo_imports_resolve(path):
             except ImportError:
                 missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def test_the_transport_demo_runs():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", "wasserstein_basics.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -23,7 +23,7 @@ def _static_model(d=1):
     """b = 0, sigma = 0: nothing moves."""
     return ModelSpec(
         drift=DriftKernel(dim=d, eval=lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)),
-                          mean_field=lambda x, points, weights: np.zeros_like(x)),
+                          mean_field=lambda x, points: np.zeros_like(x)),
         diffusion=DiffusionSpec(np.zeros((d, d))),
         initial_law=InitialLaw.gaussian(np.zeros(d), np.eye(d)),
         name="static",
@@ -34,7 +34,7 @@ def _pure_diffusion_model(d=1):
     """b = 0 but sigma = sqrt(2) I."""
     return ModelSpec(
         drift=DriftKernel(dim=d, eval=lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)),
-                          mean_field=lambda x, points, weights: np.zeros_like(x)),
+                          mean_field=lambda x, points: np.zeros_like(x)),
         diffusion=DiffusionSpec.isotropic(d),
         initial_law=InitialLaw.gaussian(np.zeros(d), np.eye(d)),
         name="pure-diffusion",
@@ -334,7 +334,7 @@ def test_divergence_error_reports_the_particle():
     top = start.max()
     m = ModelSpec(
         drift=DriftKernel(dim=1, eval=lambda x, y: np.where(x >= top, np.inf, 0.0),
-                          mean_field=lambda x, points, weights: np.where(x >= top, np.inf, 0.0)),
+                          mean_field=lambda x, points: np.where(x >= top, np.inf, 0.0)),
         diffusion=DiffusionSpec(np.zeros((1, 1))),
         initial_law=InitialLaw.gaussian(np.zeros(1), np.eye(1)),
         name="one-blows-up",
@@ -699,9 +699,9 @@ def test_every_drift_call_sees_contiguous_states():
     # reaches the drift as a C-contiguous state against a C-contiguous cloud
     calls = []
 
-    def mean_field(X, points, weights):
+    def mean_field(X, points):
         calls.append((X.shape, X.flags.c_contiguous and points.flags.c_contiguous))
-        return X - (weights @ points)[..., None, :]
+        return X - points.mean(axis=-2)[..., None, :]
 
     m = ModelSpec(drift=DriftKernel(dim=1, eval=lambda x, y: x - y, mean_field=mean_field),
                   diffusion=DiffusionSpec.isotropic(1),
@@ -721,8 +721,8 @@ def test_every_drift_call_sees_contiguous_states():
 def _threshold_model(levels):
     """No noise, drift -1 (every row climbs dt per step), and an infinite drift on
     rows at or above levels[size of the cloud the state sees]."""
-    def mean_field(X, points, weights):
-        return np.where(X >= levels.get(len(weights), np.inf), np.inf, -1.0)
+    def mean_field(X, points):
+        return np.where(X >= levels.get(points.shape[-2], np.inf), np.inf, -1.0)
 
     return ModelSpec(drift=DriftKernel(dim=1, eval=lambda x, y: -np.ones_like(x),
                                        mean_field=mean_field),

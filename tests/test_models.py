@@ -38,13 +38,10 @@ def _fd_grad(value, z, h=1e-6):
 # the pairwise mean-field drift b[X, p] = integral of b(X, Y) dp(Y)
 
 
-def _drift_at(kernel, x, points, weights=None):
+def _drift_at(kernel, x, points):
     """The pairwise average of b(x, .) over the points, for one state x."""
     points = np.asarray(points, dtype=np.float64)
-    if weights is None:
-        weights = np.full(len(points), 1.0 / len(points))
-    return models._pairwise_average(kernel, np.array([x], dtype=np.float64), points,
-                                    np.asarray(weights, dtype=np.float64))[0]
+    return models._pairwise_average(kernel, np.array([x], dtype=np.float64), points)[0]
 
 
 def test_mean_field_drift_symmetry():
@@ -54,7 +51,7 @@ def test_mean_field_drift_symmetry():
 
 def test_mean_field_drift_mean_cancellation():
     k = DriftKernel(dim=1, eval=lambda x, y: x - y)
-    assert _drift_at(k, [1.0], [[0.0], [2.0]], [0.5, 0.5])[0] == pytest.approx(0.0, abs=1e-15)
+    assert _drift_at(k, [1.0], [[0.0], [2.0]])[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_mean_field_drift_cubic_gradient():
@@ -73,7 +70,7 @@ def test_mean_field_drift_linear_in_measure():
     b = rng.normal(size=(8, 1))
     half_a = _drift_at(k, [0.3], a)
     half_b = _drift_at(k, [0.3], b)
-    whole = _drift_at(k, [0.3], np.vstack([a, b]), np.full(16, 1 / 16))
+    whole = _drift_at(k, [0.3], np.vstack([a, b]))
     assert np.all(np.abs(whole - 0.5 * (half_a + half_b)) < 1e-12)
 
 
@@ -184,18 +181,16 @@ def test_pairwise_drift_does_not_depend_on_block_width(d, monkeypatch):
     assert kernel.mean_field is None
     rng = np.random.default_rng(40 + d)
     n, m, R = 151, 301, 3
-    w = rng.uniform(0.5, 1.5, size=m)
-    w /= w.sum()
     X2 = rng.normal(size=(n, d))
     XR = rng.normal(size=(R, n, d))
     shared = 1.0 + rng.normal(size=(m, d))
-    cases = [(X2, shared, w), (XR, shared, w), (XR, XR, np.full(n, 1.0 / n))]
+    cases = [(X2, shared), (XR, shared), (XR, XR)]
     default = models._PAIRWISE_CHUNK
     assert default < n * m  # the default splits the 2-D case into blocks
     results = {}
     for width in (1, 1000, default, 4_000_000):
         monkeypatch.setattr(models, "_PAIRWISE_CHUNK", width)
-        results[width] = [mean_field_batch(kernel, X, pts, wp) for X, pts, wp in cases]
+        results[width] = [mean_field_batch(kernel, X, pts) for X, pts in cases]
     base = results.pop(4_000_000)
     for width, got in results.items():
         for g, b in zip(got, base):
@@ -208,10 +203,9 @@ def test_pairwise_drift_stays_in_cache_sized_blocks():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(1024, 1))
     cloud = rng.normal(size=(1024, 1))
-    w = np.full(1024, 1 / 1024)
     tracemalloc.start()
     try:
-        mean_field_batch(kernel, X, cloud, w)
+        mean_field_batch(kernel, X, cloud)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -242,13 +236,11 @@ def test_a_cloud_per_replica_that_is_not_the_state_is_a_labelled_error(path):
     X = rng.normal(size=(3, 4, kernel.dim))
     for states, points in [(X, rng.normal(size=(3, 6, kernel.dim))), (X, X.copy()),
                            (X[0], rng.normal(size=(1, 6, kernel.dim)))]:
-        w = np.full(points.shape[-2], 1.0 / points.shape[-2])
         with pytest.raises(ValidationError) as exc:
-            mean_field_batch(kernel, states, points, w)
+            mean_field_batch(kernel, states, points)
         assert f"{points.shape}" in str(exc.value) and f"{states.shape}" in str(exc.value)
-    w = np.full(4, 0.25)
-    assert mean_field_batch(kernel, X, X, w).shape == X.shape
-    assert mean_field_batch(kernel, X, X[1].copy(), w).shape == X.shape
+    assert mean_field_batch(kernel, X, X).shape == X.shape
+    assert mean_field_batch(kernel, X, X[1].copy()).shape == X.shape
 
 
 def test_only_integer_powers_above_2_carry_the_marker():
@@ -276,29 +268,26 @@ def _tied_cloud(rng, centre, m):
     return y
 
 
-def _assert_matches_oracle(kernel, X, points, w, tol=1e-12):
-    fast = kernel.mean_field(X, points, w)
-    slow = models._pairwise_average(kernel, X, points, w)
+def _assert_matches_oracle(kernel, X, points, tol=1e-12):
+    fast = kernel.mean_field(X, points)
+    slow = models._pairwise_average(kernel, X, points)
     assert fast.shape == slow.shape
     assert np.max(np.abs(fast - slow)) <= tol * np.max(np.abs(slow))
 
 
-@pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("centre", [0.0, 3.0, 1e3])
 @pytest.mark.parametrize("p", [3, 4, 5])
-def test_prefix_moment_drift_matches_the_pairwise_oracle(p, centre, uniform):
-    rng = np.random.default_rng(100 * p + int(centre) + uniform)
+def test_prefix_moment_drift_matches_the_pairwise_oracle(p, centre):
+    rng = np.random.default_rng(100 * p + int(centre) + 1)
     kernel = _prefix_kernel(p)
     m = 257
     y = _tied_cloud(rng, centre, m)
-    w = np.full(m, 1.0 / m) if uniform else rng.uniform(0.1, 2.0, size=m)
-    w /= w.sum()
     # fresh states, states equal to cloud points (tied ones included), and
     # states beyond either end of the cloud
     X = np.vstack([centre + rng.normal(size=(64, 1)), y[::7], y[4:6],
                    [[centre - 10.0], [centre + 10.0]]])
-    _assert_matches_oracle(kernel, X, y, w)
-    _assert_matches_oracle(kernel, y, y, w)  # a state against its own cloud
+    _assert_matches_oracle(kernel, X, y)
+    _assert_matches_oracle(kernel, y, y)  # a state against its own cloud
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -312,36 +301,31 @@ def test_prefix_moment_drift_is_a_function_of_the_values_alone(p):
     XR = 2.0 + rng.normal(size=(R, n, 1))
     XR[:, 3:6] = XR[:, :1]  # ties within a row
     XR[1] = XR[0]           # and a row equal to another
-    w_own = np.full(n, 1.0 / n)
     shared = _tied_cloud(rng, 2.0, m)
     per_replica = 2.0 + rng.normal(size=(R, m, 1))
     per_replica[:, :n] = XR  # states equal to points of their own replica's cloud
-    w = rng.uniform(0.5, 1.5, size=m)
-    w /= w.sum()
 
-    own = kernel.mean_field(XR, XR, w_own)
-    with_shared = kernel.mean_field(XR, shared, w)
+    own = kernel.mean_field(XR, XR)
+    with_shared = kernel.mean_field(XR, shared)
     for r in range(R):
         x = XR[r].copy()
-        assert _same_bits(own[r], kernel.mean_field(x, x, w_own))
-        assert _same_bits(own[r], kernel.mean_field(x, x.copy(), w_own))
-        assert _same_bits(with_shared[r], kernel.mean_field(x, shared, w))
-        _assert_matches_oracle(kernel, x, per_replica[r], w)
+        assert _same_bits(own[r], kernel.mean_field(x, x))
+        assert _same_bits(own[r], kernel.mean_field(x, x.copy()))
+        assert _same_bits(with_shared[r], kernel.mean_field(x, shared))
+        _assert_matches_oracle(kernel, x, per_replica[r])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(p=st.sampled_from([3, 4, 5]), m=st.integers(1, 80), n=st.integers(1, 40),
        shift=st.floats(-1e3, 1e3), spread=st.floats(1e-2, 1e2),
-       seed=st.integers(0, 2 ** 32 - 1), uniform=st.booleans(), ties=st.integers(0, 8))
+       seed=st.integers(0, 2 ** 32 - 1), ties=st.integers(0, 8))
 def test_prefix_moment_drift_matches_the_pairwise_oracle_on_random_clouds(
-        p, m, n, shift, spread, seed, uniform, ties):
+        p, m, n, shift, spread, seed, ties):
     rng = np.random.default_rng(seed)
     y = shift + spread * rng.normal(size=(m, 1))
     y[rng.integers(0, m, size=ties)] = y[0]
-    w = np.full(m, 1.0 / m) if uniform else rng.uniform(0.1, 2.0, size=m)
-    w /= w.sum()
     X = np.vstack([shift + spread * rng.normal(size=(n, 1)), y[:ties]])
-    _assert_matches_oracle(_prefix_kernel(p), X, y, w)
+    _assert_matches_oracle(_prefix_kernel(p), X, y)
 
 
 # The prefix-moment drift as written before a state against itself was
@@ -431,26 +415,24 @@ def _cloud_values(rng, shape, kind):
     return x
 
 
+def _uniform(m):
+    """The masses of a uniform m-point cloud, as the old prefix-moment drift takes them."""
+    return np.full(m, 1.0 / m)
+
+
 @pytest.mark.parametrize("kind", CLOUD_KINDS)
-@pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("p", [3, 4, 5])
-def test_prefix_moment_drift_has_the_bits_of_the_rank_gather(p, uniform, kind):
+def test_prefix_moment_drift_has_the_bits_of_the_rank_gather(p, kind):
     # against itself and a shared cloud, for one state, n states and R
     # replicas of n states
-    rng = np.random.default_rng([p, uniform, CLOUD_KINDS.index(kind)])
+    rng = np.random.default_rng([p, 1, CLOUD_KINDS.index(kind)])
     n, m, R = 23, 37, 4
-
-    def weights(size):
-        w = np.full(size, 1.0 / size) if uniform else rng.uniform(0.1, 2.0, size=size)
-        return w / w.sum()
-
     shared = _cloud_values(rng, (m, 1), kind)
-    w = weights(m)
     for shape in [(1, 1), (n, 1), (R, n, 1)]:
         X = _cloud_values(rng, shape, kind)
-        for points, wp in [(X, weights(shape[-2])), (shared, w)]:
-            got = models._power_law_average(p, 0.7, X, points, wp)
-            want = _old_power_law_average(p, 0.7, X, points, wp)
+        for points in (X, shared):
+            got = models._power_law_average(p, 0.7, X, points)
+            want = _old_power_law_average(p, 0.7, X, points, _uniform(points.shape[-2]))
             # only the specials hold a nan, whose sign may differ
             same = _same_bits_or_nan if kind == "specials" else _same_bits
             assert same(got, want), (shape, kind, points is X)
@@ -466,8 +448,6 @@ def test_sorted_query_ranks_have_the_bits_of_the_rank_search(p, kind, monkeypatc
     rng = np.random.default_rng([p, CLOUD_KINDS.index(kind)])
     m, R, n = 129, 4, 24
     y = _cloud_values(rng, (m, 1), kind)
-    w = rng.uniform(0.1, 2.0, size=m)
-    w /= w.sum()
     X = 2.0 + rng.normal(size=(R, n, 1))
     X[:, :6] = y[rng.integers(0, m, size=6)]
     X[:, 6:9] = X[:, 6:7]
@@ -484,10 +464,10 @@ def test_sorted_query_ranks_have_the_bits_of_the_rank_search(p, kind, monkeypatc
     monkeypatch.setattr(models.np, "searchsorted", sorted_search)
     for x in (X, X[2], X[3, 10:11]):
         keys.clear()
-        got = models._power_law_average(p, 0.7, x, y, w)
+        got = models._power_law_average(p, 0.7, x, y)
         [key] = keys  # one search, of each row's queries in sorted order
         assert np.array_equal(key, np.sort(x[..., 0], axis=-1), equal_nan=True)
-        assert _same_bits_or_nan(got, _old_power_law_average(p, 0.7, x, y, w)), x.shape
+        assert _same_bits_or_nan(got, _old_power_law_average(p, 0.7, x, y, _uniform(m))), x.shape
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -498,13 +478,11 @@ def test_a_tie_in_one_replica_changes_no_other_replicas_bits(p):
     R, n = 5, 41
     X = rng.normal(size=(R, n, 1))
     X[2, 7:11] = X[2, 3]
-    w = rng.uniform(0.1, 2.0, size=n)
-    w /= w.sum()
-    batch = models._power_law_average(p, 0.7, X, X, w)
-    assert _same_bits(batch, _old_power_law_average(p, 0.7, X, X, w))
+    batch = models._power_law_average(p, 0.7, X, X)
+    assert _same_bits(batch, _old_power_law_average(p, 0.7, X, X, _uniform(n)))
     for r in range(R):
         x = X[r].copy()
-        assert _same_bits(batch[r], models._power_law_average(p, 0.7, x, x, w)), r
+        assert _same_bits(batch[r], models._power_law_average(p, 0.7, x, x)), r
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -525,14 +503,12 @@ def test_self_interaction_counts_come_from_the_one_sort(p, monkeypatch):
             cases.append(x)
     for x in cases:
         X = x[..., None]
-        w = rng.uniform(0.1, 2.0, size=x.shape[-1])
-        w /= w.sum()
         with monkeypatch.context() as patch:
             patch.setattr(models.np, "searchsorted", None)  # no rank is searched
-            got = models._power_law_average(p, 0.7, X, X, w)
+            got = models._power_law_average(p, 0.7, X, X)
         same = _same_bits_or_nan if np.isnan(x).any() else _same_bits
         for r in np.ndindex(X.shape[:-2]):
-            assert same(got[r], models._power_law_average(p, 0.7, X[r], X[r].copy(), w)), r
+            assert same(got[r], models._power_law_average(p, 0.7, X[r], X[r].copy())), r
 
 
 @pytest.mark.parametrize("dim, pairwise", [(1, False), (2, True)])
@@ -619,9 +595,8 @@ def test_linear_model_closed_form_values():
     m = _ou_model()
     # the drift reads the state alone: two different clouds give the same bits
     X = np.random.default_rng(3).normal(size=(5, 1))
-    w = np.full(4, 0.25)
-    near = mean_field_batch(m.drift, X, np.zeros((4, 1)), w)
-    far = mean_field_batch(m.drift, X, np.arange(4.0)[:, None] * 100.0, w)
+    near = mean_field_batch(m.drift, X, np.zeros((4, 1)))
+    far = mean_field_batch(m.drift, X, np.arange(4.0)[:, None] * 100.0)
     assert np.array_equal(near.view(np.uint64), far.view(np.uint64))
     assert m.drift.eval(np.array([2.0]), np.array([-1.0]))[0] == pytest.approx(2.0)
 
@@ -633,9 +608,8 @@ def test_ou_mean_field_is_the_deleted_kernel_bit_for_bit(rate, d):
     m = _ou_model(rate, d=d)
     X = rng.normal(size=(3, 5, d)) * 4.0 + 3.0
     for points in (rng.normal(size=(7, d)), rng.normal(size=(7, d)) * 50.0, X):
-        w = rng.dirichlet(np.ones(points.shape[-2]))
-        assert _same_bits(mean_field_batch(m.drift, X, points, w), rate * X)
-        assert _same_bits(mean_field_batch(m.drift, X[0], X[0] if points is X else points, w),
+        assert _same_bits(mean_field_batch(m.drift, X, points), rate * X)
+        assert _same_bits(mean_field_batch(m.drift, X[0], X[0] if points is X else points),
                           rate * X[0])
 
 
