@@ -275,13 +275,18 @@ def _assert_matches_oracle(kernel, X, points, tol=1e-12):
     assert np.max(np.abs(fast - slow)) <= tol * np.max(np.abs(slow))
 
 
+@pytest.mark.parametrize("replicated", [False, True])
 @pytest.mark.parametrize("centre", [0.0, 3.0, 1e3])
 @pytest.mark.parametrize("p", [3, 4, 5])
-def test_prefix_moment_drift_matches_the_pairwise_oracle(p, centre):
-    rng = np.random.default_rng(100 * p + int(centre) + 1)
+def test_prefix_moment_drift_matches_the_pairwise_oracle(p, centre, replicated):
+    rng = np.random.default_rng(100 * p + int(centre) + (not replicated))
     kernel = _prefix_kernel(p)
     m = 257
     y = _tied_cloud(rng, centre, m)
+    if replicated:
+        # each point repeated 1 to 6 times: the unequal masses k_i / sum(k)
+        # of a weighted measure, as a uniform cloud
+        y = np.repeat(y, rng.integers(1, 7, size=m), axis=0)
     # fresh states, states equal to cloud points (tied ones included), and
     # states beyond either end of the cloud
     X = np.vstack([centre + rng.normal(size=(64, 1)), y[::7], y[4:6],
