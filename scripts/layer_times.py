@@ -17,7 +17,12 @@ Each layer is timed on its own, at the shapes the engine calls it with:
 - the transport solver, `wasserstein.wasserstein_assignment` with p = 2 in
   d = 2, on two n-point clouds of the same law and on clouds whose means lie
   3 apart in each coordinate (as the W2 curve of `equilibrium_2d` starts), at
-  n = 64, 128, 256 and 512.
+  n = 64, 128, 256 and 512;
+- the 1-D quantile coupling, `sample_w2` in d = 1, on a stack of 22
+  200-point clouds against 22 others (the raw and floor solves of a
+  `chaos_quadratic` run's sample-W2) and on 4 200-point clouds against one
+  of 128 points (the sample-W2 of a chaos run whose reference has fewer
+  points than its replicas).
 
 A round times a loop of calls at one shape (CALLS, or TRANSPORT_CALLS for
 the transport solver); the script prints one JSON line with the best and the
@@ -39,7 +44,8 @@ import time
 import numpy as np
 
 from meanfieldlab import (DiffusionSpec, EmpiricalMeasure, euler_step, granular_media_model,
-                          power_potential, quadratic_potential, wasserstein_assignment)
+                          power_potential, quadratic_potential, sample_w2,
+                          wasserstein_assignment)
 from meanfieldlab.models import mean_field_batch
 from meanfieldlab.rng import NoiseGrid
 
@@ -61,6 +67,9 @@ EULER_SHAPES = {"1x1024": (1, 1024), "20x16": (20, 16), "20x32": (20, 32), "20x6
 # (points per cloud, shift of the second cloud's mean in each coordinate)
 TRANSPORT_SHAPES = {f"{n} {name}": (n, shift) for n in (64, 128, 256, 512)
                     for name, shift in (("same law", 0.0), ("shifted by 3", 3.0))}
+# (clouds, points per cloud, points of the one other cloud) of a 1-D sample_w2
+# call; no other cloud is a stack of as many clouds of the same size
+QUANTILE_SHAPES = {"22x200 vs 22x200": (22, 200, None), "4x200 vs 128": (4, 200, 128)}
 CALLS = 200  # calls per round
 TRANSPORT_CALLS = 5  # calls per round of a transport solve, up to ~0.1 s each
 
@@ -102,6 +111,15 @@ def _transport_call(n, shift):
     return lambda: wasserstein_assignment(2, mu, nu)
 
 
+def _quantile_call(clouds, n, other):
+    """A 1-D sample_w2 between fixed normal clouds: a stack of n-point clouds against
+    as many others, or against one other-point cloud."""
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(clouds, n, 1))
+    B = rng.normal(size=(clouds, n, 1) if other is None else (other, 1))
+    return lambda: sample_w2(A, B)
+
+
 def _pick(shapes: dict, smallest: bool, size=lambda shape: shape[0] * shape[1]) -> dict:
     """Every shape, or with smallest those of the least size."""
     if not smallest:
@@ -140,6 +158,8 @@ def main(argv=None) -> dict:
     euler = {name: _euler_call(*shape, rng) for name, shape in _pick(EULER_SHAPES, small).items()}
     transport = {name: _transport_call(*shape) for name, shape in
                  _pick(TRANSPORT_SHAPES, small, size=lambda shape: shape[0]).items()}
+    quantile = {name: _quantile_call(*shape) for name, shape in
+                _pick(QUANTILE_SHAPES, small).items()}
 
     result = {"unit": "us per call", "rounds": args.rounds, "calls": CALLS,
               "transport_calls": TRANSPORT_CALLS,
@@ -147,7 +167,8 @@ def main(argv=None) -> dict:
               "increments": {k: _time(f, args.rounds) for k, f in noise.items()},
               "euler_step": {k: _time(f, args.rounds) for k, f in euler.items()},
               "wasserstein_assignment": {k: _time(f, args.rounds, TRANSPORT_CALLS)
-                                         for k, f in transport.items()}}
+                                         for k, f in transport.items()},
+              "sample_w2_1d": {k: _time(f, args.rounds) for k, f in quantile.items()}}
     print(json.dumps(result))
     return result
 

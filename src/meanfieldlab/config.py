@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 
 from .engine import (equilibrium_time_errors, n_grid_errors, reference_size_errors,
                      time_grid_errors)
-from .errors import ValidationError
+from .errors import ValidationError, count_errors
 from .rng import seed_errors
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "observable_errors",
@@ -181,22 +181,19 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
                     f"{_suggest(cfg.experiment.kind, EXPERIMENT_KINDS)}")
     errs.extend(f"[sim] {e}"
                 for e in time_grid_errors(cfg.sim.dt, cfg.sim.t_final, cfg.sim.allow_large_dt))
-    if cfg.sim.replicas < 1:
-        errs.append("[sim] replicas must be >= 1")
+    errs.extend(count_errors("[sim] replicas", cfg.sim.replicas))
     errs.extend(f"[sim] {e}" for e in seed_errors(cfg.sim.seed))
-    if cfg.model.dim < 1:
-        errs.append("[model] dim must be >= 1")
+    errs.extend(count_errors("[model] dim", cfg.model.dim))
     if cfg.experiment.kind == "chaos_rate":
         errs.extend(f"[sim] {e}" for e in n_grid_errors(cfg.sim.n_grid))
-    elif cfg.sim.n_particles < 1:
-        errs.append("[sim] n_particles must be >= 1 for this experiment")
+    else:
+        errs.extend(count_errors("[sim] n_particles", cfg.sim.n_particles))
     if cfg.experiment.kind in ("observable_deviation", "empirical_deviation") \
             and not cfg.experiment.r_grid:
         errs.append("[experiment] r_grid is required for deviation experiments")
     chaos_grid = cfg.sim.n_grid if cfg.experiment.kind == "chaos_rate" else ()
     errs.extend(f"[reference] {e}" for e in reference_size_errors(cfg.reference.m, chaos_grid))
-    if cfg.output.snapshot_stride < 1:
-        errs.append("[output] snapshot_stride must be >= 1")
+    errs.extend(count_errors("[output] snapshot_stride", cfg.output.snapshot_stride))
     if cfg.experiment.kind == "equilibrium":
         errs.extend(f"[experiment] {e}" for e in equilibrium_time_errors(
             cfg.sim.dt, cfg.experiment.t_equilibrium, cfg.experiment.gap_times))

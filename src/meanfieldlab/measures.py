@@ -25,9 +25,10 @@ def as_cloud(points, stack: bool = False) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """The uniform measure (1/n) sum of Dirac masses at n finite points (n, d)."""
+    """The uniform measure (1/n) sum of Dirac masses at n finite points (n, d); equal
+    only to itself."""
 
     points: np.ndarray
 

@@ -1,15 +1,16 @@
 """Exact Wasserstein distances between empirical measures, plus the dual lower bound.
 
 Every measure is a uniform cloud.  Two exact solvers: the monotone quantile
-coupling in one dimension (any sizes; batched over stacks of equal-size
-clouds), and optimal assignment for equal-size clouds in any dimension.  No
-entropic regularization anywhere; downstream tests assert inequalities at
-1e-9 and regularization would blur them.  sample_wasserstein alone picks the
-solver for sample clouds: one pair or broadcasting stacks of pairs.
+coupling in one dimension, one kernel batched over stacks of clouds of any
+two sizes, and optimal assignment for equal-size clouds in any dimension.
+No entropic regularization anywhere; downstream tests assert inequalities
+at 1e-9 and regularization would blur them.  sample_wasserstein alone
+picks the solver for sample clouds: one pair or broadcasting stacks of pairs.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +21,6 @@ from .models import Observable
 
 __all__ = [
     "wasserstein_1d",
-    "wasserstein_1d_rows",
     "wasserstein_assignment",
     "kr_dual_lower_bound",
     "quantile_dual_family",
@@ -33,51 +33,49 @@ _MAX_ASSIGNMENT = 4096
 
 
 def wasserstein_1d(p: int, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Exact W_p on the line via the monotone (quantile) coupling.
-
-    Clouds of unequal sizes n and m split their mass at the merged steps of
-    the two cumulative distributions, multiples of 1/n and of 1/m.
-    """
-    if p not in (1, 2):
-        raise ValidationError("order p must be 1 or 2")
+    """Exact W_p on the line via the monotone (quantile) coupling, at any two sizes."""
     if mu.dim != 1 or nu.dim != 1:
         raise ValidationError("wasserstein_1d needs one-dimensional measures")
+    return float(_wasserstein_1d_rows(p, mu.points[:, 0], nu.points[:, 0]))
 
-    xs = np.sort(mu.points[:, 0], kind="stable")
-    ys = np.sort(nu.points[:, 0], kind="stable")
-    cwx = np.cumsum(np.full(mu.n, 1.0 / mu.n))
-    cwy = np.cumsum(np.full(nu.n, 1.0 / nu.n))
+
+@functools.lru_cache(maxsize=None)
+def _merged_steps(n: int, m: int) -> tuple:
+    """The masses of the merged steps of two uniform n- and m-point CDFs, and the
+    rank in each sorted cloud that every step couples, built once per (n, m).
+
+    The steps end at the multiples of 1/n and of 1/m, so each is a mass of
+    the quantile coupling between one point of each cloud (Bobkov & Ledoux,
+    Mem. AMS 261, 2019).  At n == m the ranks are 0 .. n-1 in both clouds.
+    """
+    cwx = np.cumsum(np.full(n, 1.0 / n))
+    cwy = np.cumsum(np.full(m, 1.0 / m))
     cwx[-1] = cwy[-1] = 1.0
-
-    edges = np.unique(np.concatenate([[0.0], cwx, cwy]))
-    mass = np.diff(edges)
+    # np.unique of these edges, without the numpy.ma import it makes on first use
+    edges = np.sort(np.concatenate([[0.0], cwx, cwy]), kind="stable")
+    edges = edges[np.diff(edges, prepend=-1.0) > 0]
     mid = 0.5 * (edges[:-1] + edges[1:])
-    gaps = np.abs(xs[np.searchsorted(cwx, mid)] - ys[np.searchsorted(cwy, mid)])
-    return float(np.sum(mass * gaps ** p) ** (1.0 / p))
+    steps = np.diff(edges), np.searchsorted(cwx, mid), np.searchsorted(cwy, mid)
+    for a in steps:
+        a.flags.writeable = False
+    return steps
 
 
-def wasserstein_1d_rows(p: int, A, B) -> np.ndarray:
-    """Exact W_p between row k of A and row k of B, equal-size uniform clouds on the line.
+def _wasserstein_1d_rows(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Exact W_p between the clouds along the last axes of A (..., n) and B (..., m),
+    finite uniform clouds on the line whose leading axes broadcast.
 
-    A and B hold one cloud of n points per row along their last axis; the
-    result has their leading shape.  Each value equals, bit for bit,
-    wasserstein_1d(p, ...) on the two rows as uniform measures: the
-    merged quantile masses of two uniform n-point measures are the steps of
-    one cumulative sum, and the root is taken per value as there.
+    Every row gathers its sorted points at the shared merged steps.  np.take
+    keeps the gathered rows C-contiguous, so each row's sum rounds as the
+    sum of that row alone; the root is taken per value as an np.float64 **
+    (1 / p), C pow, where an array ** 0.5 would be sqrt.
     """
     if p not in (1, 2):
         raise ValidationError("order p must be 1 or 2")
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.shape != B.shape or A.ndim < 1 or A.shape[-1] == 0:
-        raise ValidationError(f"need equal, nonempty cloud shapes, got {A.shape} and {B.shape}")
-    n = A.shape[-1]
-    edges = np.cumsum(np.full(n, 1.0 / n))
-    edges[-1] = 1.0
-    mass = np.diff(edges, prepend=0.0)
-    gaps = np.abs(np.sort(A, axis=-1, kind="stable") - np.sort(B, axis=-1, kind="stable"))
-    costs = np.sum(mass * gaps ** p, axis=-1)
-    # np.float64 ** exponent is C pow, as in wasserstein_1d; an array ** 0.5 would be sqrt
+    mass, ix, iy = _merged_steps(A.shape[-1], B.shape[-1])
+    xs = np.take(np.sort(A, axis=-1, kind="stable"), ix, axis=-1)
+    ys = np.take(np.sort(B, axis=-1, kind="stable"), iy, axis=-1)
+    costs = np.sum(mass * np.abs(xs - ys) ** p, axis=-1)
     root = 1.0 / p
     return np.array([c ** root for c in costs.ravel()]).reshape(costs.shape)
 
@@ -184,29 +182,27 @@ def _even_subsample(points: np.ndarray, size: int) -> np.ndarray:
 
 
 def sample_wasserstein(p: int, cloud_a, cloud_b):
-    """W_p between uniform sample clouds, exact after an even-strided size match.
+    """W_p between uniform sample clouds, exact, at any sizes in 1D and after an
+    even-strided size match in higher dimensions.
 
     The arguments are (n, d) clouds or stacks of them whose leading axes
     broadcast; the result has the broadcast leading shape, or is a float for
     one pair.  Each must pass as_cloud, as an EmpiricalMeasure's points do.
-    Equal-size 1D stacks go through one batched quantile solve
-    (wasserstein_1d_rows), a 1D pair of unequal sizes through wasserstein_1d,
-    and each pair in higher dimensions through the assignment solver after
-    subsampling the larger cloud.
+    A 1D stack of any two sizes is one batched quantile solve, bit-equal to
+    wasserstein_1d on each pair; in higher dimensions each pair goes to the
+    assignment solver after subsampling the larger cloud.
     """
     A, B = as_cloud(cloud_a, stack=True), as_cloud(cloud_b, stack=True)
     lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-    A, B = np.broadcast_to(A, lead + A.shape[-2:]), np.broadcast_to(B, lead + B.shape[-2:])
-    if A.shape == B.shape and A.shape[-1] == 1:
-        costs = wasserstein_1d_rows(p, A[..., 0], B[..., 0])
+    if A.shape[-1] == B.shape[-1] == 1:
+        costs = _wasserstein_1d_rows(p, A[..., 0], B[..., 0])
     else:
+        A, B = np.broadcast_to(A, lead + A.shape[-2:]), np.broadcast_to(B, lead + B.shape[-2:])
         costs = []
         for a, b in zip(A.reshape((-1,) + A.shape[-2:]), B.reshape((-1,) + B.shape[-2:])):
-            if a.shape[1] > 1:
-                n = min(len(a), len(b), _MAX_ASSIGNMENT)
-                a, b = _even_subsample(a, n), _even_subsample(b, n)
-            solve = wasserstein_1d if a.shape[1] == 1 else wasserstein_assignment
-            costs.append(solve(p, EmpiricalMeasure(a), EmpiricalMeasure(b)))
+            n = min(len(a), len(b), _MAX_ASSIGNMENT)
+            costs.append(wasserstein_assignment(p, EmpiricalMeasure(_even_subsample(a, n)),
+                                                EmpiricalMeasure(_even_subsample(b, n))))
         costs = np.array(costs).reshape(lead)
     return costs if lead else float(costs)
 

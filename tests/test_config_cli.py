@@ -468,8 +468,12 @@ def test_cli_validate_ok(tmp_path, capsys):
      "[experiment] target_var must be nonnegative"),
     (GAUSSIAN_TARGET_CFG.replace("[sim]", "init_var = -1\n\n[sim]"),
      "[model] init_var must be nonnegative"),
+    # count_errors is the one count rule, and its message names the value
+    (CHAOS_CFG.replace("replicas = 4", "replicas = 0"), "[sim] replicas must be >= 1, not 0\n"),
+    (CHAOS_CFG.replace("[output]", "[output]\nsnapshot_stride = 0"),
+     "[output] snapshot_stride must be >= 1, not 0\n"),
 ], ids=["unknown-key", "zero-dim", "negative-dim", "negative-target-var",
-        "negative-init-var"])
+        "negative-init-var", "zero-replicas", "zero-snapshot-stride"])
 def test_cli_validate_bad_config(text, message, tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     out = tmp_path / "out"

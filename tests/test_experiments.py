@@ -409,14 +409,17 @@ def test_equilibrium_last_gap_is_the_chaos_rate_terminal_gap(replicas):
 
 
 # Each run has 5 steps recorded at steps 0, 2, 4 and 5, a 256-point reference
-# and 128 values per replica chunk.  d = 1 makes one batched solve per site
-# and chunk and never reaches wasserstein_1d; d = 2 makes one exact
-# assignment per pair of clouds.  (kind, dim, [sim] lines, [experiment]
-# lines, batched solves, assignments)
+# unless the case names another size, and 128 values per replica chunk.
+# d = 1 makes one batched solve per site and chunk and never reaches
+# wasserstein_1d; d = 2 makes one exact assignment per pair of clouds.
+# (kind, dim, [sim] lines, [experiment] lines, batched solves, assignments)
 TRANSPORT_CASES = {
     # 16 reference chunks give 8 raw solves per N and 4 floor pairs, solved
     # once for the whole grid: in d = 1 all of them in one batched solve
     "chaos_1d": ("chaos_rate", 1, "n_grid = 4, 8, 16\nreplicas = 9", "", 1, 0),
+    # 200 one-particle draws per N against an even subsample of the 128-point
+    # reference: unequal sizes, in one batched solve too
+    "chaos_1d_unequal": ("chaos_rate", 1, "n_grid = 4, 8\nreplicas = 200", "", 1, 0),
     "chaos_2d": ("chaos_rate", 2, "n_grid = 4, 8\nreplicas = 9", "", 0, 2 * 8 + 4),
     # a W1 per replica and snapshot; 16 particles x 4 snapshots: 2 replicas a chunk
     "empirical_1d": ("empirical_deviation", 1, "n_particles = 16\nreplicas = 40",
@@ -427,12 +430,13 @@ TRANSPORT_CASES = {
     "equilibrium_1d": ("equilibrium", 1, "n_particles = 16\nreplicas = 4",
                        "t_equilibrium = 0.5\n", 1 + 2, 0),
 }
+REFERENCE_SIZES = {"chaos_1d_unequal": 128}
 
 
 @pytest.mark.parametrize("case", sorted(TRANSPORT_CASES))
 def test_transport_calls_per_site(case, monkeypatch, tmp_path):
     kind, dim, sim, experiment, batched, assignments = TRANSPORT_CASES[case]
-    calls = {"wasserstein_1d": 0, "wasserstein_assignment": 0, "wasserstein_1d_rows": 0}
+    calls = {"wasserstein_1d": 0, "wasserstein_assignment": 0, "_wasserstein_1d_rows": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -443,17 +447,17 @@ def test_transport_calls_per_site(case, monkeypatch, tmp_path):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(wasserstein, "wasserstein_1d")
-    counted(wasserstein, "wasserstein_assignment")
-    counted(wasserstein, "wasserstein_1d_rows")
+    for name in calls:
+        counted(wasserstein, name)
     monkeypatch.setattr(experiments, "_BATCH_VALUES", 128)
     run(parse_config(f"[model]\nfamily = granular_quadratic\ndim = {dim}\n"
                      f"[sim]\ndt = 0.1\nt_final = 0.5\nseed = 3\n{sim}\n"
-                     f"[reference]\nm = 256\n[experiment]\nkind = {kind}\n{experiment}"
+                     f"[reference]\nm = {REFERENCE_SIZES.get(case, 256)}\n"
+                     f"[experiment]\nkind = {kind}\n{experiment}"
                      f"[output]\nplots = false\nsnapshot_stride = 2\n"),
         output_dir=str(tmp_path))
     assert calls == {"wasserstein_1d": 0, "wasserstein_assignment": assignments,
-                     "wasserstein_1d_rows": batched}
+                     "_wasserstein_1d_rows": batched}
 
 
 @pytest.mark.parametrize("kind", ["chaos_rate", "observable_deviation", "empirical_deviation",

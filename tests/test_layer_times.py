@@ -23,6 +23,8 @@ def test_layer_times_prints_best_and_median_per_layer(capsys):
     assert set(result["increments"]) == {"20x64"}
     assert set(result["euler_step"]) == {"20x16"}
     assert set(result["wasserstein_assignment"]) == {"64 same law", "64 shifted by 3"}
-    for layer in ("mean_field_batch", "increments", "euler_step", "wasserstein_assignment"):
+    assert set(result["sample_w2_1d"]) == {"4x200 vs 128"}
+    for layer in ("mean_field_batch", "increments", "euler_step", "wasserstein_assignment",
+                  "sample_w2_1d"):
         for times in result[layer].values():
             assert 0 < times["best"] <= times["median"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from meanfieldlab import (EmpiricalMeasure, Observable, ValidationError,
                           kr_dual_lower_bound, quantile_dual_family, sample_w1,
                           sample_w2, wasserstein_1d, wasserstein_assignment)
-from meanfieldlab.wasserstein import sample_wasserstein, wasserstein_1d_rows
+from meanfieldlab.wasserstein import _wasserstein_1d_rows, sample_wasserstein
 
 
 def _brute_force_permutation(p, xs, ys):
@@ -47,6 +47,17 @@ def test_empirical_measure_refuses_non_finite_points(points):
     # a nan point used to build, and wasserstein_1d then returned a nan cost
     with pytest.raises(ValidationError, match="support points must be finite"):
         EmpiricalMeasure(points)
+
+
+def test_a_measure_is_equal_only_to_itself_and_hashes():
+    # field-wise eq compared the points arrays, so == or != between two
+    # measures on equal points raised numpy's "truth value of an array ...
+    # is ambiguous", and hash(m) raised "unhashable type"
+    m, same_points = EmpiricalMeasure(np.zeros((3, 1))), EmpiricalMeasure(np.zeros((3, 1)))
+    assert m == m
+    assert m != same_points and not m == same_points
+    assert hash(m) == hash(m)
+    assert len({m, same_points}) == 2
 
 
 def test_two_diracs():
@@ -366,15 +377,18 @@ def test_an_empty_sample_cloud_is_refused(a, b):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("shape", [(3, 1), (2, 3, 1)], ids=["pair", "stack"])
-def test_a_non_finite_sample_cloud_is_refused_on_the_equal_size_1d_path(shape, bad):
-    # the batched quantile solve returned nan or inf, where the unequal-size
-    # and d >= 2 paths already refused the cloud
-    b = np.zeros(shape)
+@pytest.mark.parametrize("shapes", [((3, 1), (3, 1)), ((2, 3, 1), (2, 3, 1)),
+                                    ((3, 1), (5, 1)), ((2, 3, 1), (4, 1))],
+                         ids=["pair", "stack", "unequal-pair", "unequal-stack"])
+def test_a_non_finite_sample_cloud_is_refused_on_the_equal_size_1d_path(shapes, bad):
+    # the batched quantile solve of equal sizes returned nan or inf, where the
+    # unequal-size and d >= 2 paths already refused the cloud; every 1D size
+    # now takes the batched solve, so the refusal is as_cloud's for all of them
+    b = np.zeros(shapes[1])
     b[..., 1, 0] = bad
     for metric in (sample_w1, sample_w2):
         with pytest.raises(ValidationError, match="support points must be finite"):
-            metric(np.zeros(shape), b)
+            metric(np.zeros(shapes[0]), b)
 
 
 def test_sample_w2_consistency_under_refinement():
@@ -408,7 +422,7 @@ STACK_CASES = [
     ((2, 3, 9, 1), (3, 9, 1)),      # leading axes broadcast
     ((5, 9, 1), (9, 1)),            # stack against one broadcast cloud
     ((9, 1), (4, 9, 1)),
-    ((3, 7, 1), (5, 1)),            # 1D, unequal sizes: a quantile solve per pair
+    ((3, 7, 1), (5, 1)),            # 1D, unequal sizes: one batched solve too
     ((2, 2, 6, 2), (2, 6, 2)),      # d = 2, equal sizes
     ((3, 8, 2), (5, 2)),            # d = 2, unequal sizes: subsampled per pair
     ((9, 1), (9, 1)), ((7, 1), (5, 1)), ((6, 2), (6, 2)), ((9, 2), (6, 2)),
@@ -451,21 +465,58 @@ def test_batched_rows_equal_per_pair_quantile_solves(n, rows, p, kinds, centers,
     B = _cloud_rows(rng, kinds[1], (rows, n), centers[1])
     if kinds == ("zeros", "zeros"):
         B[:, : n // 2] = A[:, : n // 2]  # exact ties across the clouds too
-    got = wasserstein_1d_rows(p, A, B)
+    got = _wasserstein_1d_rows(p, A, B)
     want = np.array([wasserstein_1d(p, _measure(a), _measure(b)) for a, b in zip(A, B)])
     assert got.shape == (rows,)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _old_wasserstein_1d(p, xs, ys):
+    """W_p between uniform clouds xs (n,) and ys (m,) on the line by the scalar
+    merged-step solver that the batched kernel replaced, kept as its bit
+    oracle: the masses split at the merged steps of the two CDFs, multiples
+    of 1/n and of 1/m, each coupling one point of each sorted cloud."""
+    xs, ys = np.sort(xs, kind="stable"), np.sort(ys, kind="stable")
+    cwx = np.cumsum(np.full(len(xs), 1.0 / len(xs)))
+    cwy = np.cumsum(np.full(len(ys), 1.0 / len(ys)))
+    cwx[-1] = cwy[-1] = 1.0
+    edges = np.unique(np.concatenate([[0.0], cwx, cwy]))
+    mass = np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    gaps = np.abs(xs[np.searchsorted(cwx, mid)] - ys[np.searchsorted(cwy, mid)])
+    return float(np.sum(mass * gaps ** p) ** (1.0 / p))
+
+
+def test_the_kernel_is_the_old_merged_step_solver_bit_for_bit():
+    # unequal sizes with ties within and across the clouds, signed zeros and
+    # 1e3 offsets; each pair solved alone, through wasserstein_1d and as row 1
+    # of a 3-row stack, whose row sums round as that row's sum alone
+    rng = np.random.default_rng(14)
+    kinds = list(itertools.product(["normal", "ties", "zeros"], repeat=2))
+    for case in range(1200):
+        n, m = rng.integers(1, 300, size=2)
+        m += n == m
+        p = 1 + case // 4 % 2
+        A = _cloud_rows(rng, kinds[case % 9][0], (3, n), 1e3 * (case % 2))
+        B = _cloud_rows(rng, kinds[case % 9][1], (3, m), 1e3 * (case // 2 % 2))
+        want = np.float64(_old_wasserstein_1d(p, A[1], B[1])).view(np.uint64)
+        got = np.array([_wasserstein_1d_rows(p, A, B)[1], _wasserstein_1d_rows(p, A[1], B[1]),
+                        wasserstein_1d(p, _measure(A[1, :, None]), _measure(B[1, :, None]))])
+        assert (got.view(np.uint64) == want).all(), (n, m, p, case)
+
+
 def test_batched_rows_keep_leading_shape_and_validate():
+    # any two sizes, and leading axes that broadcast; the cloud rule (shapes,
+    # emptiness, finiteness) is as_cloud's, applied before the kernel
     rng = np.random.default_rng(4)
-    A, B = rng.normal(size=(2, 3, 7)), rng.normal(size=(2, 3, 7))
-    got = wasserstein_1d_rows(2, A, B)
-    assert got.shape == (2, 3)
-    assert got[1, 2] == wasserstein_1d(2, _measure(A[1, 2]), _measure(B[1, 2]))
-    for p, a, b in ((3, A, B), (1, A, B[..., :6]), (1, A[..., :0], B[..., :0])):
-        with pytest.raises(ValidationError):
-            wasserstein_1d_rows(p, a, b)
+    A = rng.normal(size=(2, 3, 7))
+    for B in (rng.normal(size=(2, 3, 7)), rng.normal(size=(2, 3, 6)), rng.normal(size=(3, 4))):
+        got = _wasserstein_1d_rows(2, A, B)
+        assert got.shape == (2, 3)
+        b = np.broadcast_to(B, (2, 3, B.shape[-1]))[1, 2]
+        assert got[1, 2] == wasserstein_1d(2, _measure(A[1, 2]), _measure(b))
+    with pytest.raises(ValidationError, match="order p must be 1 or 2"):
+        _wasserstein_1d_rows(3, A, A)
 
 
 def test_batched_rows_take_the_root_as_scalar_pow():
@@ -473,7 +524,7 @@ def test_batched_rows_take_the_root_as_scalar_pow():
     # takes its root as wasserstein_1d does, as an np.float64 ** 0.5
     rng = np.random.default_rng(8)
     A, B = rng.normal(size=(4000, 2)), rng.normal(size=(4000, 2))
-    got = wasserstein_1d_rows(2, A, B)
+    got = _wasserstein_1d_rows(2, A, B)
     want = np.array([wasserstein_1d(2, _measure(a), _measure(b)) for a, b in zip(A, B)])
     assert np.array_equal(got, want)
     costs = np.sum(0.5 * (np.sort(A) - np.sort(B)) ** 2, axis=1)
