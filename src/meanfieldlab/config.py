@@ -52,7 +52,7 @@ class SimBlock:
 
 @dataclass
 class ReferenceBlock:
-    m: int = 0                      # 0 resolves to 16 * max N at run time
+    m: int = 0                      # 0 is the default size, 16 N (16 max N for chaos_rate)
 
 
 @dataclass

@@ -70,10 +70,12 @@ def n_grid_errors(n_grid) -> list[str]:
 def reference_size_errors(m: int, n_grid) -> list[str]:
     """Every rule that a reference flow of m particles breaks, one message each.
 
-    m = 0 stands for the default size.  A chaos-rate reference is shared by
-    its whole grid of sizes N, so with a grid n_grid it needs M >= 16 max N;
-    the other experiments pass an empty grid.
+    m is an integer, not a bool, and 0 stands for the default size.  A
+    chaos-rate reference is shared by its whole grid of sizes N, so with a
+    grid n_grid it needs M >= 16 max N; the other experiments pass none.
     """
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        return [f"m must be an integer, not {m!r}"]
     if m < 0:
         return [f"m must be >= 0, 0 for the default size (m={m})"]
     if m and n_grid and m < 16 * max(n_grid):
@@ -108,6 +110,8 @@ def equilibrium_time_errors(dt: float, t_equilibrium: float, gap_times) -> list[
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A run's time grid, size, noise and snapshot grid, validated on construction."""
+
     dt: float
     t_final: float
     n_particles: int
@@ -129,6 +133,12 @@ class SimConfig:
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
+    @property
+    def record_steps(self) -> np.ndarray:
+        """The snapshot grid: step 0, every snapshot_stride-th step and the last."""
+        ks = np.arange(0, self.n_steps + 1, self.snapshot_stride)
+        return ks if ks[-1] == self.n_steps else np.append(ks, self.n_steps)
+
     def noise(self) -> NoiseGrid:
         return NoiseGrid(self.seed, self.replica_id)
 
@@ -149,10 +159,9 @@ class TrajectoryEnsemble:
 class CoupledEnsemble:
     """Synchronously coupled particle system and nonlinear processes.
 
-    The gap is recorded on the snapshot grid of the run's snapshot_stride
-    (step 0, every stride-th step and the last), the steps a
-    TrajectoryEnsemble records; stride 1 gives every step.  Batched runs
-    carry a leading replica axis R on every field but times.
+    The gap is recorded at the run's record_steps, the steps a
+    TrajectoryEnsemble records.  Batched runs carry a leading replica axis R
+    on every field but times.
     """
 
     times: np.ndarray               # (n_rec,), the recorded times
@@ -219,7 +228,7 @@ def euler_step(X, drift, diffusion: DiffusionSpec, dW, dt: float, taming: bool =
 
 
 def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, states: list,
-               clouds: list, on_step: Callable[[int, list], None]) -> list:
+               clouds: list, on_record: Callable[[int, list], None]) -> list:
     """The step loop shared by every simulation: all states ride the same noise.
 
     States have shape noise.batch_shape + (n, d); row i of a state is
@@ -231,10 +240,11 @@ def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, states: li
     state's mean-field drift (against the state itself, replica by replica,
     when its cloud is None, else against the frozen snapshot cloud[k] (M, d)
     shared by all replicas), then advances the states with euler_step in
-    list order.  on_step(k + 1, states) sees the new states; the terminal
-    states are returned.  A DivergenceError is that of the first state in
-    list order to diverge at the earliest step, and names the replica id and
-    the particle of its diverged row.  Each initial state is made
+    list order.  After the step that reaches config.record_steps[r], r >= 1,
+    on_record(r, states) sees the new states (step 0 is the caller's); the
+    terminal states are returned.  A DivergenceError is that of the first
+    state in list order to diverge at the earliest step, and names the
+    replica id and the particle of its diverged row.  Each initial state is made
     C-contiguous once, so every drift sees contiguous states and clouds, as
     the euler_step results of later steps already are: a closed-form mean
     may round a strided state differently.
@@ -244,6 +254,7 @@ def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, states: li
     tame = config.taming and model.drift.superlinear
     rows = [X.shape[-2] for X in states]
     scale = np.sqrt(config.dt)
+    rec_pos = {int(k): r for r, k in enumerate(config.record_steps)}
     for k in range(config.n_steps):
         drifts = [mean_field_batch(model.drift, X, X if c is None else c[k])
                   for X, c in zip(states, clouds)]
@@ -256,15 +267,10 @@ def _integrate(model: ModelSpec, config: SimConfig, noise: NoiseGrid, states: li
             ids = noise.replica_id
             replica = ids if err.replica is None else ids[err.replica]
             raise DivergenceError(err.step, err.particle, replica=int(replica)) from None
-        on_step(k + 1, states)
+        r = rec_pos.get(k + 1)
+        if r is not None:
+            on_record(r, states)
     return states
-
-
-def _record_steps(n_steps: int, stride: int) -> np.ndarray:
-    ks = np.arange(0, n_steps + 1, stride)
-    if ks[-1] != n_steps:
-        ks = np.append(ks, n_steps)
-    return ks
 
 
 def simulate_particle_system(model: ModelSpec, config: SimConfig,
@@ -273,22 +279,20 @@ def simulate_particle_system(model: ModelSpec, config: SimConfig,
 
     Every step is a Jacobi update: all drifts are evaluated against the
     frozen step-start ensemble (self-interaction j=i included), then all
-    particles advance simultaneously.  Row i is particle i of the noise
-    grid, for i < N.  A batched noise grid (a vector of replica ids) runs
-    one system per replica and gives states a leading replica axis.
+    particles advance simultaneously.  The states are recorded at
+    config.record_steps.  Row i is particle i of the noise grid, for i < N.
+    A batched noise grid (a vector of replica ids) runs one system per
+    replica and gives states a leading replica axis.
     """
     noise = noise or config.noise()
     N, d = config.n_particles, model.dim
     X = model.initial_law.sample(noise, N)
-    recs = _record_steps(config.n_steps, config.snapshot_stride)
+    recs = config.record_steps
     states = np.empty(noise.batch_shape + (len(recs), N, d))
-    rec_pos = {int(k): r for r, k in enumerate(recs)}
     states[..., 0, :, :] = X
 
-    def record(k, Xs):
-        r = rec_pos.get(k)
-        if r is not None:
-            states[..., r, :, :] = Xs[0]
+    def record(r, Xs):
+        states[..., r, :, :] = Xs[0]
 
     _integrate(model, config, noise, [X], [None], record)
     return TrajectoryEnsemble(times=recs * config.dt, states=states)
@@ -297,7 +301,8 @@ def simulate_particle_system(model: ModelSpec, config: SimConfig,
 def build_reference_flow(model: ModelSpec, M: int, config: SimConfig) -> TrajectoryEnsemble:
     """The nonlinear flow f_t, stood in for by an M-particle run recorded at every step.
 
-    The run is self-consistent and draws from its own replica namespace,
+    M = 0 stands for the default size, 16 config.n_particles.  The run is
+    self-consistent and draws from its own replica namespace,
     REFERENCE_NAMESPACE + config.replica_id, disjoint from every replica.  It
     is its own Picard fixed point: a pass driven by its frozen snapshots on
     the same keys rebuilds it bit for bit, step by step, so one pass is all
@@ -308,7 +313,7 @@ def build_reference_flow(model: ModelSpec, M: int, config: SimConfig) -> Traject
     if errs:
         raise ValidationError(f"reference flow: {'; '.join(errs)}")
     return simulate_particle_system(model, replace(
-        config, n_particles=M, snapshot_stride=1,
+        config, n_particles=M or 16 * config.n_particles, snapshot_stride=1,
         replica_id=REFERENCE_NAMESPACE + config.replica_id))
 
 
@@ -321,11 +326,11 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemb
     processes see the frozen reference flow, a run recorded at every step
     (see build_reference_flow).  Both start from the same initial samples,
     so the per-time mean-square gap is the Theorem's left-hand side.  It is
-    recorded only at the snapshot steps of config.snapshot_stride (every
-    step at stride 1), each value the same bits as in the stride-1 trace;
-    the states are stepped alike at any stride.  A batched noise grid
-    couples one system per replica against the one shared flow.  Returns
-    one CoupledEnsemble.
+    recorded only at config.record_steps (every step at stride 1), each
+    value the same bits as in the stride-1 trace; the states are stepped
+    alike at any stride.  The step-0 gap is 0 and is not computed.  A
+    batched noise grid couples one system per replica against the one
+    shared flow.  Returns one CoupledEnsemble.
 
     With n_grid, one step loop couples a particle system of every size N in
     n_grid (config.n_particles is not read) and returns a list of one
@@ -341,22 +346,17 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemb
         raise ValidationError("reference flow must be one run, without a replica axis")
     if flow.times[1] != config.dt:
         raise ValidationError(f"flow step {flow.times[1]} does not match run dt {config.dt}")
-    n_steps = config.n_steps
-    if n_steps + 1 > len(flow.times):
+    if config.n_steps + 1 > len(flow.times):
         raise ValidationError("reference flow does not cover [0, t_final] at this dt")
 
     noise = noise or config.noise()
     sizes = [config.n_particles] if n_grid is None else [int(n) for n in n_grid]
     X0 = model.initial_law.sample(noise, max(sizes))
-    recs = _record_steps(n_steps, config.snapshot_stride)
-    rec_pos = {int(k): r for r, k in enumerate(recs)}
+    recs = config.record_steps
     # both sides start from the same samples, so the step-0 gap is 0
     gaps = np.zeros((len(sizes),) + noise.batch_shape + (len(recs),))
 
-    def record(k, Xs):
-        r = rec_pos.get(k)
-        if r is None:
-            return
+    def record(r, Xs):
         for gap, X, n in zip(gaps, Xs, sizes):
             diff = X - Xs[-1][..., :n, :]
             gap[..., r] = np.mean(np.einsum("...id,...id->...i", diff, diff), axis=-1)

@@ -24,7 +24,7 @@ class DivergenceError(RuntimeError):
 
 
 def count_errors(name: str, value) -> list[str]:
-    """Why `value` is no count `name`: [] if it is an int or numpy integer >= 1."""
-    if not isinstance(value, (int, np.integer)):
+    """Why `value` is no count `name`: [] if it is an int or numpy integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         return [f"{name} must be an integer, not {value!r}"]
     return [] if value >= 1 else [f"{name} must be >= 1, not {value!r}"]

@@ -23,9 +23,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import (SimConfig, TrajectoryEnsemble, _record_steps, build_reference_flow,
-                     equilibrium_time_errors, n_grid_errors, reference_size_errors,
-                     simulate_coupled, simulate_particle_system)
+from .engine import (SimConfig, TrajectoryEnsemble, build_reference_flow, equilibrium_time_errors,
+                     n_grid_errors, reference_size_errors, simulate_coupled,
+                     simulate_particle_system)
 from .errors import ValidationError, count_errors
 from .models import ModelSpec, Observable
 from .rng import BURN_IN_NAMESPACE, NoiseGrid
@@ -172,7 +172,7 @@ def _chunked(config: SimConfig, replicas: int, values_per_replica: int, run) -> 
 def _particle_runs(model: ModelSpec, config: SimConfig, replicas: int,
                    statistic: Callable[[TrajectoryEnsemble], np.ndarray]) -> np.ndarray:
     """statistic(run) of each chunk's particle-system run; a replica holds its snapshots."""
-    records = len(_record_steps(config.n_steps, config.snapshot_stride))
+    records = len(config.record_steps)
     [stats] = _chunked(config, replicas, config.n_particles * records, lambda noise: [
         statistic(simulate_particle_system(model, config, noise=noise))])
     return stats
@@ -195,7 +195,7 @@ def _coupled_runs(model: ModelSpec, config: SimConfig, flow: TrajectoryEnsemble,
         return ([res.mean_square_gap[:, [s // stride for s in steps]] for res in runs]
                 + [res.terminal_particles[:, 0] for res in runs])
 
-    records = cfg.n_steps // stride + 1
+    records = len(cfg.record_steps)
     joined = _chunked(cfg, replicas, sum(n_grid) + max(n_grid) + len(n_grid) * records, run)
     return np.stack(joined[:len(n_grid)]), np.stack(joined[len(n_grid):])
 
@@ -307,10 +307,11 @@ def chaos_rate_experiment(model: ModelSpec, n_grid: Sequence[int], config: SimCo
     n_grid = sorted(int(n) for n in n_grid)
     errs = n_grid_errors(n_grid)
     if not errs:
-        M = flow.states.shape[1] if flow is not None else m_reference or 16 * max(n_grid)
+        M = flow.states.shape[1] if flow is not None else m_reference or 0
         errs = reference_size_errors(M, n_grid)
     if errs:
         raise ValidationError("; ".join(errs))
+    config = replace(config, n_particles=max(n_grid))
     if flow is None:
         flow = build_reference_flow(model, M, config)
 
@@ -340,7 +341,7 @@ def observable_deviation_experiment(model: ModelSpec, observable: Observable,
     tail table and the mean-square fit are internally consistent.  The
     reference flow has m_reference points, 16 config.n_particles by default.
     """
-    flow = build_reference_flow(model, m_reference or 16 * config.n_particles, config)
+    flow = build_reference_flow(model, m_reference or 0, config)
     L = observable.lipschitz_constant
     phi = observable.eval if L <= 1.0 else (lambda x: np.asarray(observable.eval(x)) / L)
     ref_value = float(np.mean(phi(flow.terminal)))
@@ -369,10 +370,10 @@ def empirical_measure_deviation(model: ModelSpec, r_grid: Sequence[float], repli
     is all we have; noted in metadata).  The reference flow has m_reference
     points, 16 config.n_particles by default.
     """
-    flow = build_reference_flow(model, m_reference or 16 * config.n_particles, config)
+    flow = build_reference_flow(model, m_reference or 0, config)
     stride = config.snapshot_stride if sup_over_time else config.n_steps
     # an equal-size reference subsample per snapshot the statistic reads
-    steps = _record_steps(config.n_steps, stride) if sup_over_time else [config.n_steps]
+    steps = config.record_steps if sup_over_time else [config.n_steps]
     refs = np.stack([_even_subsample(flow.states[s], config.n_particles) for s in steps])
 
     cfg = replace(config, snapshot_stride=stride)
@@ -418,7 +419,7 @@ def equilibrium_convergence(model: ModelSpec, config: SimConfig,
     # W2 per replica and snapshot, averaged over the replicas
     curve = np.mean(_particle_runs(model, config, replicas,
                                    lambda run: sample_w2(run.states, target)), axis=0)
-    times = _record_steps(config.n_steps, config.snapshot_stride) * config.dt
+    times = config.record_steps * config.dt
 
     mask = curve > 2.0 * floor
     mask[0] = False  # t = 0 reflects the initial law, not the decay regime
@@ -430,7 +431,7 @@ def equilibrium_convergence(model: ModelSpec, config: SimConfig,
 
     gap_means, gap_ses, gslope, gslope_se = [], [], None, None
     if gap_times:
-        flow = build_reference_flow(model, m_reference or 16 * n_particles, config)
+        flow = build_reference_flow(model, m_reference or 0, config)
         steps = [int(round(t / config.dt)) for t in gap_times]
         # (replicas, len(gap_times))
         gaps = _coupled_runs(model, config, flow, replicas, [n_particles], steps)[0][0]

@@ -489,7 +489,9 @@ def vlasov_fokker_planck_model(U: Potential, A: Callable, B: Callable, d_prime: 
     The drift kernel is b((x,v), (y,w)) = (-v, A(v) + B(x) + grad U(x - y));
     averaging the second argument over the full empirical measure realizes
     the convolution against the space marginal.  Noise enters the velocity
-    block only: sigma = diag(0, sqrt(2) I).
+    block only: sigma = diag(0, sqrt(2) I).  A U without a linear gradient
+    marks the kernel for tamed integration; A and B are the caller's, and
+    taming is not decided by them.
     """
     _check_gradient(U, d_prime)
     _check_even(U, d_prime)
@@ -521,7 +523,8 @@ def vlasov_fokker_planck_model(U: Potential, A: Callable, B: Callable, d_prime: 
     sigma = np.zeros((d, d))
     sigma[d_prime:, d_prime:] = np.sqrt(2.0) * np.eye(d_prime)
     return ModelSpec(
-        drift=DriftKernel(dim=d, eval=kernel_eval, mean_field=mean_field),
+        drift=DriftKernel(dim=d, eval=kernel_eval, mean_field=mean_field,
+                          superlinear=U.linear_grad_coeff is None),
         diffusion=DiffusionSpec(sigma),
         initial_law=initial_law or InitialLaw.gaussian(np.zeros(d), np.eye(d)),
         name=name or f"vfp(U={U.name}, d'={d_prime})",

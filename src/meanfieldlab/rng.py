@@ -137,12 +137,13 @@ class NoiseGrid:
     def _draw(self, n, step: int, dim: int, channel: int):
         """Values [0, dim*n) of the (step, channel) stream, dim per particle 0..n-1.
 
-        `n` is an int or numpy integer in [0, 2^32]; anything else, an index
-        array too, is a ValueError that names it, raised before any array is
-        built.  The draw reads its values block by block from value 0: a
-        normal block from its start (its prefix), a uniform block of B words.
+        `n` is an int or numpy integer in [0, 2^32]; anything else, a bool or
+        an index array too, is a ValueError that names it, raised before any
+        array is built.  The draw reads its values block by block from value
+        0: a normal block from its start (its prefix), a uniform block of B
+        words.
         """
-        if not isinstance(n, (int, np.integer)) or not 0 <= n <= 2 ** 32:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= 2 ** 32:
             raise ValueError(f"a particle count must be an integer in [0, 2^32], not {n!r}")
         if not 0 <= step < 2 ** 32:
             raise ValueError("step index must fit in uint32")

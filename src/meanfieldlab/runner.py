@@ -27,8 +27,7 @@ from .errors import DivergenceError, ValidationError
 from .experiments import (chaos_rate_experiment, empirical_measure_deviation,
                           equilibrium_convergence, observable_deviation_experiment)
 from .models import (InitialLaw, ModelSpec, Observable, granular_media_model,
-                     power_potential, quadratic_potential, vlasov_fokker_planck_model,
-                     zero_potential)
+                     power_potential, quadratic_potential, vlasov_fokker_planck_model)
 from .plots import emit_plot
 from .rng import STREAM, TARGET_NAMESPACE, NoiseGrid, seed_errors, stream_errors
 
@@ -77,27 +76,20 @@ class RunManifest:
 
 def build_model(cfg: RunConfig) -> ModelSpec:
     m = cfg.model
-    init = InitialLaw.gaussian(np.full(m.dim, m.init_mean), np.eye(m.dim) * m.init_var)
     if m.family == "granular_quadratic":
-        return granular_media_model(quadratic_potential(m.v_coeff),
-                                    quadratic_potential(m.w_coeff) if m.w_coeff != 0
-                                    else zero_potential(),
-                                    m.dim, initial_law=init)
-    if m.family == "granular_cubic":
-        return granular_media_model(quadratic_potential(m.v_coeff),
-                                    power_potential(3.0, m.w_coeff),
-                                    m.dim, initial_law=init)
-    if m.family == "kinetic":
-        init2 = InitialLaw.gaussian(np.full(2 * m.dim, m.init_mean),
-                                    np.eye(2 * m.dim) * m.init_var)
-        return vlasov_fokker_planck_model(
-            quadratic_potential(m.u_coeff),
-            A=lambda v: m.friction_coeff * v,
-            B=lambda x: m.confinement_coeff * x,
-            d_prime=m.dim,
-            initial_law=init2,
-        )
-    raise ValidationError(f"unknown model family {m.family!r}")
+        model = granular_media_model(quadratic_potential(m.v_coeff),
+                                     quadratic_potential(m.w_coeff), m.dim)
+    elif m.family == "granular_cubic":
+        model = granular_media_model(quadratic_potential(m.v_coeff),
+                                     power_potential(3.0, m.w_coeff), m.dim)
+    elif m.family == "kinetic":
+        model = vlasov_fokker_planck_model(quadratic_potential(m.u_coeff),
+                                           A=lambda v: m.friction_coeff * v,
+                                           B=lambda x: m.confinement_coeff * x, d_prime=m.dim)
+    else:
+        raise ValidationError(f"unknown model family {m.family!r}")
+    return replace(model, initial_law=InitialLaw.gaussian(np.full(model.dim, m.init_mean),
+                                                          m.init_var))
 
 
 def _sim_config(cfg: RunConfig, n_particles: int) -> SimConfig:
@@ -194,11 +186,10 @@ def _run_experiment(cfg: RunConfig, write) -> None:
     """Run the configured experiment and pass each artifact to `write(name, text)`."""
     model = build_model(cfg)
     kind = cfg.experiment.kind
-    m_ref = cfg.reference.m or None
 
     if kind == "chaos_rate":
         fit = chaos_rate_experiment(model, cfg.sim.n_grid, _sim_config(cfg, max(cfg.sim.n_grid)),
-                                    replicas=cfg.sim.replicas, m_reference=m_ref)
+                                    replicas=cfg.sim.replicas, m_reference=cfg.reference.m)
         write("rate_fit.csv", _csv(
             ["n", "mean_sq_gap", "stderr", "w2_sq_estimate", "w2_sq_stderr"],
             zip(fit.n_grid, fit.mean_sq_gaps, fit.stderrs,
@@ -214,7 +205,7 @@ def _run_experiment(cfg: RunConfig, write) -> None:
                                             xlabel="N", ylabel="E|X - Xbar|^2"))
     elif kind in ("observable_deviation", "empirical_deviation"):
         common = dict(r_grid=cfg.experiment.r_grid, replicas=cfg.sim.replicas,
-                      config=_sim_config(cfg, cfg.sim.n_particles), m_reference=m_ref)
+                      config=_sim_config(cfg, cfg.sim.n_particles), m_reference=cfg.reference.m)
         if kind == "observable_deviation":
             obs = _observable(cfg.experiment.observable, model.dim)
             table = observable_deviation_experiment(model, obs, **common)
@@ -251,7 +242,7 @@ def _run_experiment(cfg: RunConfig, write) -> None:
         run_cfg = replace(_sim_config(cfg, cfg.sim.n_particles),
                           t_final=cfg.experiment.t_equilibrium)
         curve = equilibrium_convergence(model, run_cfg, target_sampler=target,
-                                        replicas=cfg.sim.replicas, m_reference=m_ref,
+                                        replicas=cfg.sim.replicas, m_reference=cfg.reference.m,
                                         gap_times=cfg.experiment.gap_times or None)
         write("equilibrium_curve.csv", _csv(["t", "w2_to_target"],
                                             zip(curve.times, curve.w2_to_target)))

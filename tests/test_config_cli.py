@@ -393,6 +393,26 @@ def test_gaussian_target_is_drawn_from_the_seed(tmp_path):
     assert runs["a"][1] != runs["c"][1]
 
 
+@pytest.mark.parametrize("init_mean, fitted", [(0.0, False), (3.0, True)])
+def test_an_equilibrium_run_plots_its_curve_with_its_fitted_line(init_mean, fitted, tmp_path):
+    # the W2 curve is drawn on log y; a fitted decay rate adds its line, which
+    # starts at the first plotted point
+    text = GAUSSIAN_TARGET_CFG.replace("plots = false", "plots = true").replace(
+        "[model]\n", f"[model]\ninit_mean = {init_mean}\n")
+    manifest = run(parse_config(text.format(out=str(tmp_path))))
+    assert "equilibrium_curve.svg" in manifest.files
+    rate = float((tmp_path / "equilibrium_summary.csv").read_text().splitlines()[1].split(",")[0])
+    svg = (tmp_path / "equilibrium_curve.svg").read_text()
+    assert bool(np.isfinite(rate)) is fitted
+    assert ("slope=" in svg) is fitted
+    if fitted:
+        assert f"slope={format(-rate, '.2f')}" in svg
+        start = re.search(r'<line x1="([-\d.]+)" y1="([-\d.]+)"[^>]*stroke="firebrick"', svg)
+        first = re.search(r'<circle cx="([-\d.]+)" cy="([-\d.]+)"', svg)
+        assert np.allclose([float(v) for v in start.groups()],
+                           [float(v) for v in first.groups()], atol=0.05)
+
+
 def test_manifest_jsonl_structure(tmp_path):
     out = str(tmp_path / "m")
     cfg = parse_config(DEVIATION_CFG.format(out=out))
@@ -435,6 +455,17 @@ def test_emit_plot_deterministic_bytes():
     assert a == b
 
 
+@pytest.mark.parametrize("x, y, kind, rule", [
+    ([], [], "loglog", "cannot plot an empty table"),
+    ([1.0, 2.0], [1.0, 2.0], "bar", "unknown plot kind 'bar'"),
+    ([0.0, 1.0], [1.0, 2.0], "loglog", "log-scale x needs positive values"),
+    ([1.0, 2.0], [0.0, -1.0], "loglinear", "no plottable points"),
+], ids=["empty", "unknown-kind", "nonpositive-log-x", "nonpositive-log-y"])
+def test_emit_plot_refuses_what_it_cannot_draw(x, y, kind, rule):
+    with pytest.raises(ValidationError, match=re.escape(rule)):
+        emit_plot(x, y, kind=kind)
+
+
 @pytest.mark.parametrize("kind", ["loglog", "timeseries"])
 def test_emit_plot_draws_no_bar_for_a_nan_stderr(kind):
     # a one-replica chaos run writes a nan gap stderr; its bar is left out
@@ -472,8 +503,12 @@ def test_cli_validate_ok(tmp_path, capsys):
     (CHAOS_CFG.replace("replicas = 4", "replicas = 0"), "[sim] replicas must be >= 1, not 0\n"),
     (CHAOS_CFG.replace("[output]", "[output]\nsnapshot_stride = 0"),
      "[output] snapshot_stride must be >= 1, not 0\n"),
+    ("[sim\nn_particles = 8\n", "config parse error"),
+    (GAUSSIAN_TARGET_CFG.replace("target = gaussian", "target = foo"),
+     "[experiment] target must be 'burn_in' or 'gaussian'"),
 ], ids=["unknown-key", "zero-dim", "negative-dim", "negative-target-var",
-        "negative-init-var", "zero-replicas", "zero-snapshot-stride"])
+        "negative-init-var", "zero-replicas", "zero-snapshot-stride", "malformed-ini",
+        "unknown-target"])
 def test_cli_validate_bad_config(text, message, tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     out = tmp_path / "out"

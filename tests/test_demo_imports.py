@@ -5,8 +5,8 @@ no other test runs them, so a removed or renamed public name would
 otherwise surface only when someone runs one.  Each `demos/*.py` and
 `scripts/*.py` is parsed with `ast`, not executed: the check resolves the
 `from meanfieldlab... import ...` names and the `import meanfieldlab...`
-modules, and takes well under a second.  The transport demo, which runs in
-under a second, is also run, so a stale call in it fails here too.
+modules, and takes well under a second.  Each demo, which runs in under a
+second, is also run, so a stale call in one fails here too.
 """
 
 import ast
@@ -58,8 +58,10 @@ def test_demo_imports_resolve(path):
     assert missing == []
 
 
-def test_the_transport_demo_runs():
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_the_demo_runs(path, tmp_path):
+    # in a scratch directory, since a demo may write its plot where it runs
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", "wasserstein_basics.py")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, path], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

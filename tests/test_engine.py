@@ -195,14 +195,31 @@ def test_config_names_a_non_finite_time(field, value):
 
 
 @pytest.mark.parametrize("field, value", [("snapshot_stride", 2.5), ("snapshot_stride", 2.0),
-                                          ("n_particles", 4.5), ("n_particles", "4")])
+                                          ("n_particles", 4.5), ("n_particles", "4"),
+                                          ("n_particles", True), ("snapshot_stride", True)])
 def test_config_names_a_non_integer_run_setting(field, value):
     # snapshot_stride = 2.5 once ran, labelling step 2's state t = 0.25 at
-    # dt = 0.1, and n_particles = 4.5 failed only at the first draw
+    # dt = 0.1, and n_particles = 4.5 failed only at the first draw;
+    # n_particles = True validated, and the run died in numpy with an
+    # unlabelled "an integer is required"
     settings = {"n_particles": 4, "snapshot_stride": 1, field: value}
     with pytest.raises(ValidationError, match=re.escape(f"{field} must be an integer, "
                                                         f"not {value!r}")):
         SimConfig(dt=0.1, t_final=1.0, seed=1, **settings)
+
+
+@pytest.mark.parametrize("stride, steps", [(1, list(range(11))), (3, [0, 3, 6, 9, 10]),
+                                           (5, [0, 5, 10]), (10, [0, 10]), (25, [0, 10])])
+def test_the_snapshot_grid_is_step_0_every_stride_th_step_and_the_last(stride, steps):
+    cfg = SimConfig(dt=0.1, t_final=1.0, n_particles=1, seed=1, snapshot_stride=stride)
+    assert cfg.record_steps.tolist() == steps
+    m = _ou_model()
+    assert simulate_particle_system(m, cfg).times.tolist() == [k * 0.1 for k in steps]
+    # the step loop hands over each recorded step after step 0, by its place in the grid
+    seen = []
+    engine._integrate(m, cfg, cfg.noise(), [np.zeros((1, 1))], [None],
+                      lambda r, Xs: seen.append(r))
+    assert seen == list(range(1, len(steps)))
 
 
 @pytest.mark.parametrize("field, value, rule", [
@@ -478,6 +495,25 @@ def test_one_reference_pass_equals_the_picard_loop(case, passes):
     assert gaps == [0.0] * (passes - 1)
 
 
+def test_a_reference_flow_of_size_zero_has_the_default_16_n_particles():
+    # build_reference_flow(model, 0, cfg) once raised "n_particles must be >= 1, not 0"
+    m = _ou_model()
+    cfg = SimConfig(dt=0.05, t_final=0.2, n_particles=3, seed=5)
+    flow = build_reference_flow(m, 0, cfg)
+    assert flow.states.shape == (cfg.n_steps + 1, 48, 1)
+    assert np.array_equal(flow.states, build_reference_flow(m, 48, cfg).states)
+
+
+@pytest.mark.parametrize("M", [2.5, True, np.float64(64.0)], ids=["float", "bool", "numpy-float"])
+def test_a_reference_size_that_is_no_integer_is_named_by_the_flow(M):
+    # 2.5 was reported as "n_particles must be an integer", a field the
+    # caller never set, and True died in numpy with an unlabelled TypeError
+    cfg = SimConfig(dt=0.05, t_final=0.2, n_particles=3, seed=5)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"reference flow: m must be an integer, not {M!r}")):
+        build_reference_flow(_ou_model(), M, cfg)
+
+
 # ---------------------------------------------------------------------------
 # synchronous coupling
 
@@ -607,7 +643,7 @@ def test_batched_simulations_equal_per_replica_runs(case):
 
     coupled = simulate_coupled(m, cfg, flow, noise=batch_noise)
     traj = simulate_particle_system(m, cfg, noise=batch_noise)
-    assert coupled.mean_square_gap.shape == (len(ids), len(engine._record_steps(cfg.n_steps, 3)))
+    assert coupled.mean_square_gap.shape == (len(ids), len(cfg.record_steps))
     assert traj.states.shape == (len(ids), 5, 12, m.dim)
     for r, rid in enumerate(ids):
         noise = NoiseGrid(cfg.seed, int(rid))
@@ -680,7 +716,7 @@ def test_strided_gap_is_the_full_trace_at_the_recorded_steps(case, batched, stri
     stride = cfg.n_steps if stride == "n_steps" else stride
     flow = build_reference_flow(m, 64, cfg)
     noise = NoiseGrid(cfg.seed, np.array([6, 2, 11]) if batched else 4)
-    steps = engine._record_steps(cfg.n_steps, stride)
+    steps = replace(cfg, snapshot_stride=stride).record_steps
     for n_grid in (None, [12, 1, 5]):
         full = simulate_coupled(m, cfg, flow, noise=noise, n_grid=n_grid)
         part = simulate_coupled(m, replace(cfg, snapshot_stride=stride), flow, noise=noise,

@@ -89,6 +89,13 @@ def test_linear_fit_stderr_needs_a_degree_of_freedom():
     assert se == np.sqrt(ss_res / (len(x) - 2) / sxx)
 
 
+def test_an_interval_or_a_fit_without_data_is_refused():
+    with pytest.raises(ValidationError, match="trials must be positive"):
+        wilson_interval(0, 0)
+    with pytest.raises(ValidationError, match="need at least two points"):
+        linear_fit([1.0], [1.0])
+
+
 def test_linear_fit_refuses_an_abscissa_of_one_value():
     # the mean of three 0.4s rounds off 0.4, so sxx is about 1e-33, not 0:
     # the fit returned slope 0 with a stderr of 1.5e16
@@ -479,18 +486,20 @@ def test_zero_replicas_is_a_labelled_error(kind):
 @pytest.mark.parametrize("kind", ["chaos_rate", "observable_deviation", "empirical_deviation",
                                   "equilibrium"])
 def test_a_non_integer_replica_count_is_a_labelled_error(kind):
-    # replicas = 2.5 died in the chunk loop with an unlabelled TypeError from range
+    # replicas = 2.5 died in the chunk loop with an unlabelled TypeError from
+    # range, and replicas = True silently ran one replica
     m = granular_media_model(quadratic_potential(1.0), quadratic_potential(1.0), 1)
     cfg = _cfg(dt=0.1, t_final=0.2, n_particles=8)
     x0 = Observable(eval=lambda x: np.asarray(x)[..., 0], lipschitz_constant=1.0, name="x0")
     calls = {
-        "chaos_rate": lambda: chaos_rate_experiment(m, [4, 8], cfg, replicas=2.5),
-        "observable_deviation": lambda: observable_deviation_experiment(m, x0, [0.1], 2.5, cfg),
-        "empirical_deviation": lambda: empirical_measure_deviation(m, [0.1], 2.5, cfg),
-        "equilibrium": lambda: equilibrium_convergence(m, cfg, replicas=2.5),
+        "chaos_rate": lambda n: chaos_rate_experiment(m, [4, 8], cfg, replicas=n),
+        "observable_deviation": lambda n: observable_deviation_experiment(m, x0, [0.1], n, cfg),
+        "empirical_deviation": lambda n: empirical_measure_deviation(m, [0.1], n, cfg),
+        "equilibrium": lambda n: equilibrium_convergence(m, cfg, replicas=n),
     }
-    with pytest.raises(ValidationError, match="replicas must be an integer, not 2.5"):
-        calls[kind]()
+    for replicas in (2.5, True):
+        with pytest.raises(ValidationError, match=f"replicas must be an integer, not {replicas}"):
+            calls[kind](replicas)
 
 
 @pytest.mark.parametrize("n_grid", [[16, 16], [16, 32, 16], [0, 16], []])

@@ -1,19 +1,20 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meanfieldlab import (DiffusionSpec, InitialLaw, Observable, ValidationError,
-                          granular_media_model, ou_mean, ou_variance,
-                          power_potential, quadratic_potential, vlasov_fokker_planck_model,
-                          zero_potential)
+from meanfieldlab import (DiffusionSpec, InitialLaw, Observable, SimConfig, ValidationError,
+                          granular_media_model, ou_mean, ou_variance, power_potential,
+                          quadratic_potential, simulate_particle_system,
+                          vlasov_fokker_planck_model, zero_potential)
 from meanfieldlab import models
 from meanfieldlab.config import parse_config
 from meanfieldlab.models import DriftKernel, Potential, mean_field_batch
 from meanfieldlab.rng import NoiseGrid
-from meanfieldlab.runner import run
+from meanfieldlab.runner import build_model, run
 
 
 def _ou_model(rate=1.0, mean0=0.0, var0=1.0, d=1):
@@ -583,6 +584,20 @@ def test_vfp_interaction_term():
     assert full[1] - noint[1] == pytest.approx(x - y)
 
 
+def test_a_kinetic_model_tames_a_superlinear_interaction():
+    # the kinetic kernel was never marked superlinear, so taming = true left
+    # a cubic U's run bit for bit as it was untamed
+    cubic = vlasov_fokker_planck_model(power_potential(3.0), A=lambda v: v, B=lambda x: x,
+                                       d_prime=1)
+    linear = vlasov_fokker_planck_model(quadratic_potential(1.0), A=lambda v: v,
+                                        B=lambda x: x, d_prime=1)
+    assert cubic.drift.superlinear and not linear.drift.superlinear
+    cfg = SimConfig(dt=0.05, t_final=0.5, n_particles=8, seed=2)
+    runs = {taming: simulate_particle_system(cubic, replace(cfg, taming=taming)).terminal
+            for taming in (False, True)}
+    assert not np.array_equal(runs[False], runs[True])
+
+
 def test_vfp_degenerate_diffusion_matrix():
     m = vlasov_fokker_planck_model(zero_potential(), A=lambda v: v, B=lambda x: x, d_prime=1)
     # noise enters the velocity only
@@ -604,6 +619,19 @@ def test_linear_model_closed_form_values():
     far = mean_field_batch(m.drift, X, np.arange(4.0)[:, None] * 100.0)
     assert np.array_equal(near.view(np.uint64), far.view(np.uint64))
     assert m.drift.eval(np.array([2.0]), np.array([-1.0]))[0] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_config_without_interaction_runs_as_the_zero_potential_model(dim):
+    # w_coeff = 0 builds quadratic_potential(0.0), whose closed-form mean
+    # field is that of zero_potential(): the OU process of ou_mean, bit for bit
+    cfg = parse_config(f"[model]\nfamily = granular_quadratic\ndim = {dim}\nv_coeff = 0.5\n"
+                       "w_coeff = 0\ninit_mean = 1.5\ninit_var = 0.25\n[sim]\nn_grid = 8\n")
+    ou = granular_media_model(quadratic_potential(0.5), zero_potential(), dim,
+                              initial_law=InitialLaw.gaussian(np.full(dim, 1.5), 0.25))
+    sim = SimConfig(dt=0.05, t_final=1.0, n_particles=64, seed=5)
+    got = simulate_particle_system(build_model(cfg), sim).states
+    assert got.tobytes() == simulate_particle_system(ou, sim).states.tobytes()
 
 
 @pytest.mark.parametrize("rate, d", [(1.0, 1), (2.0, 1), (0.3, 2), (1.0, 3)])
@@ -735,8 +763,9 @@ def test_a_row_of_sigma_dw_or_an_initial_state_has_the_bits_of_the_row_alone(d, 
 
 @pytest.mark.parametrize("dim, rule", [(1.5, "kernel dim must be an integer, not 1.5"),
                                        (np.float64(2.0), "kernel dim must be an integer"),
-                                       (0, "kernel dim must be >= 1, not 0")],
-                         ids=["float", "numpy-float", "zero"])
+                                       (0, "kernel dim must be >= 1, not 0"),
+                                       (True, "kernel dim must be an integer, not True")],
+                         ids=["float", "numpy-float", "zero", "bool"])
 def test_a_kernel_dimension_must_be_an_integer_of_at_least_one(dim, rule):
     # DriftKernel(dim=1.5) once constructed
     with pytest.raises(ValidationError, match=rule):

@@ -101,13 +101,14 @@ def _no_arrays(*args, **kwargs):
 
 @pytest.mark.parametrize("draw", ["normals", "uniforms"])
 @pytest.mark.parametrize("count", [-3, np.int64(-1), 2.5, 2.0, np.float64(3.0), "4",
-                                   np.arange(3), [0, 1], 2 ** 32 + 1],
+                                   np.arange(3), [0, 1], 2 ** 32 + 1, True],
                          ids=["minus-3", "int64-minus-1", "2.5", "2.0", "float64", "str",
-                              "index-array", "list", "above-2^32"])
+                              "index-array", "list", "above-2^32", "bool"])
 def test_a_negative_or_non_integer_count_is_refused(draw, count, monkeypatch):
     # refused by name before any array is built, where it once drew 0 rows
     # (a negative count) or truncated (2.5 drew 2); a draw is a count, so a
-    # set of particles is no draw, and no count reaches past particle 2^32 - 1
+    # set of particles is no draw, and no count reaches past particle 2^32 - 1;
+    # True drew one particle
     grid = NoiseGrid(8, np.array([1, 2]))
     for name in ("asarray", "arange", "empty"):
         monkeypatch.setattr(rng.np, name, _no_arrays)

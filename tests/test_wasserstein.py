@@ -302,6 +302,26 @@ def test_dual_nearly_tight_in_1d():
     assert dual >= 0.9 * primal
 
 
+@pytest.mark.parametrize("p, a, b, rule", [
+    (3, np.zeros((2, 1)), np.zeros((2, 1)), "order p must be 1 or 2"),
+    (2, np.zeros((4097, 1)), np.zeros((4097, 1)), "capped at n=4096"),
+    (2, np.zeros((3, 1)), np.zeros((3, 2)), "dimension mismatch"),
+], ids=["p-3", "4097-points", "1d-against-2d"])
+def test_the_assignment_solver_refuses_what_it_cannot_solve(p, a, b, rule):
+    with pytest.raises(ValidationError, match=re.escape(rule)):
+        wasserstein_assignment(p, EmpiricalMeasure(a), EmpiricalMeasure(b))
+
+
+@pytest.mark.parametrize("b, family, rule", [
+    (np.zeros((2, 2)), None, "dimension mismatch"),
+    (np.ones((2, 1)), [], "dual family is empty"),
+], ids=["1d-against-2d", "empty-family"])
+def test_the_dual_bound_refuses_what_it_cannot_bound(b, family, rule):
+    mu, nu = _measure([0.0, 1.0]), EmpiricalMeasure(b)
+    with pytest.raises(ValidationError, match=rule):
+        kr_dual_lower_bound(mu, nu, quantile_dual_family(mu, mu) if family is None else family)
+
+
 def test_dual_rejects_uncertified_function():
     mu, nu = _measure([0.0, 1.0]), _measure([2.0, 3.0])
     steep = Observable(eval=lambda x: 5.0 * np.asarray(x)[..., 0], lipschitz_constant=1.0,
